@@ -58,9 +58,9 @@ def _legacy_big_field_kernels():
     kernels of PR 5 bypass ``_mul_big``, so patching the scalar kernel alone
     would leave the fast encode in place), the step 2.2 flag agreement runs
     one classical broadcast per origin instead of the origin-batched shared
-    rounds, and the clean-path relay batching is disabled
-    (``paths_are_clean`` forced to ``False``) so every relay pays the
-    per-label, per-copy message costs the true pre-PR path paid.
+    rounds, and the batched relay is replaced by a loop of the per-value
+    ``reliable_send`` so every relay pays the per-label, per-copy message
+    costs the true pre-PR path paid.
     """
     fast_mul = GF2m._mul_big
     fast_inv = GF2m._inv_big
@@ -69,7 +69,7 @@ def _legacy_big_field_kernels():
     fast_matmul = GFMatrix.matmul
     fast_scale_vec = GF2m.scale_vec
     fast_from_all = BroadcastDefault.broadcast_from_all
-    fast_paths_clean = DisjointPathRelay.paths_are_clean
+    fast_send_vector = DisjointPathRelay.reliable_send_vector
 
     def legacy_square(self, a):
         if self._big:
@@ -94,6 +94,13 @@ def _legacy_big_field_kernels():
                 outputs[receiver][origin] = received
         return outputs
 
+    def legacy_send_vector(self, sender, receiver, values, bit_sizes, phase, context="relay"):
+        # EIG hands the relay one size per value.
+        return [
+            self.reliable_send(sender, receiver, value, size, phase, context)
+            for value, size in zip(values, bit_sizes)
+        ]
+
     GF2m._mul_big = GF2m._mul_fallback
     GF2m._inv_big = GF2m._inv_fallback
     GF2m.square = legacy_square
@@ -101,7 +108,7 @@ def _legacy_big_field_kernels():
     GFMatrix.vecmat = GFMatrix.vecmat_loop
     GFMatrix.matmul = GFMatrix.matmul_loop
     BroadcastDefault.broadcast_from_all = legacy_broadcast_from_all
-    DisjointPathRelay.paths_are_clean = lambda self, sender, receiver: False
+    DisjointPathRelay.reliable_send_vector = legacy_send_vector
     try:
         yield
     finally:
@@ -112,7 +119,7 @@ def _legacy_big_field_kernels():
         GFMatrix.vecmat = fast_vecmat
         GFMatrix.matmul = fast_matmul
         BroadcastDefault.broadcast_from_all = fast_from_all
-        DisjointPathRelay.paths_are_clean = fast_paths_clean
+        DisjointPathRelay.reliable_send_vector = fast_send_vector
 
 
 def _mul_suite(degree: int):

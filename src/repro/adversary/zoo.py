@@ -15,7 +15,7 @@ reusable parts:
   consistency check — the strategy that drives dispute control towards its
   ``f (f + 1)`` worst case;
 * :class:`RelayTamperStrategy` corrupts values it forwards on disjoint-path
-  relays, defeating the clean-path batching fast path.
+  relays, so the receiver's per-value majority has real work to do.
 
 All randomness flows through :class:`AdversaryLattice`, the sha256 lattice of
 the link-fault layer (:mod:`repro.sched.faults`): a hash of the seed and the
@@ -480,8 +480,8 @@ class AdaptiveDisputeDodgerStrategy(ByzantineStrategy):
 class RelayTamperStrategy(ByzantineStrategy):
     """Corrupts values it forwards as an intermediate on disjoint-path relays.
 
-    A faulty node on a relay path already forces the transport off the
-    clean-path batching fast path; this strategy makes the slow path earn its
+    A faulty node on a relay path makes the receiver take the per-value
+    majority over the path copies; this strategy makes that decoding earn its
     keep by actually tampering with a lattice-chosen fraction of forwards.
     Majority decoding over ``2f + 1`` disjoint paths absorbs the damage.
     """

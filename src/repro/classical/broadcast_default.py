@@ -15,7 +15,7 @@ the two call patterns NAB needs:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.classical.eig import EIGBroadcast
 from repro.classical.relay import DisjointPathRelay
@@ -77,8 +77,8 @@ class BroadcastDefault:
 
     def broadcast_from_all(
         self,
-        values: Dict[NodeId, Any],
-        bit_size: int,
+        values: Mapping[NodeId, Any],
+        bit_size: int | Mapping[NodeId, int],
         phase: str,
         context: str = "broadcast_default_all",
     ) -> Dict[NodeId, Dict[NodeId, Any]]:
@@ -88,6 +88,8 @@ class BroadcastDefault:
             values: The value each participant wants to broadcast.  Faulty
                 participants' entries are the values they would use if they
                 followed the protocol; their strategy hooks may deviate.
+            bit_size: Size of every origin's value, or one size per origin
+                (DC1's claims differ in size from node to node).
 
         Returns:
             ``outputs[receiver][origin]`` — the value fault-free ``receiver``
@@ -95,10 +97,10 @@ class BroadcastDefault:
             all fault-free receivers hold identical vectors.
 
         All broadcasts share their relay rounds
-        (:meth:`EIGBroadcast.broadcast_all`): a fault-free relayer forwards
-        every origin's round labels to a receiver as one per-hop vector, so
-        the n-origin flag agreement of step 2.2 costs one message per
-        (relayer, receiver, hop) per round instead of one per origin —
-        identical decisions, hook invocations and per-link bit totals.
+        (:meth:`EIGBroadcast.broadcast_all`): a relayer forwards every
+        origin's round labels to a receiver as one per-hop vector, so the
+        n-origin agreements of step 2.2 and DC1 cost one message per
+        (relayer, receiver, hop) per round instead of one per origin and
+        label — identical decisions, hook invocations and per-link bit totals.
         """
         return self._eig.broadcast_all(values, bit_size, phase, context=context)

@@ -20,7 +20,7 @@ rounds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.classical.relay import DisjointPathRelay, majority_value
@@ -81,225 +81,135 @@ class EIGBroadcast:
         """
         if source not in self.participants:
             raise ProtocolError(f"source {source} is not a participant")
-        fault_model = self.network.fault_model
-        strategy = fault_model.strategy
-        # trees[i][label] = value participant i holds for the EIG label.
-        trees: Dict[NodeId, Dict[Label, Any]] = {node: {} for node in self.participants}
-
-        # Round 1: the source sends its value to every participant.
-        root_label: Label = (source,)
-        for receiver in self.participants:
-            if receiver == source:
-                trees[receiver][root_label] = value
-                continue
-            outgoing = value
-            if fault_model.is_faulty(source):
-                outgoing = strategy.broadcast_value(
-                    self.instance, source, receiver, f"{context}|{root_label}", value
-                )
-            delivered = self.relay.reliable_send(
-                source, receiver, outgoing, bit_size, f"{phase}/round1", context
-            )
-            trees[receiver][root_label] = delivered
-
-        # Rounds 2 .. f+1: relay every label of the previous round.  A
-        # fault-free relayer sends the *same* label values to each receiver,
-        # and over clean paths (no faulty intermediary) every hop is pure
-        # forwarding — so the whole round's labels for one (relayer,
-        # receiver) pair ride as a single per-hop vector
-        # (DisjointPathRelay.reliable_send_vector).  Per-link bit totals are
-        # identical to per-label sends, so the accountant's and scheduler's
-        # clocks are unchanged; faulty relayers or dirty paths keep the
-        # per-label sends so every Byzantine hook fires exactly as before.
-        for round_index in range(2, self.max_faults + 2):
-            previous_labels = [
-                label for label in trees[self.participants[0]] if len(label) == round_index - 1
-            ]
-            # Snapshot the values to relay before any updates this round.
-            to_relay: Dict[NodeId, Dict[Label, Any]] = {
-                node: {label: trees[node].get(label, EIG_DEFAULT) for label in previous_labels}
-                for node in self.participants
-            }
-            round_phase = f"{phase}/round{round_index}"
-            for relayer in self.participants:
-                labels_to_relay = [
-                    label for label in previous_labels if relayer not in label
-                ]
-                if not labels_to_relay:
-                    continue
-                new_labels = [label + (relayer,) for label in labels_to_relay]
-                held_values = [to_relay[relayer][label] for label in labels_to_relay]
-                relayer_faulty = fault_model.is_faulty(relayer)
-                for receiver in self.participants:
-                    if receiver == relayer:
-                        for new_label, held_value in zip(new_labels, held_values):
-                            trees[relayer][new_label] = held_value
-                        continue
-                    if not relayer_faulty and self.relay.paths_are_clean(
-                        relayer, receiver
-                    ):
-                        delivered_vector = self.relay.reliable_send_vector(
-                            relayer,
-                            receiver,
-                            held_values,
-                            bit_size,
-                            round_phase,
-                            context,
-                        )
-                        for new_label, delivered in zip(new_labels, delivered_vector):
-                            trees[receiver][new_label] = delivered
-                        continue
-                    for new_label, held_value in zip(new_labels, held_values):
-                        outgoing = held_value
-                        if relayer_faulty:
-                            outgoing = strategy.broadcast_value(
-                                self.instance,
-                                relayer,
-                                receiver,
-                                f"{context}|{new_label}",
-                                held_value,
-                            )
-                        delivered = self.relay.reliable_send(
-                            relayer, receiver, outgoing, bit_size, round_phase, context
-                        )
-                        trees[receiver][new_label] = delivered
-
-        # Decision: recursive strict-majority resolution, bottom-up.
-        outputs: Dict[NodeId, Any] = {}
-        for node in self.participants:
-            if fault_model.is_faulty(node):
-                continue
-            outputs[node] = self._resolve(trees[node], root_label)
-        return outputs
+        trees = self._gather(
+            {source: value}, {source: bit_size}, phase, context, {source: context}
+        )
+        return {
+            node: self._resolve(tree, (source,)) for node, tree in trees.items()
+        }
 
     def broadcast_all(
         self,
-        values: Dict[NodeId, Any],
-        bit_size: int,
+        values: Mapping[NodeId, Any],
+        bit_size: int | Mapping[NodeId, int],
         phase: str,
         context: str = "eig",
     ) -> Dict[NodeId, Dict[NodeId, Any]]:
         """Run one broadcast per participant with *shared* relay rounds.
 
         Every origin's EIG tree is rooted at a distinct label ``(origin,)``,
-        so the label spaces are disjoint and all ``n`` broadcasts can march
-        through the rounds together: in each relay round a fault-free
-        relayer holds one value per (origin, label) pair and sends the whole
-        batch to each receiver as a single per-hop vector over clean paths
-        (:meth:`DisjointPathRelay.reliable_send_vector`).  Per-call
-        behaviour is identical to ``{origin: broadcast(origin, ...)}`` — the
-        per-label fallback keeps every Byzantine hook's arguments (including
-        the ``...|origin=<o>|<label>`` context strings) exactly as the
-        origin-by-origin loop produced them, strategies are keyed-stateless,
-        and per-link bit totals are unchanged — only message ordinals (hence
-        jitter) can observe the batching.
+        so the label spaces are disjoint and all ``n`` broadcasts march
+        through the rounds together: in each relay round a relayer holds one
+        value per (origin, label) pair and sends the whole batch to each
+        receiver as one per-hop vector.  ``bit_size`` is one size for every
+        origin or a size per origin (every relay of an origin's labels is
+        charged that origin's size).  Decisions, hook arguments (including
+        the ``...|origin=<o>|<label>`` context strings) and per-link bit
+        totals equal ``{origin: broadcast(origin, ...)}`` with context
+        ``f"{context}|origin={origin}"`` — strategies are keyed-stateless, so
+        only message ordinals (hence jitter) can observe the sharing.
 
         Returns:
             ``outputs[receiver][origin]`` — the value each fault-free
             receiver decides for each origin's broadcast.
         """
-        fault_model = self.network.fault_model
-        strategy = fault_model.strategy
-        trees: Dict[NodeId, Dict[Label, Any]] = {node: {} for node in self.participants}
+        origins = self.participants
+        sizes = bit_size if isinstance(bit_size, Mapping) else dict.fromkeys(origins, bit_size)
+        trees = self._gather(
+            {origin: values.get(origin) for origin in origins},
+            sizes,
+            phase,
+            context,
+            {origin: f"{context}|origin={origin}" for origin in origins},
+        )
+        return {
+            node: {origin: self._resolve(tree, (origin,)) for origin in origins}
+            for node, tree in trees.items()
+        }
 
-        # Round 1: every origin sends its own value (distinct senders, so
-        # there is nothing to batch across origins here).
+    def _gather(
+        self,
+        values: Mapping[NodeId, Any],
+        bit_sizes: Mapping[NodeId, int],
+        phase: str,
+        context: str,
+        origin_contexts: Mapping[NodeId, str],
+    ) -> Dict[NodeId, Dict[Label, Any]]:
+        """The ``f + 1`` information-gathering rounds for every origin in ``values``.
+
+        Returns the EIG tree (label -> held value) of every *fault-free*
+        participant.  A faulty sender's outgoing value for a label comes from
+        the strategy's ``broadcast_value`` hook with the context
+        ``f"{origin_contexts[origin]}|{label}"``.
+        """
+        fault_model = self.network.fault_model
+        broadcast_value = fault_model.strategy.broadcast_value
+        participants = self.participants
+        # trees[i][label] = value participant i holds for the EIG label.
+        trees: Dict[NodeId, Dict[Label, Any]] = {node: {} for node in participants}
+
+        # Round 1: every origin sends its own value to every participant
+        # (distinct senders, so there is nothing to batch).
         round1_phase = f"{phase}/round1"
-        for origin in self.participants:
-            value = values.get(origin)
+        for origin, value in values.items():
             root_label: Label = (origin,)
-            origin_context = f"{context}|origin={origin}"
+            origin_context = origin_contexts[origin]
             origin_faulty = fault_model.is_faulty(origin)
-            for receiver in self.participants:
+            for receiver in participants:
                 if receiver == origin:
                     trees[receiver][root_label] = value
                     continue
                 outgoing = value
                 if origin_faulty:
-                    outgoing = strategy.broadcast_value(
-                        self.instance,
-                        origin,
-                        receiver,
-                        f"{origin_context}|{root_label}",
-                        value,
+                    outgoing = broadcast_value(
+                        self.instance, origin, receiver, f"{origin_context}|{root_label}", value
                     )
-                delivered = self.relay.reliable_send(
-                    origin, receiver, outgoing, bit_size, round1_phase, origin_context
+                trees[receiver][root_label] = self.relay.reliable_send(
+                    origin, receiver, outgoing, bit_sizes.get(origin), round1_phase, origin_context
                 )
-                trees[receiver][root_label] = delivered
 
-        # Rounds 2 .. f+1, merged across origins.
+        # Rounds 2 .. f+1: every relayer forwards what it holds for each
+        # label of the previous round that does not contain it, one batch per
+        # receiver (DisjointPathRelay.reliable_send_vector).  A faulty
+        # relayer chooses each label's outgoing value per receiver first.
+        labels: List[Label] = [(origin,) for origin in values]
         for round_index in range(2, self.max_faults + 2):
-            previous_labels = [
-                label
-                for label in trees[self.participants[0]]
-                if len(label) == round_index - 1
-            ]
-            to_relay: Dict[NodeId, Dict[Label, Any]] = {
-                node: {
-                    label: trees[node].get(label, EIG_DEFAULT)
-                    for label in previous_labels
-                }
-                for node in self.participants
-            }
             round_phase = f"{phase}/round{round_index}"
-            for relayer in self.participants:
-                labels_to_relay = [
-                    label for label in previous_labels if relayer not in label
-                ]
+            next_labels: List[Label] = []
+            for relayer in participants:
+                labels_to_relay = [label for label in labels if relayer not in label]
                 if not labels_to_relay:
                     continue
                 new_labels = [label + (relayer,) for label in labels_to_relay]
-                held_values = [to_relay[relayer][label] for label in labels_to_relay]
+                next_labels.extend(new_labels)
+                held_values = [
+                    trees[relayer].get(label, EIG_DEFAULT) for label in labels_to_relay
+                ]
+                label_sizes = [bit_sizes.get(label[0]) for label in labels_to_relay]
                 relayer_faulty = fault_model.is_faulty(relayer)
-                for receiver in self.participants:
-                    if receiver == relayer:
-                        for new_label, held_value in zip(new_labels, held_values):
-                            trees[relayer][new_label] = held_value
-                        continue
-                    if not relayer_faulty and self.relay.paths_are_clean(
-                        relayer, receiver
-                    ):
-                        delivered_vector = self.relay.reliable_send_vector(
-                            relayer,
-                            receiver,
-                            held_values,
-                            bit_size,
-                            round_phase,
-                            context,
-                        )
-                        for new_label, delivered in zip(new_labels, delivered_vector):
-                            trees[receiver][new_label] = delivered
-                        continue
-                    for new_label, held_value in zip(new_labels, held_values):
-                        outgoing = held_value
+                for receiver in participants:
+                    delivered = outgoing = held_values
+                    if receiver != relayer:
                         if relayer_faulty:
-                            outgoing = strategy.broadcast_value(
-                                self.instance,
-                                relayer,
-                                receiver,
-                                f"{context}|origin={new_label[0]}|{new_label}",
-                                held_value,
-                            )
-                        delivered = self.relay.reliable_send(
-                            relayer,
-                            receiver,
-                            outgoing,
-                            bit_size,
-                            round_phase,
-                            f"{context}|origin={new_label[0]}",
+                            outgoing = [
+                                broadcast_value(
+                                    self.instance,
+                                    relayer,
+                                    receiver,
+                                    f"{origin_contexts[label[0]]}|{label}",
+                                    held,
+                                )
+                                for label, held in zip(new_labels, held_values)
+                            ]
+                        delivered = self.relay.reliable_send_vector(
+                            relayer, receiver, outgoing, label_sizes, round_phase, context
                         )
-                        trees[receiver][new_label] = delivered
+                    trees[receiver].update(zip(new_labels, delivered))
+            labels = next_labels
 
-        outputs: Dict[NodeId, Dict[NodeId, Any]] = {}
-        for node in self.participants:
-            if fault_model.is_faulty(node):
-                continue
-            outputs[node] = {
-                origin: self._resolve(trees[node], (origin,))
-                for origin in self.participants
-            }
-        return outputs
+        return {
+            node: tree for node, tree in trees.items() if not fault_model.is_faulty(node)
+        }
 
     def _resolve(self, tree: Dict[Label, Any], label: Label) -> Any:
         """Resolve the decision value of ``label`` by recursive strict majority."""

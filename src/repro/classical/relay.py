@@ -84,7 +84,6 @@ class DisjointPathRelay:
         self.instance = instance
         self.path_count = 2 * max_faults + 1
         self._path_cache: Dict[Tuple[NodeId, NodeId], List[List[NodeId]]] = {}
-        self._clean_pairs: Dict[Tuple[NodeId, NodeId], bool] = {}
         self._graph_signature: GraphSignature | None = None
 
     # ------------------------------------------------------------------ paths
@@ -129,28 +128,6 @@ class DisjointPathRelay:
             self._path_cache[key] = paths
         return paths
 
-    def paths_are_clean(self, sender: NodeId, receiver: NodeId) -> bool:
-        """Whether no *intermediate* node of any disjoint path is faulty.
-
-        Intermediate nodes (``path[1:-1]``) are the only hop senders whose
-        corruption hook can fire during a relay, so for a clean pair every
-        relayed value is pure store-and-forward — the precondition for
-        batching a round's values into one vector per hop
-        (:meth:`reliable_send_vector`).  Cached per ordered pair (the fault
-        model is fixed for the relay's lifetime).
-        """
-        key = (sender, receiver)
-        clean = self._clean_pairs.get(key)
-        if clean is None:
-            is_faulty = self.network.fault_model.is_faulty
-            clean = not any(
-                is_faulty(node)
-                for path in self.paths_between(sender, receiver)
-                for node in path[1:-1]
-            )
-            self._clean_pairs[key] = clean
-        return clean
-
     # ------------------------------------------------------------------- send
 
     def reliable_send_vector(
@@ -158,41 +135,65 @@ class DisjointPathRelay:
         sender: NodeId,
         receiver: NodeId,
         values: Sequence[Any],
-        bit_size: int,
+        bit_size: int | Sequence[int],
         phase: str,
         context: str = "relay",
     ) -> List[Any]:
         """Relay a whole round's values for one ordered pair as per-hop vectors.
 
-        Only valid for a fault-free sender on clean paths
-        (:meth:`paths_are_clean`): every hop is then pure forwarding, so
-        delivering the tuple in one :meth:`SynchronousNetwork.send_vector`
-        message per hop charges each link exactly the bits the per-value
-        sends would (``len(values) * bit_size``) and the majority over
-        ``2f + 1`` identical path copies is the value itself.  Per-link bit
-        totals — hence the accountant's and the scheduled network's clocks —
-        are unchanged; only jitter ordinals can observe the batching.
+        The relay primitive under every EIG round: each hop of each disjoint
+        path carries the tuple of values as *one* message, whatever the path
+        contains.  A faulty intermediate node corrupts the tuple value by
+        value through the strategy's ``relay_value`` hook — the same calls,
+        with the same arguments, a loop of :meth:`reliable_send` would make —
+        and the receiver takes the strict majority over the path copies per
+        value (skipped when no hook ran: every copy is then the sent object).
+        ``bit_size`` is one size for every value or one size per value; each
+        link is charged their sum, exactly the bits the per-value sends would
+        charge, so the accountant's and the scheduled network's clocks are
+        partition-independent.  Only per-message ordinals (jitter, per-attempt
+        link-fault plans) can observe the batching.
 
         Raises:
-            ProtocolError: if ``values`` is empty (nothing to relay).
+            ProtocolError: if ``values`` is empty, the sizes do not match the
+                values, or a size is not a positive integer.
         """
+        values = list(values)
         if not values:
             raise ProtocolError("reliable_send_vector requires at least one value")
-        values = list(values)
+        sizes = list(bit_size) if isinstance(bit_size, Sequence) else [bit_size] * len(values)
+        if len(sizes) != len(values):
+            raise ProtocolError(f"expected {len(values)} bit sizes, got {len(sizes)}")
+        for size in sizes:
+            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+                raise ProtocolError(f"bits must be a positive integer, got {size!r}")
         if sender == receiver:
             return values
+        total_bits = sum(sizes)
         network = self.network
+        is_faulty = network.fault_model.is_faulty
+        relay_value = network.fault_model.strategy.relay_value
+        kind = f"{context}:hop"
+        sent = tuple(values)
+        copies: List[Tuple[Any, ...]] = []
+        hooked = False
         for path in self.paths_between(sender, receiver):
+            current = sent
             for hop_index in range(len(path) - 1):
-                network.send_vector(
-                    path[hop_index],
-                    path[hop_index + 1],
-                    values,
-                    bit_size,
-                    phase,
-                    kind=f"{context}:hop",
+                hop_sender = path[hop_index]
+                if hop_index > 0 and is_faulty(hop_sender):
+                    hooked = True
+                    current = tuple(
+                        relay_value(self.instance, hop_sender, path, receiver, value)
+                        for value in current
+                    )
+                network.send(
+                    hop_sender, path[hop_index + 1], current, total_bits, phase, kind
                 )
-        return values
+            copies.append(current)
+        if not hooked:
+            return values
+        return [majority_value(column) for column in zip(*copies)]
 
     def reliable_send(
         self,
@@ -283,15 +284,23 @@ def majority_value(copies: Sequence[Any]) -> Any:
     """Strict majority of ``copies``; :data:`DEFAULT_VALUE` when there is none.
 
     Values are compared by equality after a canonical ``repr``-based key so
-    that unhashable payloads (lists, dicts) can participate.  The common case
-    — every path delivered the same copy of a scalar payload, i.e. no faulty
-    intermediary — is resolved by direct same-type equality, which matches
-    the repr keying exactly for types whose repr is canonical (``1 == True``
-    but their reprs differ, so mixed types always take the keyed path).
+    that unhashable payloads (lists, dicts) can participate.  Two common
+    cases skip the keying.  Every copy is the *same object* (the paths
+    forwarded one claims dict untouched): identical objects have identical
+    ``repr``, so the answer is exact for any payload type.  Every path
+    delivered an equal scalar: resolved by direct same-type equality, which
+    matches the repr keying exactly for types whose repr is canonical
+    (``1 == True`` but their reprs differ, so mixed types always take the
+    keyed path).
     """
     if not copies:
         return DEFAULT_VALUE
     first = copies[0]
+    for copy in copies:  # a plain loop: this runs once per relayed value
+        if copy is not first:
+            break
+    else:
+        return first
     first_type = type(first)
     if first_type in _CANONICAL_REPR_TYPES and all(
         type(copy) is first_type and copy == first for copy in copies[1:]

@@ -89,10 +89,17 @@ class InstanceResult:
         string, matching the :meth:`repro.types.RunRecord.to_jsonable`
         conventions, so session snapshots embedding these rows serialise
         bit-for-bit reproducibly under ``json.dumps(..., sort_keys=True)``.
+        Outputs are rendered as hex strings of one width (the widest
+        output's): CPython refuses to print integers beyond 4300 digits, so a
+        payload above ~1.7 KB could not be persisted as a JSON integer.
         """
+        width = len(format(max(self.outputs.values(), default=0), "x"))
         return {
             "instance": self.instance,
-            "outputs": {str(node): value for node, value in self.outputs.items()},
+            "outputs": {
+                str(node): format(value, f"0{width}x")
+                for node, value in self.outputs.items()
+            },
             "elapsed": str(self.elapsed),
             "bits_sent": self.bits_sent,
             "phase_timings": [
@@ -130,12 +137,16 @@ def instance_result_from_jsonable(data: Dict[str, object]) -> InstanceResult:
     :class:`~fractions.Fraction`, disputes as frozensets — so a session
     restored from a write-ahead snapshot aggregates its completed instances
     into a :class:`repro.types.RunRecord` byte-identical to an uninterrupted
-    run's.
+    run's.  Outputs are accepted as hex strings (the current rendering) or as
+    the JSON integers older snapshots hold.
     """
     parameters = data.get("parameters")
     return InstanceResult(
         instance=int(data["instance"]),
-        outputs={int(node): value for node, value in data["outputs"].items()},
+        outputs={
+            int(node): value if isinstance(value, int) else int(value, 16)
+            for node, value in data["outputs"].items()
+        },
         elapsed=Fraction(data["elapsed"]),
         bits_sent=int(data["bits_sent"]),
         phase_timings=tuple(

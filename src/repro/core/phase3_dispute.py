@@ -139,9 +139,12 @@ def run_phase3(
     )
 
     # ------------------------------------------------------------------- DC1
-    agreed_claims: Dict[NodeId, Dict[str, Any]] = {}
+    # Every node's claims travel in one shared-round broadcast: the hook
+    # contexts ("dispute_claims|origin=<o>|<label>") and per-link bits equal
+    # one broadcast per node.
+    outgoing_claims: Dict[NodeId, Dict[str, Any]] = {}
     for node in sorted(participants):
-        truthful = honest_claims(
+        claims = honest_claims(
             node,
             source,
             input_bits if node == source else None,
@@ -149,14 +152,22 @@ def run_phase3(
             phase2_check,
             instance_graph,
         )
-        outgoing = truthful
         if fault_model.is_faulty(node):
-            outgoing = strategy.dispute_claims(instance, node, truthful)
-        size = claims_bit_size(outgoing, phase1.symbol_bits, scheme)
-        decided = broadcaster.broadcast(
-            node, outgoing, size, phase, context=f"dispute_claims|origin={node}"
-        )
-        agreed_claims[node] = _any_agreed_value(decided)
+            claims = strategy.dispute_claims(instance, node, claims)
+        outgoing_claims[node] = claims
+    decided = broadcaster.broadcast_from_all(
+        outgoing_claims,
+        {
+            node: claims_bit_size(claims, phase1.symbol_bits, scheme)
+            for node, claims in outgoing_claims.items()
+        },
+        phase,
+        context="dispute_claims",
+    )
+    agreed_claims: Dict[NodeId, Dict[str, Any]] = {
+        node: _any_agreed_value([held[node] for held in decided.values()])
+        for node in outgoing_claims
+    }
 
     output_bits = _extract_output(agreed_claims.get(source, {}), total_bits)
 
@@ -199,16 +210,14 @@ def run_phase3(
 # --------------------------------------------------------------------- helpers
 
 
-def _any_agreed_value(decided: Mapping[NodeId, Any]) -> Any:
+def _any_agreed_value(decided: Sequence[Any]) -> Any:
     """All fault-free receivers agree, so return any one of their decided values."""
     if not decided:
         raise ProtocolError("classical broadcast produced no fault-free outputs")
-    values = list(decided.values())
-    reference = repr(values[0])
-    for value in values[1:]:
-        if repr(value) != reference:
-            raise ProtocolError("fault-free nodes disagree on broadcast claims")
-    return values[0]
+    first = decided[0]
+    if any(value is not first and repr(value) != repr(first) for value in decided[1:]):
+        raise ProtocolError("fault-free nodes disagree on broadcast claims")
+    return first
 
 
 def _extract_output(source_claims: Mapping[str, Any], total_bits: int) -> int:

@@ -81,6 +81,38 @@ _TABLE_CACHE: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
 # (degree, modulus) -> canonical GF2m instance (see get_field).
 _FIELD_CACHE: Dict[Tuple[int, int], "GF2m"] = {}
 
+_heap_retained = False
+
+
+def _retain_heap() -> None:
+    """Stop glibc handing the top of the heap back between window tables.
+
+    A stacked window table is 256 integers, 1-2 MB together, built on top of
+    the heap and (fresh coding matrices every instance) used for one scan;
+    the table cache fills and is dropped whole.  glibc trims a free heap top
+    above 128 KB, so the next builds page-fault those megabytes back in: 720
+    tables, 215 000 faults and 0.28 s of system time in a 0.64 s
+    ``mid_field`` batch (4 KB payloads, degree 2185), and that half is what a
+    busy host slows and scatters.  Pinning the trim and mmap thresholds where
+    glibc's own dynamic adjustment tops out (64 MB, 32 MB) keeps the pages;
+    the peak is unchanged because nothing new is allocated.  Called once,
+    with the first big field; a no-op where the C library has no ``mallopt``.
+    """
+    global _heap_retained
+    if _heap_retained:
+        return
+    _heap_retained = True
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
 
 def _build_tables(degree: int, modulus: int) -> Tuple[List[int], List[int], List[int]]:
     """Build ``(exp, log, inv)`` tables for the field ``GF(2^degree)``.
@@ -265,6 +297,7 @@ class GF2m:
         # machinery stays on the field itself (it is also every other
         # backend's delegate below their crossover points).
         if self._big:
+            _retain_heap()
             self._kernel = _backends.create_backend(self, kernel_backend)
             if self._kernel.name == "windowed":
                 self._clmul = self._windowed_clmul

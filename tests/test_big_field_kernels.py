@@ -206,6 +206,60 @@ class TestWindowTableCache:
         assert field._wtab_bytes - sparse_cost > 4 * sparse_cost
 
 
+_FAULT_PROBE = """
+import random, resource, sys
+from repro.gf.field import GF2m
+from repro.gf.polynomials import window_table
+
+if sys.argv[1] == "field":
+    GF2m(2185)
+stacked = random.Random(1).getrandbits(8 * 4096)
+window_table(stacked)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(40):
+    window_table(stacked)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapRetention:
+    """Building and dropping window tables must not page-fault them back in."""
+
+    def _faults(self, mode: str) -> int:
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE, mode],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return int(out.stdout)
+
+    def test_first_big_field_stops_heap_trimming(self):
+        import ctypes
+
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("C library without mallopt")
+        # 40 tables x 1 MB: ~5 000 faults on glibc when each build regrows the
+        # heap top, none once the top is kept.
+        trimmed = self._faults("none")
+        if trimmed < 1000:
+            pytest.skip("this allocator does not trim the heap top")
+        assert self._faults("field") < trimmed // 10
+
+    def test_retention_is_idempotent(self):
+        from repro.gf import field as field_module
+
+        GF2m(64)
+        assert field_module._heap_retained
+        field_module._retain_heap()
+        assert GF2m(64).mul(3, 5) == GF2m(64)._mul_fallback(3, 5)
+
+
 class TestIrreducibilitySpeedups:
     def test_fast_rabin_agrees_with_known_values(self):
         # x^8 + x^4 + x^3 + x + 1 (AES) is irreducible; x^8 + 1 is not.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.classical.broadcast_default import BroadcastDefault
@@ -10,8 +12,11 @@ from repro.classical.flooding import classical_full_value_broadcast
 from repro.classical.relay import DisjointPathRelay, majority_value
 from repro.exceptions import ProtocolError
 from repro.graph.generators import complete_graph, heterogeneous_bottleneck, ring_with_chords
+from repro.core.nab import NetworkAwareBroadcast
 from repro.transport.faults import ByzantineStrategy, FaultModel
 from repro.transport.network import SynchronousNetwork
+from repro.workloads.scenarios import make_strategy, named_strategies, strategy_attacks_source
+from repro.workloads.topologies import topology
 
 
 class CorruptingRelayStrategy(ByzantineStrategy):
@@ -41,6 +46,50 @@ class LyingRelayerStrategy(ByzantineStrategy):
         return "bogus"
 
 
+class RecordingStrategy(ByzantineStrategy):
+    """Delegates every hook to ``inner`` and logs ``(hook, args, result)``."""
+
+    HOOKS = (
+        "phase1_source_symbol",
+        "phase1_forward_symbol",
+        "equality_check_vector",
+        "equality_check_flag",
+        "broadcast_value",
+        "relay_value",
+        "dispute_claims",
+        "observe_faulty_nodes",
+        "observe_instance",
+    )
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = []
+
+    def value_hook_calls(self):
+        """The calls the relay and EIG batching reorders."""
+        return [call for call in self.calls if call[0] in ("broadcast_value", "relay_value")]
+
+
+def _recording(hook):
+    def method(self, *args):
+        result = getattr(self.inner, hook)(*args)
+        self.calls.append((hook, args, result))
+        return result
+
+    return method
+
+
+for _hook in RecordingStrategy.HOOKS:
+    setattr(RecordingStrategy, _hook, _recording(_hook))
+
+
+def _ledger(network):
+    """Per-phase, per-link bit totals of everything sent so far."""
+    accountant = network.accountant
+    return {phase: accountant.link_bits(phase) for phase in accountant.phase_names()}
+
+
 class TestMajorityValue:
     def test_empty_returns_default(self):
         assert majority_value([]) is None
@@ -53,6 +102,27 @@ class TestMajorityValue:
 
     def test_unhashable_payloads(self):
         assert majority_value([[1, 2], [1, 2], [3]]) == [1, 2]
+
+    def test_identical_objects_skip_the_keying(self):
+        claims = {"phase1_sent": {(0, 2): 5}}
+        assert majority_value([claims] * 5) is claims
+        assert majority_value([None, None, None]) is None
+
+    def test_equal_int_and_bool_are_different_values(self):
+        # 1 == True, but they are not the same object and their reprs differ.
+        winner = majority_value([1, True, 1])
+        assert winner == 1 and type(winner) is int
+        assert majority_value([1, True]) is None
+
+    def test_equal_dicts_in_different_order_are_keyed_by_repr(self):
+        forward = {"x": 1, "y": 2}
+        backward = {"y": 2, "x": 1}
+        assert forward == backward
+        assert majority_value([forward, backward]) is None
+        assert majority_value([forward, backward, forward]) is forward
+
+    def test_distinct_unhashable_values_have_no_majority(self):
+        assert majority_value([{"x": 1}, {"x": 2}]) is None
 
 
 class TestDisjointPathRelay:
@@ -111,6 +181,137 @@ class TestDisjointPathRelay:
         relay = DisjointPathRelay(network, max_faults=1)
         with pytest.raises(ProtocolError):
             relay.reliable_send_from_faulty(1, 3, ["a"], 8, "p")
+
+
+#: (topology, f, faulty placement).  ``ring7-chords`` has connectivity 4, so
+#: only f = 1 (three disjoint paths) is feasible on it.
+RELAY_PLACEMENTS = [
+    ("k7-unit", 1, (3,)),
+    ("k7-unit", 1, (1,)),
+    ("k7-unit", 2, (3, 5)),
+    ("k7-unit", 2, (2, 7)),
+    ("k7-unit", 2, (1, 4)),
+    ("ring7-chords", 1, (2,)),
+    ("ring7-chords", 1, (5,)),
+]
+RELAY_VALUES = [0, True, "flag", {"sent": {(0, 2): 9}}, None, (1, 2, 3)]
+RELAY_SIZES = [1, 1, 8, 40, 1, 3]
+
+
+class TestBatchedRelayMatchesPerValueOracle:
+    """``reliable_send_vector`` against a loop of the frozen ``reliable_send``."""
+
+    def _run(self, topology_name, max_faults, faulty, strategy_name, batched):
+        recorder = RecordingStrategy(make_strategy(strategy_name, seed=5))
+        network = SynchronousNetwork(topology(topology_name), FaultModel(faulty, recorder))
+        relay = DisjointPathRelay(network, max_faults, instance=3)
+        delivered = {}
+        for sender in network.nodes():
+            for receiver in network.nodes():
+                phase = f"round{sender % 2}"
+                if batched:
+                    delivered[sender, receiver] = relay.reliable_send_vector(
+                        sender, receiver, RELAY_VALUES, RELAY_SIZES, phase
+                    )
+                else:
+                    delivered[sender, receiver] = [
+                        relay.reliable_send(sender, receiver, value, size, phase)
+                        for value, size in zip(RELAY_VALUES, RELAY_SIZES)
+                    ]
+        hooks = Counter(repr(call) for call in recorder.calls)
+        return delivered, _ledger(network), hooks, len(network.delivered_messages())
+
+    @pytest.mark.parametrize("topology_name, max_faults, faulty", RELAY_PLACEMENTS)
+    @pytest.mark.parametrize("strategy_name", named_strategies())
+    def test_equal_values_bits_and_hook_calls(
+        self, strategy_name, topology_name, max_faults, faulty
+    ):
+        batched = self._run(topology_name, max_faults, faulty, strategy_name, True)
+        oracle = self._run(topology_name, max_faults, faulty, strategy_name, False)
+        # repr, because [1] == [True].
+        assert repr(batched[0]) == repr(oracle[0])
+        assert batched[1] == oracle[1]
+        assert batched[2] == oracle[2]
+        assert batched[3] * len(RELAY_VALUES) == oracle[3]
+
+    def test_one_size_for_all_values(self):
+        network = SynchronousNetwork(complete_graph(4))
+        relay = DisjointPathRelay(network, max_faults=1)
+        assert relay.reliable_send_vector(1, 3, ["a", "b"], 10, "p") == ["a", "b"]
+        # 5 hops (one direct path, two 2-hop paths), one message each.
+        assert network.total_bits() == 5 * 2 * 10
+        assert len(network.delivered_messages()) == 5
+
+    def test_to_self_is_identity(self):
+        network = SynchronousNetwork(complete_graph(4))
+        relay = DisjointPathRelay(network, max_faults=1)
+        assert relay.reliable_send_vector(2, 2, ["x", "y"], [8, 9], "p") == ["x", "y"]
+        assert network.total_bits() == 0
+
+    @pytest.mark.parametrize(
+        "values, sizes",
+        [([], 8), ([], []), (["a"], 0), (["a", "b"], [8, -1]), (["a"], True),
+         (["a"], 1.5), (["a", "b"], [8])],
+    )
+    def test_bad_vectors_are_rejected_before_anything_is_sent(self, values, sizes):
+        network = SynchronousNetwork(complete_graph(4))
+        relay = DisjointPathRelay(network, max_faults=1)
+        with pytest.raises(ProtocolError):
+            relay.reliable_send_vector(1, 3, values, sizes, "p")
+        assert network.total_bits() == 0
+
+
+class TestSharedRoundsMatchPerOriginBroadcasts:
+    """``broadcast_from_all`` with per-origin sizes against one ``broadcast`` per origin."""
+
+    @pytest.mark.parametrize("strategy_name", ["chaos", "sub-broadcast-liar", "relay-tamper", "crash"])
+    def test_equal_decisions_bits_and_hook_calls(self, strategy_name):
+        graph = topology("k7-unit")
+        values = {node: {"claims": node} for node in graph.nodes()}
+        sizes = {node: 10 + node for node in graph.nodes()}
+
+        def run(shared):
+            recorder = RecordingStrategy(make_strategy(strategy_name, seed=2))
+            network = SynchronousNetwork(graph, FaultModel([2, 6], recorder))
+            broadcaster = BroadcastDefault(network, graph.nodes(), 2, instance=1)
+            if shared:
+                outputs = broadcaster.broadcast_from_all(values, sizes, "dc", context="claims")
+            else:
+                outputs = {node: {} for node in network.fault_free_nodes()}
+                for origin in graph.nodes():
+                    decided = broadcaster.broadcast(
+                        origin, values[origin], sizes[origin], "dc",
+                        context=f"claims|origin={origin}",
+                    )
+                    for receiver, value in decided.items():
+                        outputs[receiver][origin] = value
+            return repr(outputs), _ledger(network), Counter(repr(c) for c in recorder.calls)
+
+        assert run(True) == run(False)
+
+
+class TestStrategiesAreKeyedStateless:
+    """The contract batching relies on: a value hook's answer depends on its
+    arguments (and on state fixed before the instance's first value hook),
+    never on which other value hooks ran before it."""
+
+    @pytest.mark.parametrize("strategy_name", named_strategies())
+    def test_value_hooks_replay_identically_in_reverse(self, strategy_name):
+        faulty = (1, 4) if strategy_attacks_source(strategy_name) else (3, 5)
+        recorder = RecordingStrategy(make_strategy(strategy_name, seed=9))
+        nab = NetworkAwareBroadcast(
+            topology("k7-unit"), 1, 2, fault_model=FaultModel(faulty, recorder)
+        )
+        nab.run_instance(bytes(range(8)))
+        recorded = recorder.value_hook_calls()
+        assert recorded
+
+        fresh = make_strategy(strategy_name, seed=9)
+        for hook, args, _result in recorder.calls:
+            if hook.startswith("observe_"):
+                getattr(fresh, hook)(*args)
+        for hook, args, result in reversed(recorded):
+            assert repr(getattr(fresh, hook)(*args)) == repr(result), (hook, args)
 
 
 class TestEIGBroadcast:

@@ -371,6 +371,27 @@ class TestServiceOrchestration:
         assert _read_bytes(out) == _read_bytes(fresh)
         assert not os.path.exists(wal_path_for(out))
 
+    def test_large_payload_session_checkpoints_and_resumes(self, tmp_path):
+        # A 4 KB output is a ~9900-digit integer and CPython refuses to print
+        # integers beyond 4300 digits, so snapshot rows carry outputs as hex;
+        # as JSON integers the checkpoint failed and the row came back an error.
+        (spec,) = _workload(
+            1, topologies=("k7-fast",), strategies=("fault-free",),
+            payload_bytes=4096, instances=2,
+        )
+        summary = BroadcastSessionService(
+            ServiceConfig(name="pool-test", out_path=str(tmp_path / "big.jsonl"),
+                          workers=1, checkpoint_every=1)
+        ).run([spec])
+        (row,) = summary.rows
+        assert row["error"] is None
+        assert summary.metrics.snapshots_written == 1
+        checkpoints = []
+        reference = run_session(spec, checkpoint=checkpoints.append)
+        (snapshot,) = checkpoints
+        resumed = run_session(spec, snapshot=json.loads(dump_row(snapshot)))
+        assert dump_row(resumed) == dump_row(reference) == dump_row(row)
+
     def test_truncated_output_tail_is_rewritten_cleanly(self, tmp_path):
         sessions = _workload(4)
         out = str(tmp_path / "sessions.jsonl")
