@@ -14,9 +14,9 @@ The paper models the network as a synchronous point-to-point network
   min-cut values keyed on canonical graph signatures; the capacity layer's
   repeated sweeps hit this instead of re-running Dinic.
 * :mod:`repro.graph.gomory_hu` — Gomory-Hu cut trees: all-pairs min-cuts of
-  undirected-equivalent graphs from ``n - 1`` flows, with exact decremental
-  repair along the dispute path (asymmetric graphs fall back to the frozen
-  per-pair Dinic oracle).
+  undirected-equivalent graphs from ``n - 1`` flows, cached once per graph
+  up to capacity scale, with exact decremental repair along the dispute path
+  (asymmetric graphs are solved per pair).
 * :mod:`repro.graph.connectivity` — vertex connectivity and the ``2f + 1``
   connectivity requirement, plus vertex-disjoint path extraction.
 * :mod:`repro.graph.spanning_trees` — constructive packing of capacity-disjoint

@@ -219,18 +219,13 @@ def _flow_adjacency(
     out_name_to_node = {names[node][1]: node for node in graph.nodes()}
     in_name_to_node = {names[node][0]: node for node in graph.nodes()}
     adjacency: Dict[NodeId, List[NodeId]] = {node: [] for node in graph.nodes()}
-    # Forward edges were added in pairs (forward at even indices); an edge
-    # carries flow iff its residual capacity dropped below its original value,
-    # equivalently iff the reverse edge now has positive capacity.
-    for index in range(0, len(solver._to), 2):
-        head_name = solver._to[index]
-        tail_name = solver._to[index + 1]
+    # Only the link edges ("out", u) -> ("in", v) matter; the unit in -> out
+    # edge inside each split node carries flow too but names no successor.
+    for tail_name, head_name, flow_units in solver.edge_flows():
         if tail_name in out_name_to_node and head_name in in_name_to_node:
-            flow_units = solver._capacity[index + 1]
-            if flow_units > 0:
-                tail = out_name_to_node[tail_name]
-                head = in_name_to_node[head_name]
-                adjacency[tail].extend([head] * flow_units)
+            tail = out_name_to_node[tail_name]
+            head = in_name_to_node[head_name]
+            adjacency[tail].extend([head] * flow_units)
     return adjacency
 
 

@@ -163,36 +163,6 @@ def cache_stats() -> Dict[str, object]:
     return _CACHE.stats()
 
 
-def seed_st_mincut(
-    signature: GraphSignature, source: NodeId, sink: NodeId, value: int
-) -> None:
-    """Seed the plain ``("st", ...)`` value key from an externally solved flow.
-
-    Used by the Gomory–Hu layer so tree-derived values and value-only queries
-    share one cache namespace: a later :func:`cached_st_mincut` on the same
-    endpoints is a hit without re-solving.
-    """
-    _CACHE.store(("st", signature, source, sink), value)
-
-
-def seed_max_flow_with_cut(
-    signature: GraphSignature,
-    source: NodeId,
-    sink: NodeId,
-    value: int,
-    cut,
-) -> None:
-    """Seed both the ``("st-cut", ...)`` and plain ``("st", ...)`` keys.
-
-    ``cut`` is the source side of a minimum cut; it is stored as a
-    ``frozenset`` (the cached_max_flow_with_cut invariant).  Seeding the
-    plain value key too keeps the namespaces shared regardless of which
-    query arrives first.
-    """
-    _CACHE.store(("st-cut", signature, source, sink), (value, frozenset(cut)))
-    _CACHE.store(("st", signature, source, sink), value)
-
-
 def cached_st_mincut(
     graph: NetworkGraph,
     source: NodeId,
@@ -203,7 +173,7 @@ def cached_st_mincut(
 
     On a miss, an *already cached* Gomory–Hu tree for this signature answers
     the query as a tree-path minimum (a single ``st`` query never justifies
-    building one); otherwise the per-pair Dinic oracle solves it.
+    building one); otherwise the pair is solved on its own.
 
     Raises:
         GraphError: if either endpoint is missing or they coincide.
@@ -238,9 +208,11 @@ def cached_max_flow_with_cut(
 
     The cut set is stored as an immutable ``frozenset`` so cached entries can
     never be mutated through the returned value; callers receive a fresh
-    mutable copy.  On a miss the flow value is also seeded under the plain
-    ``st`` key, so a later :func:`cached_st_mincut` on the same endpoints is a
-    hit without re-solving.
+    mutable copy.  On a miss, an *already cached* Gomory–Hu tree answers a
+    tree-adjacent pair from the cut side it stores for that edge; otherwise
+    the pair is solved.  Either way the flow value is also seeded under the
+    plain ``st`` key, so a later :func:`cached_st_mincut` on the same
+    endpoints is a hit without re-solving.
 
     Raises:
         GraphError: if either endpoint is missing or they coincide.
@@ -254,10 +226,15 @@ def cached_max_flow_with_cut(
     key = ("st-cut", signature, source, sink)
     cached = _CACHE.lookup(key)
     if cached is None:
-        value, cut = max_flow_with_cut(graph, source, sink)
-        cached = (value, frozenset(cut))
+        from repro.graph.gomory_hu import tree_if_cached
+
+        tree = tree_if_cached(signature)
+        cached = tree.adjacent_cut(source, sink) if tree is not None else None
+        if cached is None:
+            value, cut = max_flow_with_cut(graph, source, sink)
+            cached = (value, frozenset(cut))
         _CACHE.store(key, cached)
-        _CACHE.store(("st", signature, source, sink), value)
+        _CACHE.store(("st", signature, source, sink), cached[0])
     return cached[0], set(cached[1])
 
 

@@ -15,17 +15,30 @@ previously cost ``O(n)`` to ``O(n^2)`` independent solves each:
   graphs, and the inner minimum of ``U_k``) — the smallest tree edge;
 * arbitrary ``st`` queries — a tree path minimum.
 
-Trees are memoised process-wide on :func:`repro.graph.flow_cache.graph_signature`
-in a dedicated :class:`~repro.graph.flow_cache.MinCutCache`, following the
-structure-cache contract (``clear_gomory_hu_cache`` / ``gomory_hu_cache_stats``).
-Every flow solved during construction also seeds the plain ``("st", ...)`` /
-``("st-cut", ...)`` keys of the main flow cache, so tree-derived values and
-value-only queries share one namespace.
+Trees are memoised process-wide in a dedicated
+:class:`~repro.graph.flow_cache.MinCutCache`, following the structure-cache
+contract (``clear_gomory_hu_cache`` / ``gomory_hu_cache_stats``).
 
-**Oracle freeze.**  Directed / asymmetric graphs never take these paths: they
-fall back to the per-pair Dinic solvers in :mod:`repro.graph.maxflow`, which
-stay frozen as the correctness oracle (the property tests assert tree values
-equal per-pair oracle values on randomized symmetric graphs).
+**Unit-form cache key.**  Multiplying every capacity by ``g`` multiplies every
+cut value by exactly ``g`` and changes nothing else, so the cache is keyed on
+the *unit form* of :func:`~repro.graph.flow_cache.graph_signature` —
+capacities divided by their gcd — and holds unit-scale trees and values;
+every entry point (:func:`cached_gomory_hu`, :func:`cached_global_mincut`,
+:func:`tree_if_cached`, :func:`derive_trees_after_pair_removals`) normalises
+on the way in and multiplies back by ``g`` on the way out.  A symmetric ``H``
+and its undirected view ``2 * H`` therefore share one tree: ``gamma*`` builds
+it and ``rho*`` finds it.
+
+A build stores nothing in the main flow cache: ``cached_st_mincut`` and
+``cached_max_flow_with_cut`` ask :func:`tree_if_cached` on a miss, so an
+existing tree answers them on demand.
+
+**Oracle freeze.**  ``src/`` has one flow solver,
+:class:`repro.graph.maxflow._DinicSolver`; directed / asymmetric graphs never
+take the tree paths and are solved per pair on it.  The correctness oracle is
+the frozen recursive solver in ``tests/_reference_dinic.py``: the kernel must
+match its value *and residual* solve for solve, and the property tests here
+assert tree values equal per-pair values on randomized symmetric graphs.
 
 Incremental (decremental) maintenance
 -------------------------------------
@@ -50,30 +63,41 @@ global min-cut as its smallest edge: every cut separates some tree-adjacent
 pair).  Arbitrary path-min queries are **not** guaranteed on repaired trees —
 they are flagged ``flow_equivalent=False`` and only serve global-min /
 tree-edge queries; ``st`` and per-target queries on such graphs fall back to
-the Dinic oracle.
+per-pair solves.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.flow_cache import (
-    GraphSignature,
-    MinCutCache,
-    graph_signature,
-    seed_max_flow_with_cut,
-    seed_st_mincut,
-)
+from repro.graph.flow_cache import GraphSignature, MinCutCache, graph_signature
 from repro.graph.maxflow import _DinicSolver, _build_solver
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
-#: Dedicated process-wide cache for Gomory–Hu structures.  Keys:
-#: ``("tree", signature)`` — flow-equivalent trees (full Gusfield builds),
-#: ``("tree-partial", signature)`` — repaired trees (exact tree-edge values
-#: only), ``("global-min", signature)`` — the global undirected min-cut value.
+#: Dedicated process-wide cache for Gomory–Hu structures, keyed on unit-form
+#: signatures (see :func:`_unit_form`) and holding unit-scale values.  Keys:
+#: ``("tree", unit)`` — flow-equivalent trees (full Gusfield builds),
+#: ``("tree-partial", unit)`` — repaired trees (exact tree-edge values
+#: only), ``("global-min", unit)`` — the global undirected min-cut value.
 _GH_CACHE = MinCutCache(max_entries=2048)
+
+
+def _unit_form(signature: GraphSignature) -> Tuple[GraphSignature, int]:
+    """``(unit signature, g)``: capacities divided by their gcd ``g``.
+
+    Cut values of the graph are exactly ``g`` times those of its unit form.
+    A graph already in unit form (or without edges) is returned as is, with
+    ``g = 1``.
+    """
+    nodes, edges = signature
+    scale = gcd(*[capacity for _tail, _head, capacity in edges])
+    if scale <= 1:
+        return signature, 1
+    return (nodes, tuple((tail, head, capacity // scale) for tail, head, capacity in edges)), scale
+
 
 #: Decremental-repair outcome counters (see module docstring).  The epoch
 #: counters reset with :func:`clear_gomory_hu_cache`; the ``lifetime_*``
@@ -191,6 +215,20 @@ class GomoryHuTree:
             raise GraphError(f"node {node} has no parent edge in the cut tree")
         return self._side[node]
 
+    def adjacent_cut(
+        self, source: NodeId, sink: NodeId
+    ) -> Optional[Tuple[int, FrozenSet[NodeId]]]:
+        """``(min-cut value, source side)`` if the two nodes share a tree edge, else ``None``.
+
+        The stored side of edge ``(child, parent)`` is the child's; seen from
+        the parent the same cut is its complement (the graph is symmetric).
+        """
+        if self._parent.get(source) == sink:
+            return self._weight[source], self._side[source]
+        if self._parent.get(sink) == source:
+            return self._weight[sink], frozenset(self._nodes) - self._side[sink]
+        return None
+
     def min_weight(self) -> int:
         """The global undirected min-cut: the smallest tree edge weight.
 
@@ -291,43 +329,46 @@ class GomoryHuTree:
         return f"GomoryHuTree(nodes={len(self._nodes)}, {kind})"
 
 
-def gomory_hu_tree(
-    graph: NetworkGraph, signature: GraphSignature | None = None
+def _rescaled(
+    tree: GomoryHuTree, signature: GraphSignature, multiply: int = 1, divide: int = 1
 ) -> GomoryHuTree:
-    """Build the cut tree of an undirected-equivalent graph (Gusfield's method).
+    """``tree`` re-weighted for the graph ``signature`` describes.
+
+    That graph's capacities are ``multiply / divide`` times those of
+    ``tree``'s own graph: shape and cut sides carry over and only the weights
+    change (exactly: every weight is a multiple of ``divide`` whenever every
+    capacity is).
+    """
+    if multiply == divide:
+        return tree
+    return GomoryHuTree(
+        signature=signature,
+        nodes=tree._nodes,
+        parent=tree._parent,
+        weight={node: value * multiply // divide for node, value in tree._weight.items()},
+        side=tree._side,
+        flow_equivalent=tree.flow_equivalent,
+    )
+
+
+def _gusfield(signature: GraphSignature) -> GomoryHuTree:
+    """Gusfield's construction on the symmetric graph a signature describes.
 
     ``n - 1`` max-flow solves share one residual-graph build (capacities are
-    snapshot/reset between pairs).  Every solved pair also seeds the main
-    flow cache's ``("st", ...)`` and ``("st-cut", ...)`` keys — in both
-    directions, since values (and complemented cut sides) transfer by
-    symmetry — so later value-only queries are cache hits.
-
-    Raises:
-        GraphError: if the graph is not symmetric or has no nodes.
+    snapshot/reset between pairs).
     """
-    if signature is None:
-        signature = graph_signature(graph)
-    if not is_symmetric(graph):
-        raise GraphError("Gomory-Hu trees require an undirected-equivalent graph")
-    nodes = tuple(graph.nodes())
-    if not nodes:
-        raise GraphError("cannot build a cut tree of an empty graph")
-    all_nodes = frozenset(nodes)
+    nodes, edges = signature
     parent: Dict[NodeId, NodeId] = {node: nodes[0] for node in nodes[1:]}
     weight: Dict[NodeId, int] = {}
     side: Dict[NodeId, FrozenSet[NodeId]] = {}
-    solver = _build_solver(graph)
+    solver = _build_solver(nodes, edges)
     solver.snapshot()
     order = list(nodes[1:])
     for index, node in enumerate(order):
         target = parent[node]
         solver.reset()
-        value = solver.max_flow(node, target)
-        cut = frozenset(solver.min_cut_reachable(node))
-        weight[node] = value
-        side[node] = cut
-        seed_max_flow_with_cut(signature, node, target, value, cut)
-        seed_max_flow_with_cut(signature, target, node, value, all_nodes - cut)
+        weight[node] = solver.max_flow(node, target)
+        cut = side[node] = frozenset(solver.min_cut_reachable(node))
         for later in order[index + 1 :]:
             if later in cut and parent[later] == target:
                 parent[later] = node
@@ -341,37 +382,63 @@ def gomory_hu_tree(
     )
 
 
+def gomory_hu_tree(
+    graph: NetworkGraph, signature: GraphSignature | None = None
+) -> GomoryHuTree:
+    """Build the cut tree of an undirected-equivalent graph (Gusfield's method).
+
+    Always a fresh build (``n - 1`` solves) that touches no cache; the solves
+    run on the unit form and the weights are scaled back.
+
+    Raises:
+        GraphError: if the graph is not symmetric or has no nodes.
+    """
+    if signature is None:
+        signature = graph_signature(graph)
+    if not is_symmetric(graph):
+        raise GraphError("Gomory-Hu trees require an undirected-equivalent graph")
+    if not signature[0]:
+        raise GraphError("cannot build a cut tree of an empty graph")
+    unit, scale = _unit_form(signature)
+    return _rescaled(_gusfield(unit), signature, multiply=scale)
+
+
 def cached_gomory_hu(
     graph: NetworkGraph, signature: GraphSignature | None = None
 ) -> Optional[GomoryHuTree]:
     """The memoised flow-equivalent cut tree of ``graph``, or ``None``.
 
     Returns ``None`` (recording nothing) for directed / asymmetric graphs —
-    callers then fall back to the frozen per-pair Dinic oracle.  On a miss
-    for a symmetric graph the tree is built and cached.
+    callers then fall back to per-pair Dinic solves.  On a miss for a
+    symmetric graph the tree is built and cached; any graph with the same
+    unit form is then a hit.
     """
     if signature is None:
         signature = graph_signature(graph)
-    tree = _GH_CACHE.lookup(("tree", signature))
-    if tree is not None:
-        return tree
-    if not is_symmetric(graph):
-        return None
-    tree = gomory_hu_tree(graph, signature=signature)
-    _GH_CACHE.store(("tree", signature), tree)
-    _GH_CACHE.store(("global-min", signature), tree.min_weight() if len(tree.nodes()) > 1 else None)
-    return tree
+    unit, scale = _unit_form(signature)
+    tree = _GH_CACHE.lookup(("tree", unit))
+    if tree is None:
+        if not is_symmetric(graph):
+            return None
+        if not unit[0]:
+            raise GraphError("cannot build a cut tree of an empty graph")
+        tree = _gusfield(unit)
+        _GH_CACHE.store(("tree", unit), tree)
+        _GH_CACHE.store(("global-min", unit), tree.min_weight() if len(tree.nodes()) > 1 else None)
+    return _rescaled(tree, signature, multiply=scale)
 
 
 def tree_if_cached(signature: GraphSignature) -> Optional[GomoryHuTree]:
     """A cached *flow-equivalent* tree for this signature, without building one.
 
-    Used by :func:`repro.graph.flow_cache.cached_st_mincut`: a single ``st``
+    Used by :func:`repro.graph.flow_cache.cached_st_mincut` and
+    :func:`~repro.graph.flow_cache.cached_max_flow_with_cut`: a single ``st``
     query never justifies ``n - 1`` solves, but an existing tree answers it
     for free.  Does not touch hit/miss counters (peek, not lookup).
     """
-    tree = _GH_CACHE.peek(("tree", signature))
-    return tree if isinstance(tree, GomoryHuTree) else None
+    unit, scale = _unit_form(signature)
+    tree = _GH_CACHE.peek(("tree", unit))
+    return _rescaled(tree, signature, multiply=scale) if isinstance(tree, GomoryHuTree) else None
 
 
 def cached_global_mincut(
@@ -388,14 +455,15 @@ def cached_global_mincut(
     """
     if signature is None:
         signature = graph_signature(graph)
-    value = _GH_CACHE.lookup(("global-min", signature))
+    unit, scale = _unit_form(signature)
+    value = _GH_CACHE.lookup(("global-min", unit))
     if value is not None:
-        return value
-    partial = _GH_CACHE.peek(("tree-partial", signature))
+        return value * scale
+    partial = _GH_CACHE.peek(("tree-partial", unit))
     if isinstance(partial, GomoryHuTree):
         value = partial.min_weight()
-        _GH_CACHE.store(("global-min", signature), value)
-        return value
+        _GH_CACHE.store(("global-min", unit), value)
+        return value * scale
     tree = cached_gomory_hu(graph, signature=signature)
     if tree is None:
         return None
@@ -429,15 +497,12 @@ def repair_tree_after_pair_removal(
     removed_capacity = old_graph.capacity(a, b)
     if tree.flow_equivalent:
         w_ab = tree.mincut(a, b)
-        seed_st_mincut(tree.signature, a, b, w_ab)
-        seed_st_mincut(tree.signature, b, a, w_ab)
     else:
         # Repaired trees cannot answer arbitrary pairs: one direct solve.
         from repro.graph.flow_cache import cached_st_mincut
 
         w_ab = cached_st_mincut(old_graph, a, b)
     new_signature = graph_signature(new_graph)
-    all_nodes = frozenset(tree.nodes())
     weight: Dict[NodeId, int] = {}
     side: Dict[NodeId, FrozenSet[NodeId]] = {}
     solver: _DinicSolver | None = None
@@ -459,17 +524,11 @@ def repair_tree_after_pair_removal(
             _count_repair("certified")
         else:
             if solver is None:
-                solver = _build_solver(new_graph)
+                solver = _build_solver(new_graph.nodes(), new_graph.edges())
                 solver.snapshot()
             solver.reset()
-            value = solver.max_flow(node, target)
-            fresh_cut = frozenset(solver.min_cut_reachable(node))
-            weight[node] = value
-            side[node] = fresh_cut
-            seed_max_flow_with_cut(new_signature, node, target, value, fresh_cut)
-            seed_max_flow_with_cut(
-                new_signature, target, node, value, all_nodes - fresh_cut
-            )
+            weight[node] = solver.max_flow(node, target)
+            side[node] = frozenset(solver.min_cut_reachable(node))
             _count_repair("resolved")
     return GomoryHuTree(
         signature=new_signature,
@@ -494,16 +553,20 @@ def derive_trees_after_pair_removals(
     symmetric, this is a cheap no-op returning ``None`` — nothing is built
     eagerly; repair only ever *reuses* existing solved state.
 
-    On success the repaired tree and its global-min value are cached under
-    ``new_graph``'s signature (and every intermediate signature), and the
-    final tree is returned.
+    On success the repaired tree and its global-min value are cached for
+    ``new_graph`` (and every intermediate graph), and the final tree is
+    returned.  The repair chain runs at the graphs' own capacity scale — a
+    removal can change the gcd — and each result is normalised to its own
+    unit form on the way into the cache, like every other entry point.
     """
     old_signature = graph_signature(old_graph)
-    tree = _GH_CACHE.peek(("tree", old_signature))
+    unit, scale = _unit_form(old_signature)
+    tree = _GH_CACHE.peek(("tree", unit))
     if tree is None:
-        tree = _GH_CACHE.peek(("tree-partial", old_signature))
+        tree = _GH_CACHE.peek(("tree-partial", unit))
     if not isinstance(tree, GomoryHuTree):
         return None
+    tree = _rescaled(tree, old_signature, multiply=scale)
     current = old_graph
     for pair in sorted(pairs, key=lambda p: tuple(sorted(p))):
         a, b = sorted(pair)
@@ -513,13 +576,15 @@ def derive_trees_after_pair_removals(
             continue
         next_graph = current.remove_links_between([pair])
         tree = repair_tree_after_pair_removal(current, tree, next_graph, a, b)
-        _GH_CACHE.store(("tree-partial", tree.signature), tree)
+        unit, scale = _unit_form(tree.signature)
+        unit_tree = _rescaled(tree, unit, divide=scale)
+        _GH_CACHE.store(("tree-partial", unit), unit_tree)
         if len(tree.nodes()) > 1:
-            _GH_CACHE.store(("global-min", tree.signature), tree.min_weight())
+            _GH_CACHE.store(("global-min", unit), unit_tree.min_weight())
         current = next_graph
     if graph_signature(current) != graph_signature(new_graph):
         # The caller's graphs did not line up (e.g. a pair touched a node
         # absent from old_graph); the seeded intermediates are still exact
         # for their own signatures, but there is nothing valid to return.
         return None
-    return tree if isinstance(tree, GomoryHuTree) and not tree.flow_equivalent else None
+    return tree if not tree.flow_equivalent else None

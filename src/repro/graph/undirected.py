@@ -33,6 +33,14 @@ class UndirectedView:
             pair = node_pair(tail, head)
             capacities[pair] = capacities.get(pair, 0) + capacity
         self._capacities = capacities
+        # Built once: is_connected() asks for the neighbours of every node.
+        neighbors: Dict[NodeId, List[NodeId]] = {node: [] for node in self._nodes}
+        for a, b in capacities:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        for adjacent in neighbors.values():
+            adjacent.sort()
+        self._neighbors = neighbors
         # Lazily built symmetric digraph (and its cache signature) shared by
         # all min-cut queries on this view (the view itself is immutable
         # once constructed).
@@ -82,14 +90,9 @@ class UndirectedView:
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Nodes adjacent to ``node`` in the undirected view, sorted."""
-        if node not in self._nodes:
+        if node not in self._neighbors:
             raise GraphError(f"node {node} is not in the graph")
-        adjacent = []
-        for pair in self._capacities:
-            if node in pair:
-                (other,) = pair - {node}
-                adjacent.append(other)
-        return sorted(adjacent)
+        return list(self._neighbors[node])
 
     def is_connected(self) -> bool:
         """Whether the undirected view is connected (vacuously true when empty)."""
@@ -99,7 +102,7 @@ class UndirectedView:
         frontier = [self._nodes[0]]
         while frontier:
             node = frontier.pop()
-            for neighbor in self.neighbors(node):
+            for neighbor in self._neighbors[node]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     frontier.append(neighbor)
@@ -155,7 +158,7 @@ class UndirectedView:
         if value is not None:
             return value
         # Unreachable in practice (the symmetric digraph is by construction
-        # undirected-equivalent) but kept as the oracle-path fallback: every
+        # undirected-equivalent) but kept as the per-pair fallback: every
         # cut separates the anchor from some node, so anchoring is valid.
         anchor = nodes[0]
         return min(

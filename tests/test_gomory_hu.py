@@ -17,6 +17,7 @@ from repro.exceptions import GraphError
 from repro.graph import gomory_hu
 from repro.graph.flow_cache import (
     cached_all_target_mincuts,
+    cached_max_flow_with_cut,
     cached_st_mincut,
     clear_mincut_cache,
     graph_signature,
@@ -35,7 +36,7 @@ from repro.graph.gomory_hu import (
     repair_tree_after_pair_removal,
     tree_if_cached,
 )
-from repro.graph.maxflow import max_flow_value
+from repro.graph.maxflow import _DinicSolver, max_flow_value, max_flow_with_cut
 from repro.graph.mincut import broadcast_mincut, min_pairwise_undirected_mincut
 from repro.graph.network_graph import NetworkGraph
 
@@ -221,20 +222,46 @@ class TestCaching:
         stats = gomory_hu_cache_stats()
         assert stats["misses"] >= 1 and stats["hits"] == 0
         second = cached_gomory_hu(torus_2d(3, 3))  # fresh graph object
-        assert second is first
+        # torus links have capacity 2: the cache holds the unit-form tree and
+        # hands out a view scaled by the gcd, so equality is by content.
+        assert second.tree_edges() == first.tree_edges()
+        assert second.signature == first.signature == graph_signature(graph)
         assert gomory_hu_cache_stats()["hits"] == 1
+        unit = torus_2d(3, 3, capacity=1)
+        assert cached_gomory_hu(unit) is cached_gomory_hu(unit)
 
-    def test_build_seeds_st_and_cut_keys_both_directions(self):
+    def test_cached_tree_answers_st_and_cut_queries_with_no_new_solve(self, monkeypatch):
         graph = torus_2d(3, 3)
-        signature = graph_signature(graph)
-        tree = gomory_hu_tree(graph)
-        cache = mincut_cache()
+        tree = cached_gomory_hu(graph)
+        # A build stores nothing in the flow LRU; its queries ask the tree.
+        assert len(mincut_cache()) == 0
+        solves = []
+        original = _DinicSolver.max_flow
+
+        def counted(self, source, sink, limit=None):
+            solves.append((source, sink))
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_DinicSolver, "max_flow", counted)
         for child, parent, weight in tree.tree_edges():
             for a, b in ((child, parent), (parent, child)):
-                assert cache.peek(("st", signature, a, b)) == weight
-                value, cut = cache.peek(("st-cut", signature, a, b))
+                assert cached_st_mincut(graph, a, b) == weight
+                value, cut = cached_max_flow_with_cut(graph, a, b)
                 assert value == weight
                 assert a in cut and b not in cut
+                assert sum(
+                    capacity for tail, head, capacity in graph.edges()
+                    if tail in cut and head not in cut
+                ) == weight
+        assert solves == []
+        # A pair that is not tree-adjacent has no stored cut side: one solve.
+        nodes = graph.nodes()
+        far = next(
+            (a, b) for a in nodes for b in nodes
+            if a != b and tree.adjacent_cut(a, b) is None
+        )
+        assert cached_max_flow_with_cut(graph, *far) == max_flow_with_cut(graph, *far)
+        assert len(solves) == 2
 
     def test_st_query_uses_existing_tree_without_building_one(self):
         graph = torus_2d(3, 3)
