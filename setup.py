@@ -1,9 +1,19 @@
-"""Setuptools shim for environments without the ``wheel`` package.
+"""Packaging for ``repro``; all project metadata lives here.
 
-All project metadata lives in ``pyproject.toml``; this file only exists so
-that ``pip install -e .`` works in fully offline environments where the
-PEP 517 editable-wheel path is unavailable.
+There is no ``pyproject.toml``: plain ``setup.py`` keeps ``pip install -e .``
+working in fully offline environments where the PEP 517 editable-wheel path
+is unavailable.  ``clmul.c`` ships as package data because the ``native``
+kernel backend (``repro.gf.backends``) compiles it on first use, also from an
+installed copy.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.14.0",
+    description="Network-Aware Byzantine Broadcast (Liang & Vaidya, PODC 2012), reproduced",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.gf": ["clmul.c"]},
+    python_requires=">=3.10",
+)

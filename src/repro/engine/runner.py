@@ -180,7 +180,7 @@ def _execute_cell(cell: Cell) -> Dict[str, object]:
     are keyed on
     canonical graph signatures, so clearing them is about memory, not
     correctness; cells arrive grouped by topology, so the clears are rare.
-    The GF kernel operand caches (spread operands, FFT spectra) are dropped
+    The GF kernel operand caches (FFT spectra) are dropped
     on the same cadence — a new topology means new coding matrices, so the
     old operands will not recur.
     """

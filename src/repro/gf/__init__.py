@@ -17,8 +17,8 @@ Performance notes:
     internal constructor, which makes matrix products and Gaussian
     elimination over table-backed fields an order of magnitude faster than
     the polynomial path (see ``benchmarks/bench_gf_kernels.py``).  Degrees
-    above 16 run on the windowed big-field kernels: carry-less multiplication
-    through cached 8-bit window tables, linear-time squaring, chunked modular
+    above 16 run on the big-field kernels: carry-less multiplication through
+    a kernel backend (below), linear-time squaring, chunked modular
     reduction against a per-field reduction table, and an inlined
     extended-Euclid inverse (see ``benchmarks/bench_large_field.py``).  The
     original bit-serial polynomial arithmetic is retained on every field as
@@ -27,15 +27,17 @@ Performance notes:
 Kernel backends:
     The raw carry-less multiply behind every big-field operation is pluggable
     through the registry in :mod:`repro.gf.backends`.  Four backends ship:
-    ``bitserial`` (the frozen oracle), ``windowed`` (the default below degree
-    4096), ``bitspread`` (guard-bit Kronecker substitution onto one native
-    ``int.__mul__``) and ``numpy`` (FFT-based carry-less convolution,
-    auto-selected from degree 4096 when numpy is importable).  Selection
-    happens once per field at construction — explicit
+    ``bitserial`` (the frozen oracle), ``windowed`` and ``numpy`` (the
+    pure-Python tier: window tables below degree 4096, FFT convolution from
+    it) and ``native`` (``clmul.c``, PCLMULQDQ on 64-bit limbs, compiled with
+    the system C compiler on first use, cached per user and bound with
+    ``ctypes``).  ``native`` is auto-selected for every big field where it is
+    available; a host without a compiler or without the instruction runs the
+    pure-Python tier and ``GF2m.describe()["native_unavailable"]`` says why.
+    Selection happens once per field at construction — explicit
     ``get_field(degree, kernel_backend=...)`` argument beats the
-    ``REPRO_GF_BACKEND`` environment variable beats the degree-based
-    auto-crossover — and is sticky for the cached field instance.
-    ``GF2m.describe()`` reports the choice.  To add a backend, subclass
+    ``REPRO_GF_BACKEND`` environment variable beats the automatic choice —
+    and is sticky for the cached field instance.  To add a backend, subclass
     ``KernelBackend``, implement ``clmul`` (and optionally the vector hooks),
     and call ``register_backend``; the conformance suite in
     ``tests/test_gf_backends.py`` automatically pits every registered backend

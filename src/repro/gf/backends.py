@@ -18,36 +18,39 @@ Registered backends:
 
 ``windowed``
     The PR 4/5 kernels: cached 8-bit window tables scanned byte-by-byte,
-    stacked guard-spaced batches, fused vector-matrix passes.  The default
-    for every big field below the numpy crossover degree.
-
-``bitspread``
-    Kronecker-substitution multiply on native big integers: both operands are
-    bit-spread ``factor`` positions apart (:func:`polynomials.bit_spread`),
-    multiplied with one ``int.__mul__``, and the XOR convolution read back
-    with a mask-and-compact pass.  Spread operands are cached per field under
-    a byte-accurate budget.  On CPython's 30-bit-digit Karatsuba bignum
-    multiply the ``factor``-fold operand blowup costs ``factor**1.58`` in the
-    multiply, which outweighs the windowed scan at every degree this repo
-    reaches — so this backend is a correctness/portability kernel (it wins on
-    GMP-class interpreter builds) and is never selected automatically here;
-    the measured crossover is recorded by ``benchmarks/bench_kernel_backends``.
+    stacked guard-spaced batches, fused vector-matrix passes.  The
+    pure-Python tier's choice below the numpy crossover degree, and the
+    delegate of every other backend's stacked primitive.
 
 ``numpy``
-    Auto-detected.  Carry-less products as real convolutions: operands unpack
-    to 0/1 float vectors, multiply under ``rfft``/``irfft``, and the product
-    coefficients' parities are exact because every convolution count is at
-    most ``m`` — far inside float64's 2^53 integer range.  The win is the
-    batched ``vecmat`` encode: one forward FFT per symbol, a cached (budget
-    permitting) or streamed spectrum per matrix row, one inverse FFT per
-    column — this is what pushes the ``huge_payloads`` grid to 256 KB values.
-    Selected automatically for degrees >= :data:`NUMPY_MIN_DEGREE`.
+    Carry-less products as real convolutions: operands unpack to 0/1 float
+    vectors, multiply under ``rfft``/``irfft``, and the product coefficients'
+    parities are exact because every convolution count is at most ``m`` — far
+    inside float64's 2^53 integer range.  The win is the batched ``vecmat``
+    encode: one forward FFT per symbol, a cached (budget permitting) or
+    streamed spectrum per matrix row, one inverse FFT per column.  The
+    pure-Python tier's choice for degrees >= :data:`NUMPY_MIN_DEGREE`.
+
+``native``
+    Schoolbook products of 64-bit limbs on the CPU's PCLMULQDQ instruction:
+    ``clmul.c`` (shipped beside this module) is compiled with the system C
+    compiler the first time a big field asks for it, cached in the user's
+    cache directory under a name hashing source, flags and machine, and bound
+    with :mod:`ctypes`.  Takes ``clmul``, ``vecmat``, ``dot_vec`` and
+    ``mul_vec``; operands cross with one ``to_bytes``/``join`` per call (a
+    matrix's limb buffer is kept on the matrix), and modular reduction stays
+    on ``field._reduce``.  Selected automatically for *every* big field when
+    :meth:`NativeBackend.available` — compiler found (or library already
+    cached), build and load succeeded, CPU reports PCLMULQDQ, self-check
+    passed.  Anything else makes it unavailable, never an error: selection
+    falls back to the pure-Python tier (``windowed`` / ``numpy``) and
+    ``GF2m.describe()`` carries the reason as ``native_unavailable``.
 
 Selection precedence: an explicit ``kernel_backend=`` argument, then the
-``REPRO_GF_BACKEND`` environment variable, then the static crossover policy
-(:func:`auto_backend_name`).  The decision is made once per field and —
-because :func:`repro.gf.field.get_field` canonicalises instances — is sticky
-for the life of the process.
+``REPRO_GF_BACKEND`` environment variable, then :func:`auto_backend_name`.
+The decision is made once per field and — because
+:func:`repro.gf.field.get_field` canonicalises instances — is sticky for the
+life of the process.
 
 Adding a backend: subclass :class:`KernelBackend`, implement ``clmul`` (and
 optionally ``clmul_stacked`` / ``vecmat`` / ``dot_vec`` / ``mul_vec`` /
@@ -59,18 +62,15 @@ oracles for free.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import hashlib
 import os
-import sys
-import time
+import platform
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import FieldError
-from repro.gf.polynomials import (
-    bit_spread,
-    compact_spread_product,
-    poly_mul,
-    spread_factor_for,
-)
+from repro.gf.polynomials import poly_mul
 
 try:  # pragma: no cover - exercised implicitly by backend availability
     import numpy as _np
@@ -86,9 +86,6 @@ ENV_BACKEND = "REPRO_GF_BACKEND"
 #: stacked windowed pass between degrees 2048 and 4096 and is >= 3x from 4096.
 NUMPY_MIN_DEGREE = 4096
 
-#: Byte budget for the bitspread backend's per-field spread-operand cache.
-SPREAD_CACHE_BYTES = 8 << 20
-
 #: Byte budget for the numpy backend's per-field operand-spectrum cache.
 FFT_CACHE_BYTES = 8 << 20
 
@@ -100,6 +97,14 @@ FFT_MATRIX_CACHE_BYTES = 48 << 20
 #: Degree at/above which the numpy backend computes *scalar* products by FFT;
 #: below it the windowed byte scan is faster (measured) and is delegated to.
 FFT_SCALAR_MIN_DEGREE = 16384
+
+#: Largest per-matrix limb buffer (``rows x cols x 8 * limbs`` bytes) the
+#: native backend keeps on a matrix; bigger matrices cross row by row on every
+#: encode instead (same values, no resident copy).
+NATIVE_MATRIX_CACHE_BYTES = 48 << 20
+
+#: Compiler flags of the native kernel library; part of its cache name.
+NATIVE_CFLAGS = ("-O2", "-mpclmul", "-msse2", "-shared", "-fPIC")
 
 
 class KernelBackend:
@@ -160,33 +165,6 @@ class KernelBackend:
         """The per-field kernel decisions, for ``GF2m.describe()``."""
         return {}
 
-    def _stacked_vecmat(self, matrix, vector: Sequence[int]) -> List[int]:
-        """Generic stacked ``vector @ matrix`` riding this backend's primitive.
-
-        Mirrors the fused windowed pass' structure — per column window, XOR
-        the raw stacked products of every non-zero symbol, reduce once — but
-        each product goes through :meth:`clmul_stacked`, so any backend gets
-        the whole vector/matrix API by implementing only the primitive.
-        """
-        field = self.field
-        width = field._stride // 8
-        sizes, stacked_rows = matrix._stacked_rows()
-        stacked_mul = self.clmul_stacked
-        result: List[int] = []
-        for index, count in enumerate(sizes):
-            packed = count * width
-            accumulator = 0
-            for value, row_windows in zip(vector, stacked_rows):
-                if value:
-                    stacked = row_windows[index]
-                    if stacked:
-                        accumulator ^= stacked_mul(stacked, value, packed)
-            if accumulator:
-                result.extend(field._reduce_stacked(accumulator, count))
-            else:
-                result.extend([0] * count)
-        return result
-
 
 class BitSerialBackend(KernelBackend):
     """The frozen shift/XOR oracle, addressable by name for conformance runs."""
@@ -218,79 +196,7 @@ class WindowedBackend(KernelBackend):
         return self.field._windowed_stacked_mul(stacked, factor, packed_bytes)
 
     def crossover(self) -> Dict[str, object]:
-        return {"policy": f"default below degree {NUMPY_MIN_DEGREE}"}
-
-
-class BitSpreadBackend(KernelBackend):
-    """Carry-less multiplication on the native big-integer multiplier.
-
-    The spread factor is fixed per field: every product this field ever forms
-    has one operand of at most ``degree`` bits (the scalar side, even in the
-    stacked case), so convolution counts are bounded by ``degree`` and
-    :func:`spread_factor_for` picks the one power-of-two slot width that
-    contains them.  Spread operands are cached per field with byte-accurate
-    accounting (``sys.getsizeof``) under :data:`SPREAD_CACHE_BYTES` — the
-    recurring operands are stacked coding-matrix rows, exactly the access
-    pattern of the PR 4/5 window-table caches.
-    """
-
-    name = "bitspread"
-
-    def __init__(self, field) -> None:
-        super().__init__(field)
-        self.factor = spread_factor_for(field.degree)
-        self._spread: Dict[int, int] = {}
-        self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def _spread_of(self, value: int) -> int:
-        cached = self._spread.get(value)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        self._misses += 1
-        cached = bit_spread(value, self.factor)
-        cost = sys.getsizeof(cached)
-        if self._bytes + cost > SPREAD_CACHE_BYTES:
-            self._spread.clear()
-            self._bytes = 0
-            self._evictions += 1
-        self._spread[value] = cached
-        self._bytes += cost
-        return cached
-
-    def clmul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        return compact_spread_product(self._spread_of(a) * self._spread_of(b), self.factor)
-
-    def vecmat(self, matrix, vector: Sequence[int]) -> Optional[List[int]]:
-        return self._stacked_vecmat(matrix, vector)
-
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        return {
-            "spread": {
-                "entries": len(self._spread),
-                "bytes": self._bytes,
-                "budget_bytes": SPREAD_CACHE_BYTES,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-        }
-
-    def clear_caches(self) -> None:
-        self._spread.clear()
-        self._bytes = 0
-
-    def crossover(self) -> Dict[str, object]:
-        return {
-            "spread_factor": self.factor,
-            "policy": "explicit/env selection only (native multiply is "
-            "subquadratic but not GMP-class on this interpreter)",
-        }
+        return {"policy": f"pure-Python tier below degree {NUMPY_MIN_DEGREE}"}
 
 
 class NumpyBackend(KernelBackend):
@@ -520,6 +426,272 @@ class NumpyBackend(KernelBackend):
         }
 
 
+# ------------------------------------------------------------ native kernel
+
+#: ``(library, info)`` once resolved: the bound kernel library (``None`` when
+#: unavailable) and what ``describe()`` reports about it.  Process-wide, like
+#: the ``dlopen`` behind it.
+_native_state: Optional[Tuple[Optional[ctypes.CDLL], Dict[str, object]]] = None
+
+
+def _native_cache_dir() -> Optional[str]:
+    """A directory only this user can write: the per-user cache, else a
+    uid-named one under the temp directory; ``None`` when neither is safe."""
+    import tempfile
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid()
+    for candidate in (
+        os.path.join(base, "repro"),
+        os.path.join(tempfile.gettempdir(), f"repro-{uid}"),
+    ):
+        try:
+            os.makedirs(candidate, mode=0o700, exist_ok=True)
+            status = os.stat(candidate)
+        except OSError:
+            continue
+        if status.st_uid == uid and not status.st_mode & 0o022 and os.access(candidate, os.W_OK):
+            return candidate
+    return None
+
+
+def _cached_native(directory: str, prefix: str) -> Optional[str]:
+    """A cached library whose bytes still hash to the digest in its name.
+
+    A truncated library does not fail in ``dlopen``, it takes the process
+    down with SIGBUS inside it, so content is checked before loading; what
+    does not check out is removed (and rebuilt by the caller).
+    """
+    for name in sorted(os.listdir(directory)):
+        if name.startswith(prefix) and name.endswith(".so"):
+            path = os.path.join(directory, name)
+            with contextlib.suppress(OSError), open(path, "rb") as handle:
+                if hashlib.sha256(handle.read()).hexdigest()[:16] == name[len(prefix) : -3]:
+                    return path
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+    return None
+
+
+def _compile_native(source: bytes, directory: str, prefix: str) -> Tuple[Optional[str], str]:
+    """Build the kernel library; returns ``(path, "")`` or ``(None, why not)``.
+
+    The compiler writes a private temp name and the result is renamed to
+    ``<prefix><sha256 of its bytes>.so`` atomically, so racing cold processes
+    each end with a whole, self-describing library whoever renames last.
+    """
+    import shlex
+    import shutil
+    import subprocess
+    import tempfile
+
+    command = shlex.split(os.environ.get("CC", "")) or next(
+        ([name] for name in ("cc", "gcc", "clang") if shutil.which(name)), None
+    )
+    if command is None:
+        return None, "no C compiler found (CC, cc, gcc, clang)"
+    handle, scratch = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        done = subprocess.run(
+            [*command, *NATIVE_CFLAGS, "-x", "c", "-", "-o", scratch],
+            input=source,
+            capture_output=True,
+            timeout=120,
+        )
+        if done.returncode != 0:
+            detail = done.stderr.decode("utf-8", "replace").strip().splitlines()
+            return None, f"{command[0]} failed: {detail[-1] if detail else done.returncode}"
+        with open(scratch, "rb") as built:
+            digest = hashlib.sha256(built.read()).hexdigest()
+        path = os.path.join(directory, f"{prefix}{digest[:16]}.so")
+        os.replace(scratch, path)
+        return path, ""
+    except (OSError, subprocess.SubprocessError) as error:
+        return None, f"cannot run {command[0]}: {error}"
+    finally:
+        os.close(handle)
+        with contextlib.suppress(OSError):
+            os.unlink(scratch)
+
+
+def _bind_native(path: str) -> ctypes.CDLL:
+    """``dlopen`` the kernel library and declare its three functions."""
+    library = ctypes.CDLL(path)
+    size, data = ctypes.c_size_t, ctypes.c_char_p
+    library.clmul_supported.argtypes = []
+    library.clmul_supported.restype = ctypes.c_int
+    library.clmul_vecmat.argtypes = [size, size, size, data, data, data]
+    library.clmul_vecmat.restype = None
+    library.clmul_pairs.argtypes = [size, size, data, data, data]
+    library.clmul_pairs.restype = None
+    return library
+
+
+def _load_native() -> Tuple[Optional[ctypes.CDLL], Dict[str, object]]:
+    """Find or build the kernel library; never raises.
+
+    The cache name hashes source, flags and machine, so an edit to any of
+    them builds afresh.  The loaded library must report PCLMULQDQ and
+    multiply one two-limb pair like :func:`poly_mul` before it is trusted.
+    """
+    import importlib.resources  # build-only modules load here and in the helpers
+
+    if not hasattr(os, "getuid"):
+        return None, {"reason": f"unsupported platform {platform.system()}"}
+    try:
+        source = importlib.resources.files("repro.gf").joinpath("clmul.c").read_bytes()
+    except OSError as error:
+        return None, {"reason": f"kernel source clmul.c not readable: {error}"}
+    directory = _native_cache_dir()
+    if directory is None:
+        return None, {"reason": "no user-owned cache directory"}
+    identity = b"\0".join([source, " ".join(NATIVE_CFLAGS).encode(), platform.machine().encode()])
+    prefix = f"clmul-{hashlib.sha256(identity).hexdigest()[:16]}-"
+    path, build = _cached_native(directory, prefix), "cached"
+    if path is None:
+        (path, reason), build = _compile_native(source, directory, prefix), "built"
+        if path is None:
+            return None, {"reason": reason}
+    try:
+        library = _bind_native(path)
+    except (OSError, AttributeError) as error:
+        return None, {"reason": f"cannot load {path}: {error}"}
+    if not library.clmul_supported():
+        return None, {"reason": "CPU does not report PCLMULQDQ"}
+    a, b = (1 << 127) | 0x87, (1 << 100) | (1 << 64) | 3
+    out = ctypes.create_string_buffer(32)
+    library.clmul_pairs(1, 2, a.to_bytes(16, "little"), b.to_bytes(16, "little"), out)
+    if int.from_bytes(out.raw, "little") != poly_mul(a, b):
+        return None, {"reason": f"{path} failed its self-check"}
+    return library, {
+        "library": path,
+        "source_sha256": hashlib.sha256(source).hexdigest(),
+        "build": build,
+    }
+
+
+def _native_library() -> Tuple[Optional[ctypes.CDLL], Dict[str, object]]:
+    """The process-wide kernel library, resolved (and built) on first use."""
+    global _native_state
+    if _native_state is None:
+        _native_state = _load_native()
+    return _native_state
+
+
+class NativeBackend(KernelBackend):
+    """PCLMULQDQ kernels in C (``clmul.c``), bound through :mod:`ctypes`.
+
+    Every operand is ``ceil(m / 64)`` little-endian 64-bit limbs.  A call
+    packs its operands with one ``to_bytes`` per symbol and one ``join``,
+    runs one C function over them, and reduces the raw products it gets back
+    with ``field._reduce``.  Scalar products go the same way at every degree:
+    measured against the windowed scan, the native product (1.7 us at degree
+    64, 6 us at 4096) ties a *warm* window table at degree 128 and beats a
+    table build (56 us and up) everywhere, and a table only pays for itself
+    past ~50 products against one operand.  Stacked batches keep the windowed
+    scan, as under ``numpy``.  The only cache is a matrix's packed limb buffer,
+    kept on the matrix when it fits :data:`NATIVE_MATRIX_CACHE_BYTES`.
+    """
+
+    name = "native"
+
+    @classmethod
+    def available(cls) -> bool:
+        return _native_library()[0] is not None
+
+    @staticmethod
+    def unavailable_reason() -> Optional[str]:
+        """Why :meth:`available` is false, or ``None`` when it is true."""
+        return _native_library()[1].get("reason")
+
+    def __init__(self, field) -> None:
+        library, info = _native_library()
+        if library is None:
+            raise FieldError(f"native kernel backend unavailable: {info['reason']}")
+        super().__init__(field)
+        self._library = library
+        self._words = (field.degree + 63) // 64
+        self._width = 8 * self._words
+        self._ctx = {"hits": 0, "misses": 0, "skips_over_budget": 0, "bytes_built": 0}
+
+    def _pack(self, values: Sequence[int]) -> bytes:
+        """The values as consecutive limb arrays; ``to_bytes`` rejects any
+        value that would not fit its ``self._width`` bytes."""
+        width = self._width
+        return b"".join([value.to_bytes(width, "little") for value in values])
+
+    def _reduced(self, out, count: int) -> List[int]:
+        """Split ``count`` raw products out of ``out`` and reduce each."""
+        raw, span, reduce = out.raw, 2 * self._width, self.field._reduce
+        return [
+            reduce(int.from_bytes(raw[start : start + span], "little"))
+            for start in range(0, count * span, span)
+        ]
+
+    def clmul(self, a: int, b: int) -> int:
+        width = self._width
+        out = ctypes.create_string_buffer(2 * width)
+        self._library.clmul_pairs(
+            1, self._words, a.to_bytes(width, "little"), b.to_bytes(width, "little"), out
+        )
+        return int.from_bytes(out.raw, "little")
+
+    def clmul_stacked(self, stacked: int, factor: int, packed_bytes: int) -> int:
+        return self.field._windowed_stacked_mul(stacked, factor, packed_bytes)
+
+    def _matrix_limbs(self, matrix) -> Optional[bytes]:
+        """The matrix's row-major limb buffer, or ``None`` if over budget."""
+        limbs, stats = matrix._kctx, self._ctx
+        if limbs is not None:
+            stats["hits"] += 1
+        elif matrix.rows * matrix.cols * self._width > NATIVE_MATRIX_CACHE_BYTES:
+            stats["skips_over_budget"] += 1
+        else:
+            limbs = matrix._kctx = self._pack([entry for row in matrix._data for entry in row])
+            stats["misses"] += 1
+            stats["bytes_built"] += len(limbs)
+        return limbs
+
+    def vecmat(self, matrix, vector: Sequence[int]) -> Optional[List[int]]:
+        rows, cols = matrix.rows, matrix.cols
+        if len(vector) != rows:
+            raise FieldError(f"length mismatch: vector of {len(vector)} vs {rows} rows")
+        out = ctypes.create_string_buffer(cols * 2 * self._width)
+        kernel, words = self._library.clmul_vecmat, self._words
+        limbs = self._matrix_limbs(matrix)
+        if limbs is not None:
+            kernel(rows, cols, words, self._pack(vector), limbs, out)
+        else:
+            for value, row in zip(vector, matrix._data):
+                if value:
+                    kernel(1, cols, words, self._pack((value,)), self._pack(row), out)
+        return self._reduced(out, cols)
+
+    def dot_vec(self, left: Sequence[int], right: Sequence[int]) -> Optional[int]:
+        if len(left) != len(right):
+            raise FieldError(f"length mismatch: {len(left)} vs {len(right)}")
+        out = ctypes.create_string_buffer(2 * self._width)
+        self._library.clmul_vecmat(
+            len(left), 1, self._words, self._pack(left), self._pack(right), out
+        )
+        return self._reduced(out, 1)[0]
+
+    def mul_vec(self, left: Sequence[int], right: Sequence[int]) -> Optional[List[int]]:
+        if len(left) != len(right):
+            raise FieldError(f"length mismatch: {len(left)} vs {len(right)}")
+        out = ctypes.create_string_buffer(len(left) * 2 * self._width)
+        self._library.clmul_pairs(
+            len(left), self._words, self._pack(left), self._pack(right), out
+        )
+        return self._reduced(out, len(left))
+
+    def cache_stats(self) -> Dict[str, Dict[str, int]]:
+        return {"native_matrices": dict(self._ctx, budget_bytes=NATIVE_MATRIX_CACHE_BYTES)}
+
+    def crossover(self) -> Dict[str, object]:
+        return dict(_native_library()[1], limbs=self._words)
+
+
 # ---------------------------------------------------------------- registry
 
 _REGISTRY: Dict[str, Type[KernelBackend]] = {}
@@ -564,7 +736,10 @@ def backend_class(name: str) -> Type[KernelBackend]:
 
 
 def auto_backend_name(degree: int) -> str:
-    """The static crossover policy: windowed below, numpy at/above the threshold."""
+    """``native`` wherever it is available; otherwise the pure-Python tier:
+    windowed below :data:`NUMPY_MIN_DEGREE`, numpy at and above it."""
+    if NativeBackend.available():
+        return NativeBackend.name
     if degree >= NUMPY_MIN_DEGREE and NumpyBackend.available():
         return NumpyBackend.name
     return WindowedBackend.name
@@ -609,47 +784,7 @@ def create_backend(field, requested: Optional[str] = None) -> KernelBackend:
     return backend
 
 
-def measure_crossover(
-    degrees: Sequence[int] = (256, 1024, 4096),
-    repeats: int = 3,
-) -> Dict[int, Dict[str, float]]:
-    """Empirically time one scalar product per backend at each degree.
-
-    Returns ``{degree: {backend_name: best_seconds}}`` over the *available*
-    backends (``bitserial`` excluded above degree 4096 — the oracle's cost
-    there would dominate the measurement for no information).  Used by
-    ``benchmarks/bench_kernel_backends.py`` to record where the static
-    :data:`NUMPY_MIN_DEGREE` policy sits against reality on the current box.
-    """
-    import random
-
-    from repro.gf.field import GF2m
-
-    table: Dict[int, Dict[str, float]] = {}
-    for degree in degrees:
-        rng = random.Random(degree)
-        a = rng.getrandbits(degree) | (1 << (degree - 1))
-        b = rng.getrandbits(degree) | (1 << (degree - 1))
-        row: Dict[str, float] = {}
-        for name in available_backend_names():
-            if name == BitSerialBackend.name and degree > 4096:
-                continue
-            field = GF2m(degree, kernel_backend=name)
-            backend = field._kernel
-            backend.clmul(a, b)  # warm caches
-            best = None
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                backend.clmul(a, b)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            row[name] = best
-        table[degree] = row
-    return table
-
-
 register_backend(BitSerialBackend)
 register_backend(WindowedBackend)
-register_backend(BitSpreadBackend)
 register_backend(NumpyBackend)
+register_backend(NativeBackend)

@@ -207,7 +207,7 @@ class GF2m:
         kernel_backend: Optional kernel backend name (see
             :mod:`repro.gf.backends`) for the big-field carry-less multiply;
             omitted, the ``REPRO_GF_BACKEND`` environment variable and then
-            the static crossover policy decide.  Ignored for degrees <= 16,
+            :func:`repro.gf.backends.auto_backend_name` decide.  Ignored for degrees <= 16,
             which run on log/antilog tables.
 
     Raises:
@@ -687,7 +687,7 @@ class GF2m:
 
         Always includes the ``window`` and ``stacked`` table caches
         (hits/misses/evictions plus byte-accurate occupancy); backends add
-        their own operand caches (``spread``, ``fft_operands``, ...).
+        their own (``fft_operands``, ``fft_matrices``, ``native_matrices``).
         """
         window = self._kstats["window"]
         stacked = self._kstats["stacked"]
@@ -729,8 +729,11 @@ class GF2m:
         """A structured snapshot of the field's kernel configuration.
 
         Includes the selected backend, how it was selected, the backend's
-        crossover decisions, the stacked-slot geometry and all cache
-        counters; surfaced by the benchmarks as artifact extras.
+        crossover decisions (for ``native``: library path, source sha256 and
+        whether this process built it or found it cached), the stacked-slot
+        geometry and all cache counters; on a host where the ``native``
+        backend cannot run, ``native_unavailable`` says why.  Surfaced by the
+        benchmarks as artifact extras.
         """
         info: Dict[str, object] = {
             "degree": self.degree,
@@ -741,6 +744,9 @@ class GF2m:
         if self._kernel is not None:
             info["selected_by"] = getattr(self._kernel, "selected_by", "unknown")
             info["crossover"] = self._kernel.crossover()
+            reason = _backends.NativeBackend.unavailable_reason()
+            if reason is not None:
+                info["native_unavailable"] = reason
             info["stack_stride_bits"] = self._stride
             info["stack_slot_cap"] = self._slot_cap
         info["caches"] = self.kernel_cache_stats()
@@ -923,7 +929,7 @@ def clear_kernel_caches() -> None:
 
     Called by the experiment runner on topology switches, alongside the
     structure caches (min-cuts, packings, relay paths, rank verdicts): the
-    spread/spectrum operand caches are keyed on symbol values, which never
+    spectrum operand caches are keyed on symbol values, which never
     recur across topologies, so this is memory hygiene, not a correctness
     concern.  Window/stacked tables and the field instances themselves stay.
     """

@@ -306,155 +306,6 @@ def poly_square(a: int) -> int:
     return int.from_bytes(b"".join(map(_SQUARE_BYTES.__getitem__, raw)), "little")
 
 
-# --------------------------------------------------------- bit-spread multiply
-#
-# Kronecker-substitution carry-less multiplication: spread each operand's bits
-# ``factor`` positions apart (``factor`` a power of two, wide enough that no
-# convolution coefficient can reach ``2^factor``), multiply the spread
-# operands with native ``int.__mul__`` — integer-product digit ``t`` is then
-# exactly the number of coefficient pairs hitting ``x^t``, carries land only
-# in guard bits — and read the XOR convolution off the count parities with one
-# mask-and-compact pass.  :func:`poly_square` is the ``factor == 2`` special
-# case without the multiply (a square has no cross terms, so every count is 0
-# or 1 and the spread *is* the product).
-
-#: Spread factor -> byte-to-``factor``-byte little-endian spread table.  The
-#: squaring table above is exactly the ``factor == 2`` entry.
-_SPREAD_BYTES_CACHE: Dict[int, List[bytes]] = {2: _SQUARE_BYTES}
-
-#: byte (with only even bits possibly set) -> its 4-bit even-bit gather; one
-#: halving pass of :func:`bit_compact`.
-_COMPACT_EVEN = bytes(
-    ((b >> 0) & 1) | (((b >> 2) & 1) << 1) | (((b >> 4) & 1) << 2) | (((b >> 6) & 1) << 3)
-    for b in range(256)
-)
-
-#: factor -> (mask, capacity_bytes): a mask keeping only bits at positions
-#: ``factor * t``, grown geometrically on demand (masking with a longer mask
-#: is harmless, so one cached mask per factor serves every product size).
-_SPREAD_MASKS: Dict[int, Tuple[int, int]] = {}
-
-
-def spread_table(factor: int) -> List[bytes]:
-    """The byte-spread table for ``factor``: bit ``i`` of a byte -> bit ``factor * i``.
-
-    Raises:
-        FieldError: if ``factor`` is not a power of two ``>= 2`` (the
-            compact pass gathers bits by repeated halving, so only power-of-
-            two spacings can be walked back down).
-    """
-    table = _SPREAD_BYTES_CACHE.get(factor)
-    if table is None:
-        if factor < 2 or factor & (factor - 1):
-            raise FieldError(f"spread factor must be a power of two >= 2, got {factor}")
-        table = []
-        for byte in range(256):
-            spread = 0
-            for bit in range(8):
-                if byte & (1 << bit):
-                    spread |= 1 << (factor * bit)
-            table.append(spread.to_bytes(factor, "little"))
-        _SPREAD_BYTES_CACHE[factor] = table
-    return table
-
-
-def bit_spread(a: int, factor: int) -> int:
-    """Spread ``a``'s bits ``factor`` apart: bit ``i`` -> bit ``factor * i``.
-
-    One byte-table lookup per operand byte (all C-speed ``bytes`` machinery),
-    generalising the fixed 2x spread of :func:`poly_square`.
-    """
-    if not a:
-        return 0
-    table = spread_table(factor)
-    raw = a.to_bytes((a.bit_length() + 7) // 8, "little")
-    return int.from_bytes(b"".join(map(table.__getitem__, raw)), "little")
-
-
-def bit_compact(value: int, factor: int) -> int:
-    """Gather bits at positions ``factor * t`` down to ``t`` (undo :func:`bit_spread`).
-
-    ``value`` must have set bits only at multiples of ``factor`` (callers mask
-    first, see :func:`compact_spread_product`).  Each halving pass gathers the
-    even-position bits of every byte through a 256-entry translation table and
-    re-interleaves the nibbles, so the whole compact is ``log2(factor)``
-    C-speed passes regardless of operand size.
-    """
-    while factor > 1:
-        length = (value.bit_length() + 7) // 8
-        if length & 1:
-            length += 1
-        raw = value.to_bytes(length, "little")
-        gathered = raw.translate(_COMPACT_EVEN)
-        low = int.from_bytes(gathered[0::2], "little")
-        high = int.from_bytes(gathered[1::2], "little")
-        value = low | (high << 4)
-        factor >>= 1
-    return value
-
-
-def _spread_mask(factor: int, nbytes: int) -> int:
-    """A mask with bits at positions ``factor * t`` covering ``>= nbytes`` bytes."""
-    cached = _SPREAD_MASKS.get(factor)
-    if cached is not None and cached[1] >= nbytes:
-        return cached[0]
-    capacity = 1024
-    while capacity < nbytes:
-        capacity <<= 1
-    if factor >= 8:
-        pattern = b"\x01" + b"\x00" * (factor // 8 - 1)
-        repeats = -(-capacity // len(pattern))
-    else:
-        pattern = bytes([0x55 if factor == 2 else 0x11])
-        repeats = capacity
-    mask = int.from_bytes(pattern * repeats, "little")
-    _SPREAD_MASKS[factor] = (mask, capacity)
-    return mask
-
-
-def spread_factor_for(min_bits: int) -> int:
-    """The smallest usable spread factor for operands where one side has
-    ``<= min_bits`` bits.
-
-    Every convolution coefficient counts at most ``min(popcount(a),
-    popcount(b)) <= min_bits`` pairs, so a power-of-two slot width ``s`` with
-    ``2^s > min_bits`` guarantees the native integer product's carries never
-    escape their guard slot.
-    """
-    factor = 2
-    while (1 << factor) <= min_bits:
-        factor <<= 1
-    return factor
-
-
-def compact_spread_product(product: int, factor: int) -> int:
-    """Extract the carry-less product from a spread-domain integer product.
-
-    Masks the count parities (bits at multiples of ``factor``) and compacts
-    them back to unit spacing.
-    """
-    if not product:
-        return 0
-    nbytes = (product.bit_length() + 7) // 8
-    return bit_compact(product & _spread_mask(factor, nbytes), factor)
-
-
-def poly_mul_spread(a: int, b: int, factor: int | None = None) -> int:
-    """Carry-less multiplication via bit-spreading and one native multiply.
-
-    Identical results to :func:`poly_mul` / :func:`poly_mul_windowed` (against
-    which it is property-tested).  When ``factor`` is omitted it is chosen
-    from the shorter operand's bit length (:func:`spread_factor_for`).  The
-    asymptotics ride CPython's native big-integer multiply; see
-    :mod:`repro.gf.backends` for where this wins and loses in practice.
-    """
-    if not a or not b:
-        return 0
-    if factor is None:
-        factor = spread_factor_for(min(a.bit_length(), b.bit_length()))
-    return compact_spread_product(bit_spread(a, factor) * bit_spread(b, factor), factor)
-
-
 #: (degree, mask, fold shift amounts): see :func:`reduction_table`.
 ReductionTable = Tuple[int, int, Tuple[int, ...]]
 

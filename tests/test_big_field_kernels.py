@@ -148,7 +148,7 @@ class TestBigFieldAgainstOracle:
 
 class TestWindowTableCache:
     def test_repeated_multiplicands_share_one_table(self):
-        field = GF2m(256)
+        field = GF2m(256, kernel_backend="windowed")
         rng = random.Random(5)
         a = field.random_nonzero(rng)
         field._wtab.clear()
@@ -158,7 +158,7 @@ class TestWindowTableCache:
         assert len(field._wtab) == 1  # cache hit, no second table
 
     def test_table_reused_for_either_operand_position(self):
-        field = GF2m(256)
+        field = GF2m(256, kernel_backend="windowed")
         rng = random.Random(6)
         a = field.random_nonzero(rng)
         b = field.random_nonzero(rng)
@@ -174,7 +174,7 @@ class TestWindowTableCache:
 
         from repro.gf.field import _WINDOW_CACHE_BYTES
 
-        field = GF2m(2048)
+        field = GF2m(2048, kernel_backend="windowed")
         rng = random.Random(7)
         field._wtab.clear()
         field._wtab_bytes = 0
@@ -192,7 +192,7 @@ class TestWindowTableCache:
     def test_accounting_charges_actual_bytes_not_estimates(self):
         import sys
 
-        field = GF2m(2048)
+        field = GF2m(2048, kernel_backend="windowed")
         field._wtab.clear()
         field._wtab_bytes = 0
         # A sparse multiplicand's table holds short ints; the charge must
@@ -214,7 +214,10 @@ from repro.gf.polynomials import window_table
 if sys.argv[1] == "field":
     GF2m(2185)
 stacked = random.Random(1).getrandbits(8 * 4096)
-window_table(stacked)
+# Held, so every table below is built on the heap top itself: where the first
+# one happens to land (under some longer-lived block or not) depends on what
+# the imports allocated, and decided whether the control saw any trimming.
+keep = window_table(stacked)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(40):
     window_table(stacked)

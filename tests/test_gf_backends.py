@@ -21,14 +21,7 @@ from repro.exceptions import ConfigurationError, FieldError
 from repro.gf import backends
 from repro.gf.field import GF2m, get_field
 from repro.gf.matrix import GFMatrix
-from repro.gf.polynomials import (
-    bit_compact,
-    bit_spread,
-    poly_mul,
-    poly_mul_spread,
-    spread_factor_for,
-    spread_table,
-)
+from repro.gf.polynomials import poly_mul
 
 #: Degrees the full conformance sweep exercises: beyond the log-table limit,
 #: a non-tabulated search degree (100), and the large_payloads regime.
@@ -129,57 +122,9 @@ class TestBackendConformance:
             ], (name, length)
 
 
-class TestSpreadPrimitives:
-    @given(
-        factor_log=st.integers(min_value=1, max_value=6),
-        value=st.integers(min_value=0, max_value=(1 << 256) - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_compact_inverts_spread(self, factor_log, value):
-        factor = 1 << factor_log
-        assert bit_compact(bit_spread(value, factor), factor) == value
-
-    def test_spread_table_rejects_bad_factors(self):
-        for factor in (0, 1, 3, 6, 12):
-            with pytest.raises(FieldError):
-                spread_table(factor)
-
-    def test_spread_factor_contains_counts(self):
-        for bits in (1, 2, 3, 7, 8, 17, 1024, 21846):
-            factor = spread_factor_for(bits)
-            assert factor & (factor - 1) == 0
-            assert (1 << factor) > bits
-            # Minimal: the next power of two down cannot contain the counts.
-            if factor > 2:
-                assert (1 << (factor >> 1)) <= bits
-
-    @given(degree=st.sampled_from((17, 64, 257, 820, 1024, 2048)), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_poly_mul_spread_matches_oracle(self, degree, data):
-        a = data.draw(st.integers(min_value=0, max_value=(1 << degree) - 1))
-        b = data.draw(st.integers(min_value=0, max_value=(1 << degree) - 1))
-        assert poly_mul_spread(a, b) == poly_mul(a, b)
-
-    def test_poly_mul_spread_adversarial_operands(self):
-        for degree in (17, 100, 1024, 2048):
-            ones = (1 << degree) - 1
-            sparse = (1 << (degree - 1)) | 1
-            for a, b in [(ones, ones), (ones, sparse), (sparse, sparse), (ones, 1)]:
-                assert poly_mul_spread(a, b) == poly_mul(a, b), degree
-
-    def test_explicit_factor_must_contain_counts(self):
-        # factor=4 holds counts < 16: fine for tiny operands, wrong for wide
-        # all-ones operands whose convolution counts overflow the guard slots.
-        assert poly_mul_spread(0b111, 0b101, factor=4) == poly_mul(0b111, 0b101)
-        wide = (1 << 64) - 1
-        assert poly_mul_spread(wide, wide, factor=128) == poly_mul(wide, wide)
-
-
 class TestRegistry:
-    def test_all_shipped_backends_registered(self):
-        names = backends.backend_names()
-        for expected in ("bitserial", "windowed", "bitspread", "numpy"):
-            assert expected in names
+    def test_exactly_the_shipped_backends_registered(self):
+        assert backends.backend_names() == ["bitserial", "native", "numpy", "windowed"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(FieldError, match="unknown kernel backend"):
@@ -192,9 +137,9 @@ class TestRegistry:
             GF2m(8, kernel_backend="no-such-kernel")
 
     def test_env_override_respected(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_BACKEND, "bitspread")
+        monkeypatch.setenv(backends.ENV_BACKEND, "bitserial")
         field = GF2m(256)
-        assert field.kernel_backend_name() == "bitspread"
+        assert field.kernel_backend_name() == "bitserial"
         assert field._kernel.selected_by == "env"
 
     def test_env_unknown_name_rejected(self, monkeypatch):
@@ -203,78 +148,76 @@ class TestRegistry:
             GF2m(256)
 
     def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_BACKEND, "bitspread")
+        monkeypatch.setenv(backends.ENV_BACKEND, "bitserial")
         field = GF2m(256, kernel_backend="windowed")
         assert field.kernel_backend_name() == "windowed"
         assert field._kernel.selected_by == "explicit"
 
-    def test_auto_policy(self):
+    def test_auto_policy(self, monkeypatch):
+        if "native" in BACKENDS:
+            for degree in (17, 256, 2185, backends.NUMPY_MIN_DEGREE, 21846):
+                assert backends.auto_backend_name(degree) == "native"
+        # The pure-Python tier underneath is the pre-native policy, unchanged.
+        monkeypatch.setattr(backends.NativeBackend, "available", classmethod(lambda cls: False))
         assert backends.auto_backend_name(256) == "windowed"
+        assert backends.auto_backend_name(2185) == "windowed"
         if "numpy" in BACKENDS:
             assert backends.auto_backend_name(backends.NUMPY_MIN_DEGREE) == "numpy"
 
+    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not importable")
     def test_selection_sticky_across_get_field_calls(self):
         # A degree no other test canonicalises, so the cache entry is ours.
-        first = get_field(1031, kernel_backend="bitspread")
+        first = get_field(1031, kernel_backend="numpy")
         again = get_field(1031)
         assert again is first
-        assert again.kernel_backend_name() == "bitspread"
+        assert again.kernel_backend_name() == "numpy"
 
     def test_conflicting_backend_request_raises(self):
         get_field(1033, kernel_backend="windowed")
         with pytest.raises(FieldError, match="sticky"):
-            get_field(1033, kernel_backend="bitspread")
+            get_field(1033, kernel_backend="bitserial")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(FieldError):
             backends.register_backend(backends.WindowedBackend)
 
+    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not importable")
     def test_describe_reports_backend_and_crossover(self):
-        field = GF2m(1024, kernel_backend="bitspread")
+        field = GF2m(1024, kernel_backend="numpy")
         info = field.describe()
-        assert info["kernel_backend"] == "bitspread"
+        assert info["kernel_backend"] == "numpy"
         assert info["selected_by"] == "explicit"
-        assert info["crossover"]["spread_factor"] == spread_factor_for(1024)
-        assert "spread" in info["caches"]
+        assert info["crossover"]["auto_selected_from_degree"] == backends.NUMPY_MIN_DEGREE
+        assert "fft_operands" in info["caches"]
 
 
+@pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not importable")
 class TestOperandCaches:
-    def test_bitspread_cache_counts_hits(self):
-        field = GF2m(256, kernel_backend="bitspread")
-        rng = random.Random(21)
-        a = field.random_nonzero(rng)
-        field._kernel.clear_caches()
-        field.mul(a, field.random_nonzero(rng))
-        field.mul(a, field.random_nonzero(rng))
-        stats = field.kernel_cache_stats()["spread"]
-        assert stats["hits"] >= 1
-        assert stats["entries"] >= 1
-        assert 0 < stats["bytes"] <= stats["budget_bytes"]
-
     def test_clear_kernel_caches_drops_operands_keeps_counters(self):
-        field = GF2m(256, kernel_backend="bitspread")
+        field = GF2m(16384, kernel_backend="numpy")  # scalar products by FFT from here
         rng = random.Random(22)
-        field.mul(field.random_nonzero(rng), field.random_nonzero(rng))
-        before = field.kernel_cache_stats()["spread"]["misses"]
-        assert before >= 1
+        a = field.random_nonzero(rng)
+        field.mul(a, field.random_nonzero(rng))
+        field.mul(a, field.random_nonzero(rng))
+        stats = field.kernel_cache_stats()["fft_operands"]
+        assert stats["hits"] >= 1 and stats["entries"] >= 1
+        assert 0 < stats["bytes"] <= stats["budget_bytes"]
         field.clear_kernel_caches()
-        stats = field.kernel_cache_stats()["spread"]
-        assert stats["entries"] == 0
-        assert stats["bytes"] == 0
-        assert stats["misses"] == before
+        cleared = field.kernel_cache_stats()["fft_operands"]
+        assert cleared["entries"] == 0 and cleared["bytes"] == 0
+        assert cleared["misses"] == stats["misses"]
 
     def test_module_level_stats_and_clear(self):
         from repro.gf import field as field_module
 
-        field = get_field(1031)  # canonicalised above with bitspread
+        field = get_field(1031, kernel_backend="numpy")  # as the sticky test asks for it
         rng = random.Random(23)
-        field.mul(field.random_nonzero(rng), field.random_nonzero(rng))
-        stats = field_module.kernel_cache_stats()
-        assert "GF(2^1031)" in stats
+        a, b = field.random_nonzero(rng), field.random_nonzero(rng)
+        assert field._kernel._fft_clmul(a, b) == poly_mul(a, b)
+        assert field_module.kernel_cache_stats()["GF(2^1031)"]["fft_operands"]["entries"] == 2
         field_module.clear_kernel_caches()
-        assert field_module.kernel_cache_stats()["GF(2^1031)"]["spread"]["entries"] == 0
+        assert field_module.kernel_cache_stats()["GF(2^1031)"]["fft_operands"]["entries"] == 0
 
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="numpy not importable")
     def test_numpy_matrix_spectra_cached_within_budget(self):
         field = GF2m(4096, kernel_backend="numpy")
         rng = random.Random(24)
