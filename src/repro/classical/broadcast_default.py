@@ -5,17 +5,20 @@ as [19]/[6]" whenever full-strength (but low-throughput) Byzantine broadcast of
 small values is needed: agreeing on the 1-bit equality-check flags and
 disseminating dispute-control transcripts.  This facade wires the EIG
 broadcast to the disjoint-path relay for a given participant set and exposes
-the two call patterns NAB needs:
+the two call patterns NAB needs, plus the one the chunked baseline needs:
 
 * broadcast of one value from one source (:meth:`BroadcastDefault.broadcast`);
 * simultaneous broadcast of one value from *every* participant
   (:meth:`BroadcastDefault.broadcast_from_all`), which is how step 2.2 agrees
-  on every node's flag.
+  on every node's flag;
+* simultaneous broadcast of *several* values from one source
+  (:meth:`BroadcastDefault.broadcast_many`), which is how the capacity-oblivious
+  ``eig`` baseline streams a payload's chunks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.classical.eig import EIGBroadcast
 from repro.classical.relay import DisjointPathRelay
@@ -74,6 +77,25 @@ class BroadcastDefault:
         ``n >= 3f + 1`` and the network connectivity is at least ``2f + 1``.
         """
         return self._eig.broadcast(source, value, bit_size, phase, context)
+
+    def broadcast_many(
+        self,
+        source: NodeId,
+        values: Sequence[Any],
+        bit_sizes: Sequence[int],
+        phase: str,
+        context: str = "broadcast_default_many",
+        contexts: Sequence[str] | None = None,
+    ) -> Dict[NodeId, List[Any]]:
+        """Byzantine broadcast of several values from ``source`` in shared rounds.
+
+        Returns ``outputs[receiver][i]``, the value fault-free ``receiver``
+        decided for ``values[i]`` — what one :meth:`broadcast` per value (of
+        size ``bit_sizes[i]``, with context ``contexts[i]``, by default
+        ``f"{context}|{i}"``) decides, for the messages of a single one
+        (:meth:`EIGBroadcast.broadcast_many`).
+        """
+        return self._eig.broadcast_many(source, values, bit_sizes, phase, context, contexts)
 
     def broadcast_from_all(
         self,

@@ -20,7 +20,7 @@ rounds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.classical.relay import DisjointPathRelay, majority_value
@@ -32,9 +32,27 @@ EIG_DEFAULT = None
 
 Label = Tuple[NodeId, ...]
 
+#: Key of one EIG tree entry: (index of the stream, label within its tree).
+Entry = Tuple[int, Label]
+
+
+class Stream(NamedTuple):
+    """One value being broadcast: the unit the gathering rounds are keyed by.
+
+    Several streams may share an origin (the chunks of one source); their EIG
+    trees have the same labels and are told apart by the stream's index.
+    """
+
+    origin: NodeId
+    value: Any
+    bit_size: int
+    #: Prefix of the ``broadcast_value`` hook context: a faulty sender's hook
+    #: sees ``f"{context}|{label}"``.
+    context: str
+
 
 class EIGBroadcast:
-    """One Byzantine broadcast of a single value using EIG over a relay."""
+    """Byzantine broadcast of single values using EIG over a relay."""
 
     def __init__(
         self,
@@ -79,13 +97,58 @@ class EIGBroadcast:
         Raises:
             ProtocolError: if the source is not a participant.
         """
-        if source not in self.participants:
-            raise ProtocolError(f"source {source} is not a participant")
-        trees = self._gather(
-            {source: value}, {source: bit_size}, phase, context, {source: context}
-        )
+        self._require_participant(source)
+        trees = self._gather([Stream(source, value, bit_size, context)], phase, context)
+        return {node: self._resolve(tree, 0, (source,)) for node, tree in trees.items()}
+
+    def broadcast_many(
+        self,
+        source: NodeId,
+        values: Sequence[Any],
+        bit_sizes: Sequence[int],
+        phase: str,
+        context: str = "eig",
+        contexts: Sequence[str] | None = None,
+    ) -> Dict[NodeId, List[Any]]:
+        """Broadcast several values of one source with *shared* relay rounds.
+
+        One stream per value, all rooted at ``(source,)``: in every round a
+        sender holds one value per (stream, label) pair and sends the whole
+        batch to each receiver as one per-hop vector, so ``k`` values cost the
+        messages of one.  ``bit_sizes[i]`` is charged for every relay of
+        value ``i``; ``contexts[i]`` (default ``f"{context}|{i}"``) prefixes
+        its hook contexts.  Decisions, hook arguments and per-link bit totals
+        equal ``[broadcast(source, values[i], bit_sizes[i], phase,
+        contexts[i]) for i in ...]`` — strategies are keyed-stateless, so only
+        message ordinals (hence jitter and per-attempt link-fault plans) can
+        observe the sharing.
+
+        Returns:
+            ``outputs[receiver][i]`` — the value each fault-free receiver
+            decides for ``values[i]``.
+
+        Raises:
+            ProtocolError: if the source is not a participant, there is no
+                value, or the sizes or contexts do not match the values.
+        """
+        self._require_participant(source)
+        if contexts is None:
+            contexts = [f"{context}|{index}" for index in range(len(values))]
+        if not values or not len(values) == len(bit_sizes) == len(contexts):
+            raise ProtocolError(
+                f"broadcast_many needs one bit size and one context per value (at least "
+                f"one); got {len(values)} values, {len(bit_sizes)} sizes, "
+                f"{len(contexts)} contexts"
+            )
+        streams = [
+            Stream(source, value, bit_size, stream_context)
+            for value, bit_size, stream_context in zip(values, bit_sizes, contexts)
+        ]
+        trees = self._gather(streams, phase, context)
+        root: Label = (source,)
         return {
-            node: self._resolve(tree, (source,)) for node, tree in trees.items()
+            node: [self._resolve(tree, index, root) for index in range(len(streams))]
+            for node, tree in trees.items()
         }
 
     def broadcast_all(
@@ -97,15 +160,14 @@ class EIGBroadcast:
     ) -> Dict[NodeId, Dict[NodeId, Any]]:
         """Run one broadcast per participant with *shared* relay rounds.
 
-        Every origin's EIG tree is rooted at a distinct label ``(origin,)``,
-        so the label spaces are disjoint and all ``n`` broadcasts march
-        through the rounds together: in each relay round a relayer holds one
-        value per (origin, label) pair and sends the whole batch to each
-        receiver as one per-hop vector.  ``bit_size`` is one size for every
-        origin or a size per origin (every relay of an origin's labels is
-        charged that origin's size).  Decisions, hook arguments (including
-        the ``...|origin=<o>|<label>`` context strings) and per-link bit
-        totals equal ``{origin: broadcast(origin, ...)}`` with context
+        One stream per origin, rooted at the distinct label ``(origin,)``:
+        all ``n`` broadcasts march through the rounds together, a sender's
+        whole batch going to each receiver as one per-hop vector.
+        ``bit_size`` is one size for every origin or a size per origin (every
+        relay of an origin's labels is charged that origin's size).
+        Decisions, hook arguments (including the
+        ``...|origin=<o>|<label>`` context strings) and per-link bit totals
+        equal ``{origin: broadcast(origin, ...)}`` with context
         ``f"{context}|origin={origin}"`` — strategies are keyed-stateless, so
         only message ordinals (hence jitter) can observe the sharing.
 
@@ -115,113 +177,109 @@ class EIGBroadcast:
         """
         origins = self.participants
         sizes = bit_size if isinstance(bit_size, Mapping) else dict.fromkeys(origins, bit_size)
-        trees = self._gather(
-            {origin: values.get(origin) for origin in origins},
-            sizes,
-            phase,
-            context,
-            {origin: f"{context}|origin={origin}" for origin in origins},
-        )
+        streams = [
+            Stream(origin, values.get(origin), sizes.get(origin), f"{context}|origin={origin}")
+            for origin in origins
+        ]
+        trees = self._gather(streams, phase, context)
         return {
-            node: {origin: self._resolve(tree, (origin,)) for origin in origins}
+            node: {
+                origin: self._resolve(tree, index, (origin,))
+                for index, origin in enumerate(origins)
+            }
             for node, tree in trees.items()
         }
 
-    def _gather(
-        self,
-        values: Mapping[NodeId, Any],
-        bit_sizes: Mapping[NodeId, int],
-        phase: str,
-        context: str,
-        origin_contexts: Mapping[NodeId, str],
-    ) -> Dict[NodeId, Dict[Label, Any]]:
-        """The ``f + 1`` information-gathering rounds for every origin in ``values``.
+    def _require_participant(self, source: NodeId) -> None:
+        if source not in self.participants:
+            raise ProtocolError(f"source {source} is not a participant")
 
-        Returns the EIG tree (label -> held value) of every *fault-free*
-        participant.  A faulty sender's outgoing value for a label comes from
-        the strategy's ``broadcast_value`` hook with the context
-        ``f"{origin_contexts[origin]}|{label}"``.
+    def _gather(
+        self, streams: Sequence[Stream], phase: str, context: str
+    ) -> Dict[NodeId, Dict[Entry, Any]]:
+        """The ``f + 1`` information-gathering rounds of every stream at once.
+
+        The one round loop under :meth:`broadcast`, :meth:`broadcast_many` and
+        :meth:`broadcast_all`.  In round ``r`` every sender forwards what it
+        holds for each (stream, label of length ``r - 1``) that does not
+        contain it — in round 1 an origin's own values — one batch per
+        receiver through :meth:`DisjointPathRelay.reliable_send_vector`.  A
+        faulty sender first chooses each outgoing value per receiver through
+        the strategy's ``broadcast_value`` hook, with the context
+        ``f"{stream.context}|{label}"``; ``context`` only tags the messages.
+
+        Returns the EIG tree (``(stream index, label) -> held value``) of
+        every *fault-free* participant.
         """
         fault_model = self.network.fault_model
         broadcast_value = fault_model.strategy.broadcast_value
+        send_vector = self.relay.reliable_send_vector
         participants = self.participants
-        # trees[i][label] = value participant i holds for the EIG label.
-        trees: Dict[NodeId, Dict[Label, Any]] = {node: {} for node in participants}
+        trees: Dict[NodeId, Dict[Entry, Any]] = {node: {} for node in participants}
 
-        # Round 1: every origin sends its own value to every participant
-        # (distinct senders, so there is nothing to batch).
-        round1_phase = f"{phase}/round1"
-        for origin, value in values.items():
-            root_label: Label = (origin,)
-            origin_context = origin_contexts[origin]
-            origin_faulty = fault_model.is_faulty(origin)
-            for receiver in participants:
-                if receiver == origin:
-                    trees[receiver][root_label] = value
-                    continue
-                outgoing = value
-                if origin_faulty:
-                    outgoing = broadcast_value(
-                        self.instance, origin, receiver, f"{origin_context}|{root_label}", value
-                    )
-                trees[receiver][root_label] = self.relay.reliable_send(
-                    origin, receiver, outgoing, bit_sizes.get(origin), round1_phase, origin_context
-                )
+        # What each sender forwards this round: the entries it sends and the
+        # value it holds for each.  Round 1 is the origins sending their own
+        # values (streams grouped by origin, in first-appearance order).
+        held: Dict[NodeId, Tuple[List[Entry], List[Any]]] = {}
+        for index, stream in enumerate(streams):
+            entries, values = held.setdefault(stream.origin, ([], []))
+            entries.append((index, (stream.origin,)))
+            values.append(stream.value)
+        received: List[Entry] = []
 
-        # Rounds 2 .. f+1: every relayer forwards what it holds for each
-        # label of the previous round that does not contain it, one batch per
-        # receiver (DisjointPathRelay.reliable_send_vector).  A faulty
-        # relayer chooses each label's outgoing value per receiver first.
-        labels: List[Label] = [(origin,) for origin in values]
-        for round_index in range(2, self.max_faults + 2):
+        for round_index in range(1, self.max_faults + 2):
+            if round_index > 1:
+                # Every relayer forwards, under the label extended by itself,
+                # each entry of the previous round that does not contain it.
+                held = {}
+                for relayer in participants:
+                    tree = trees[relayer]
+                    relayed = [entry for entry in received if relayer not in entry[1]]
+                    if relayed:
+                        held[relayer] = (
+                            [(index, label + (relayer,)) for index, label in relayed],
+                            [tree.get(entry, EIG_DEFAULT) for entry in relayed],
+                        )
+                received = []
             round_phase = f"{phase}/round{round_index}"
-            next_labels: List[Label] = []
-            for relayer in participants:
-                labels_to_relay = [label for label in labels if relayer not in label]
-                if not labels_to_relay:
-                    continue
-                new_labels = [label + (relayer,) for label in labels_to_relay]
-                next_labels.extend(new_labels)
-                held_values = [
-                    trees[relayer].get(label, EIG_DEFAULT) for label in labels_to_relay
-                ]
-                label_sizes = [bit_sizes.get(label[0]) for label in labels_to_relay]
-                relayer_faulty = fault_model.is_faulty(relayer)
+            for sender, (entries, held_values) in held.items():
+                received.extend(entries)
+                sizes = [streams[index].bit_size for index, _label in entries]
+                sender_faulty = fault_model.is_faulty(sender)
                 for receiver in participants:
                     delivered = outgoing = held_values
-                    if receiver != relayer:
-                        if relayer_faulty:
+                    if receiver != sender:
+                        if sender_faulty:
                             outgoing = [
                                 broadcast_value(
                                     self.instance,
-                                    relayer,
+                                    sender,
                                     receiver,
-                                    f"{origin_contexts[label[0]]}|{label}",
-                                    held,
+                                    f"{streams[index].context}|{label}",
+                                    value,
                                 )
-                                for label, held in zip(new_labels, held_values)
+                                for (index, label), value in zip(entries, held_values)
                             ]
-                        delivered = self.relay.reliable_send_vector(
-                            relayer, receiver, outgoing, label_sizes, round_phase, context
+                        delivered = send_vector(
+                            sender, receiver, outgoing, sizes, round_phase, context
                         )
-                    trees[receiver].update(zip(new_labels, delivered))
-            labels = next_labels
+                    trees[receiver].update(zip(entries, delivered))
 
         return {
             node: tree for node, tree in trees.items() if not fault_model.is_faulty(node)
         }
 
-    def _resolve(self, tree: Dict[Label, Any], label: Label) -> Any:
+    def _resolve(self, tree: Dict[Entry, Any], stream: int, label: Label) -> Any:
         """Resolve the decision value of ``label`` by recursive strict majority."""
         if len(label) == self.max_faults + 1:
-            return tree.get(label, EIG_DEFAULT)
+            return tree.get((stream, label), EIG_DEFAULT)
         children = [
-            self._resolve(tree, label + (node,))
+            self._resolve(tree, stream, label + (node,))
             for node in self.participants
             if node not in label
         ]
         if not children:
-            return tree.get(label, EIG_DEFAULT)
+            return tree.get((stream, label), EIG_DEFAULT)
         return majority_value(children)
 
 

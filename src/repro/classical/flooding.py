@@ -14,7 +14,7 @@ avoids.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.classical.broadcast_default import BroadcastDefault
 from repro.transport.faults import FaultModel
@@ -67,11 +67,8 @@ def classical_full_value_broadcast(
     )
     return BroadcastResult(
         outputs=decided,
-        elapsed=network.elapsed_time(),
-        bits_sent=network.total_bits(),
-        phase_timings=network.accountant.phase_timings(),
         metadata={"algorithm": "classical_eig_flooding", "L_bits": bit_size},
-        link_bits=network.accountant.total_link_bits(),
+        **network.result_accounting(),
     )
 
 
@@ -87,9 +84,11 @@ def classical_chunked_broadcast(
 ) -> BroadcastResult:
     """Broadcast a value chunk by chunk with direct EIG runs (no NAB machinery).
 
-    The value is split into ``chunk_bytes``-sized pieces and each piece is
-    agreed with its own EIG broadcast over the disjoint-path relay.  This is
-    the "stream the payload through the classical primitive" shape of a naive
+    The value is split into ``chunk_bytes``-sized pieces and every piece is
+    agreed by EIG over the disjoint-path relay, all pieces in the same
+    ``f + 1`` rounds (:meth:`BroadcastDefault.broadcast_many`: piece ``i`` is
+    one stream, with hook contexts ``chunked|{i}|{label}``).  This is the
+    "stream the payload through the classical primitive" shape of a naive
     replicated-log deployment; like the full-value baseline it is capacity
     oblivious, so its cost profile is dominated by the slowest links.
     """
@@ -98,20 +97,15 @@ def classical_chunked_broadcast(
     network = factory(graph, fault_model)
     broadcaster = BroadcastDefault(network, graph.nodes(), max_faults, instance=instance)
     chunks = [value[i : i + chunk_bytes] for i in range(0, len(value), chunk_bytes)] or [b""]
-    decided_chunks: List[Dict[NodeId, object]] = []
-    for index, chunk in enumerate(chunks):
-        decided_chunks.append(
-            broadcaster.broadcast(
-                source,
-                chunk,
-                max(1, 8 * len(chunk)),
-                phase="classical_broadcast",
-                context=f"chunked|{index}",
-            )
-        )
+    decided = broadcaster.broadcast_many(
+        source,
+        chunks,
+        [max(1, 8 * len(chunk)) for chunk in chunks],
+        phase="classical_broadcast",
+        context="chunked",
+    )
     outputs: Dict[NodeId, object] = {}
-    for node in fault_model.fault_free(graph.nodes()):
-        pieces = [chunk_outputs.get(node) for chunk_outputs in decided_chunks]
+    for node, pieces in decided.items():
         if all(isinstance(piece, (bytes, bytearray)) for piece in pieces):
             outputs[node] = b"".join(bytes(piece) for piece in pieces)
         else:
@@ -120,15 +114,12 @@ def classical_chunked_broadcast(
             outputs[node] = tuple(pieces)
     return BroadcastResult(
         outputs=outputs,
-        elapsed=network.elapsed_time(),
-        bits_sent=network.total_bits(),
-        phase_timings=network.accountant.phase_timings(),
         metadata={
             "algorithm": "classical_eig_chunked",
             "L_bits": max(1, 8 * len(value)),
             "chunks": len(chunks),
         },
-        link_bits=network.accountant.total_link_bits(),
+        **network.result_accounting(),
     )
 
 

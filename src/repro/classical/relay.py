@@ -31,7 +31,8 @@ Performance notes:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Any, Dict, List, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.graph.connectivity import local_connectivity, vertex_disjoint_paths
@@ -155,15 +156,23 @@ class DisjointPathRelay:
         link-fault plans) can observe the batching.
 
         Raises:
-            ProtocolError: if ``values`` is empty, the sizes do not match the
-                values, or a size is not a positive integer.
+            ProtocolError: if ``values`` is empty, ``bit_size`` is neither an
+                integer nor a sequence (a string is not one), the sizes do
+                not match the values, or a size is not a positive integer.
         """
         values = list(values)
         if not values:
             raise ProtocolError("reliable_send_vector requires at least one value")
-        sizes = list(bit_size) if isinstance(bit_size, Sequence) else [bit_size] * len(values)
-        if len(sizes) != len(values):
-            raise ProtocolError(f"expected {len(values)} bit sizes, got {len(sizes)}")
+        if isinstance(bit_size, int):
+            sizes = [bit_size] * len(values)
+        elif isinstance(bit_size, str) or not isinstance(bit_size, Sequence):
+            raise ProtocolError(
+                f"bit_size must be a positive integer or a sequence of them, got {bit_size!r}"
+            )
+        elif len(bit_size) != len(values):
+            raise ProtocolError(f"expected {len(values)} bit sizes, got {len(bit_size)}")
+        else:
+            sizes = bit_size
         for size in sizes:
             if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
                 raise ProtocolError(f"bits must be a positive integer, got {size!r}")
@@ -218,49 +227,6 @@ class DisjointPathRelay:
         copies: List[Any] = []
         for path in self.paths_between(sender, receiver):
             current_value = value
-            for hop_index in range(len(path) - 1):
-                hop_sender = path[hop_index]
-                hop_receiver = path[hop_index + 1]
-                if hop_index > 0 and fault_model.is_faulty(hop_sender):
-                    current_value = strategy.relay_value(
-                        self.instance, hop_sender, path, receiver, current_value
-                    )
-                self.network.send(
-                    hop_sender,
-                    hop_receiver,
-                    current_value,
-                    bit_size,
-                    phase,
-                    kind=f"{context}:hop",
-                )
-            copies.append(current_value)
-        return majority_value(copies)
-
-    def reliable_send_from_faulty(
-        self,
-        sender: NodeId,
-        receiver: NodeId,
-        per_path_values: Sequence[Any],
-        bit_size: int,
-        phase: str,
-        context: str = "relay",
-    ) -> Any:
-        """Variant where a faulty sender chooses a (possibly different) value per path.
-
-        Raises:
-            ProtocolError: if the number of supplied values does not match the
-                number of paths.
-        """
-        paths = self.paths_between(sender, receiver)
-        if len(per_path_values) != len(paths):
-            raise ProtocolError(
-                f"expected {len(paths)} per-path values, got {len(per_path_values)}"
-            )
-        fault_model = self.network.fault_model
-        strategy = fault_model.strategy
-        copies: List[Any] = []
-        for path, injected in zip(paths, per_path_values):
-            current_value = injected
             for hop_index in range(len(path) - 1):
                 hop_sender = path[hop_index]
                 hop_receiver = path[hop_index + 1]

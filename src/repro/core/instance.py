@@ -422,14 +422,11 @@ class NABInstance:
         return InstanceResult(
             instance=self.instance,
             outputs=outputs,
-            elapsed=network.elapsed_time(),
-            bits_sent=network.total_bits(),
-            phase_timings=network.accountant.phase_timings(),
             parameters=parameters,
             dispute_control_ran=dispute_control_ran,
             new_disputes=tuple(new_disputes),
             newly_identified_faulty=tuple(identified_faulty),
             mismatch_announced=mismatch_announced,
-            link_bits=network.accountant.total_link_bits(),
             phase1_depth=phase1_depth,
+            **network.result_accounting(),
         )

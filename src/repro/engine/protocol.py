@@ -199,7 +199,7 @@ class ClassicalFloodingProtocol(Protocol):
 
 
 class EIGChunkedProtocol(Protocol):
-    """Capacity-oblivious baseline: per-chunk direct EIG broadcasts."""
+    """Capacity-oblivious baseline: direct EIG on the payload's chunks, in shared rounds."""
 
     name = "eig"
 

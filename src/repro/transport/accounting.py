@@ -41,16 +41,17 @@ class TimeAccountant:
 
     def __init__(self, graph: NetworkGraph) -> None:
         self._graph = graph
+        #: Ledgers in first-use order (dict insertion order), which is also
+        #: the order the phases execute in.
         self._phases: Dict[str, _PhaseLedger] = {}
-        self._phase_order: List[str] = []
 
     # ------------------------------------------------------------- recording
 
     def _ledger(self, phase: str) -> _PhaseLedger:
-        if phase not in self._phases:
-            self._phases[phase] = _PhaseLedger(link_bits={}, fixed_overhead=Fraction(0))
-            self._phase_order.append(phase)
-        return self._phases[phase]
+        ledger = self._phases.get(phase)
+        if ledger is None:
+            ledger = self._phases[phase] = _PhaseLedger(link_bits={}, fixed_overhead=Fraction(0))
+        return ledger
 
     def record_transmission(self, phase: str, tail: NodeId, head: NodeId, bits: int) -> None:
         """Charge ``bits`` of usage on the link ``(tail, head)`` to ``phase``.
@@ -63,20 +64,23 @@ class TimeAccountant:
             raise GraphError(f"cannot transmit on missing link ({tail}, {head})")
         if not isinstance(bits, int) or isinstance(bits, bool) or bits <= 0:
             raise ProtocolError(f"bits must be a positive integer, got {bits!r}")
-        self._record_validated(phase, tail, head, bits)
+        link_bits = self._ledger(phase).link_bits
+        key = (tail, head)
+        link_bits[key] = link_bits.get(key, 0) + bits
 
-    def _record_validated(self, phase: str, tail: NodeId, head: NodeId, bits: int) -> None:
-        """Ledger update behind :meth:`record_transmission`, without checks.
+    def link_ledger(self, phase: str) -> Dict[Edge, int]:
+        """The live per-link bit ledger of ``phase`` (registered on first use).
 
-        The transport's ``send`` already validated the link and the bit
-        count, so the per-message hot path skips re-validating them here.
+        For transport code that has already validated the link and the bit
+        count: the per-message hot path (``SynchronousNetwork.send``) and the
+        ARQ network's wasted wire copies add to it in place, skipping
+        :meth:`record_transmission`'s re-checks.  Everything else reads the
+        copy :meth:`link_bits` returns.
         """
         ledger = self._phases.get(phase)
         if ledger is None:
             ledger = self._ledger(phase)
-        link_bits = ledger.link_bits
-        key = (tail, head)
-        link_bits[key] = link_bits.get(key, 0) + bits
+        return ledger.link_bits
 
     def add_fixed_overhead(self, phase: str, time_units: Fraction | int) -> None:
         """Charge a fixed amount of time (independent of link usage) to ``phase``."""
@@ -89,7 +93,7 @@ class TimeAccountant:
 
     def phase_names(self) -> List[str]:
         """Phases seen so far, in first-use order."""
-        return list(self._phase_order)
+        return list(self._phases)
 
     def link_bits(self, phase: str) -> Dict[Edge, int]:
         """Bits charged to each link during ``phase`` (empty dict if unknown phase)."""
@@ -100,8 +104,8 @@ class TimeAccountant:
     def total_link_bits(self) -> Dict[Edge, int]:
         """Bits charged to each link, aggregated across every phase."""
         totals: Dict[Edge, int] = {}
-        for phase in self._phase_order:
-            accumulate_link_bits(totals, self._phases[phase].link_bits)
+        for ledger in self._phases.values():
+            accumulate_link_bits(totals, ledger.link_bits)
         return totals
 
     def phase_bits(self, phase: str) -> int:
@@ -119,40 +123,53 @@ class TimeAccountant:
     def total_fixed_overhead(self) -> Fraction:
         """Fixed overhead summed across every phase."""
         return sum(
-            (self._phases[phase].fixed_overhead for phase in self._phase_order),
+            (ledger.fixed_overhead for ledger in self._phases.values()),
             Fraction(0),
         )
 
     def phase_elapsed(self, phase: str) -> Fraction:
         """Elapsed time of ``phase``: ``max_e bits_e / z_e`` plus fixed overhead."""
-        if phase not in self._phases:
+        ledger = self._phases.get(phase)
+        if ledger is None:
             return Fraction(0)
-        ledger = self._phases[phase]
-        transmission_time = Fraction(0)
+        return self._ledger_elapsed(ledger)
+
+    def _ledger_elapsed(self, ledger: _PhaseLedger) -> Fraction:
+        """``max_e bits_e / z_e`` plus fixed overhead, as one exact ``Fraction``.
+
+        The slowest link is found by integer cross-multiplication
+        (``b1 / z1 > b2 / z2`` iff ``b1 * z2 > b2 * z1`` for positive
+        capacities), so only the maximum is ever normalised into a
+        ``Fraction`` — this runs for every phase of every result record.
+        """
+        capacity_of = self._graph.capacity
+        worst_bits, worst_capacity = 0, 1
         for (tail, head), bits in ledger.link_bits.items():
-            capacity = self._graph.capacity(tail, head)
-            link_time = Fraction(bits, capacity)
-            if link_time > transmission_time:
-                transmission_time = link_time
-        return transmission_time + ledger.fixed_overhead
+            capacity = capacity_of(tail, head)
+            if bits * worst_capacity > worst_bits * capacity:
+                worst_bits, worst_capacity = bits, capacity
+        transmission_time = Fraction(worst_bits, worst_capacity)
+        if ledger.fixed_overhead:
+            return transmission_time + ledger.fixed_overhead
+        return transmission_time
 
     def total_elapsed(self) -> Fraction:
         """Sum of the elapsed times of all phases (phases run sequentially)."""
-        return sum((self.phase_elapsed(phase) for phase in self._phase_order), Fraction(0))
+        return sum(map(self._ledger_elapsed, self._phases.values()), Fraction(0))
 
     def total_bits(self) -> int:
         """Total bits sent on all links across all phases."""
-        return sum(self.phase_bits(phase) for phase in self._phase_order)
+        return sum(ledger.total_bits() for ledger in self._phases.values())
 
     def phase_timings(self) -> Tuple[PhaseTiming, ...]:
         """Immutable per-phase summary in execution order."""
         return tuple(
             PhaseTiming(
                 name=phase,
-                time_units=self.phase_elapsed(phase),
-                bits_sent=self.phase_bits(phase),
+                time_units=self._ledger_elapsed(ledger),
+                bits_sent=ledger.total_bits(),
             )
-            for phase in self._phase_order
+            for phase, ledger in self._phases.items()
         )
 
     def merge_from(self, other: "TimeAccountant") -> None:

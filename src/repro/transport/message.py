@@ -9,8 +9,8 @@ structured data they need in it (symbols, flags, transcript claims, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count
+from operator import itemgetter
 from typing import Any
 
 from repro.exceptions import ProtocolError
@@ -19,9 +19,12 @@ from repro.types import NodeId
 _SEQUENCE = count()
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(tuple):
     """One unit of communication over a directed link.
+
+    An immutable value backed by a tuple: validated once, in the constructor,
+    and read through the attributes below.  One is built per hop of every
+    relay path, so construction is the simulator's per-message floor.
 
     Attributes:
         sender: Node that transmits the message.
@@ -35,31 +38,58 @@ class Message:
             positive; the transport charges exactly this amount to the link.
         sequence: Monotonically increasing identifier, assigned automatically,
             used only to keep delivery order deterministic.
+
+    Raises:
+        ProtocolError: if ``bit_size`` is not a positive (non-``bool``)
+            integer, or ``sender`` and ``receiver`` are the same node.
     """
 
-    sender: NodeId
-    receiver: NodeId
-    phase: str
-    kind: str
-    payload: Any
-    bit_size: int
-    sequence: int = field(default_factory=lambda: next(_SEQUENCE))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bit_size, int) or isinstance(self.bit_size, bool):
-            raise ProtocolError(f"bit_size must be an int, got {type(self.bit_size).__name__}")
-        if self.bit_size <= 0:
-            raise ProtocolError(f"bit_size must be positive, got {self.bit_size}")
-        if self.sender == self.receiver:
+    def __new__(
+        cls,
+        sender: NodeId,
+        receiver: NodeId,
+        phase: str,
+        kind: str,
+        payload: Any,
+        bit_size: int,
+    ) -> "Message":
+        if not isinstance(bit_size, int) or isinstance(bit_size, bool) or bit_size <= 0:
+            raise ProtocolError(f"bit_size must be a positive integer, got {bit_size!r}")
+        if sender == receiver:
             raise ProtocolError("a node does not send messages to itself over the network")
+        return tuple.__new__(
+            cls, (sender, receiver, phase, kind, payload, bit_size, next(_SEQUENCE))
+        )
+
+    sender = property(itemgetter(0))
+    receiver = property(itemgetter(1))
+    phase = property(itemgetter(2))
+    kind = property(itemgetter(3))
+    payload = property(itemgetter(4))
+    bit_size = property(itemgetter(5))
+    sequence = property(itemgetter(6))
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(sender={self.sender!r}, receiver={self.receiver!r}, "
+            f"phase={self.phase!r}, kind={self.kind!r}, payload={self.payload!r}, "
+            f"bit_size={self.bit_size!r}, sequence={self.sequence!r})"
+        )
+
+    def __reduce__(self):
+        # Copies and pickles keep their sequence; the default tuple reduction
+        # would call __new__ with one argument.
+        return (tuple.__new__, (type(self), tuple(self)))
 
     def replace_payload(self, payload: Any, bit_size: int | None = None) -> "Message":
         """Return a copy with a different payload (used by Byzantine interception)."""
         return Message(
-            sender=self.sender,
-            receiver=self.receiver,
-            phase=self.phase,
-            kind=self.kind,
-            payload=payload,
-            bit_size=self.bit_size if bit_size is None else bit_size,
+            self.sender,
+            self.receiver,
+            self.phase,
+            self.kind,
+            payload,
+            self.bit_size if bit_size is None else bit_size,
         )

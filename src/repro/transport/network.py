@@ -20,6 +20,7 @@ mirroring how the paper reasons about what faulty nodes inject at each step.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.exceptions import GraphError, ProtocolError
@@ -95,23 +96,17 @@ class SynchronousNetwork:
 
         Raises:
             GraphError: if the directed link does not exist.
-            ProtocolError: if ``bit_size`` is not a positive integer.
+            ProtocolError: if ``bit_size`` is not a positive integer, or
+                ``sender`` and ``receiver`` are the same node.
         """
         if not self.graph.has_edge(sender, receiver):
             raise GraphError(f"no link from {sender} to {receiver}")
-        if not isinstance(bit_size, int) or isinstance(bit_size, bool) or bit_size <= 0:
-            raise ProtocolError(f"bits must be a positive integer, got {bit_size!r}")
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            phase=phase,
-            kind=kind,
-            payload=payload,
-            bit_size=bit_size,
-        )
-        # Link and bit count were validated above, so the accountant's
-        # re-checks are skipped on this per-message hot path.
-        self.accountant._record_validated(phase, sender, receiver, bit_size)
+        # The constructor is the one place the size (and the self-send) is
+        # checked, so the ledger below is charged without re-validating.
+        message = Message(sender, receiver, phase, kind, payload, bit_size)
+        link_bits = self.accountant.link_ledger(phase)
+        link = (sender, receiver)
+        link_bits[link] = link_bits.get(link, 0) + bit_size
         self._delivered.append(message)
         return message
 
@@ -138,8 +133,8 @@ class SynchronousNetwork:
 
         Raises:
             GraphError: if the directed link does not exist.
-            ProtocolError: if the vector is empty or ``bits_each`` is not a
-                positive integer (via the accountant's validation).
+            ProtocolError: if the vector is empty or the total size is not a
+                positive integer (checked by :meth:`send`).
         """
         payload = tuple(symbols)
         if not payload:
@@ -180,3 +175,18 @@ class SynchronousNetwork:
     def total_bits(self) -> int:
         """Total bits sent across all phases so far."""
         return self.accountant.total_bits()
+
+    def result_accounting(self) -> Dict[str, object]:
+        """The ``elapsed`` / ``bits_sent`` / ``phase_timings`` / ``link_bits`` of a result record.
+
+        Keyword arguments for :class:`repro.types.BroadcastResult` and
+        ``InstanceResult``.  The totals are summed from the per-phase
+        timings, so each phase's ``max_e b_e / z_e`` is computed once.
+        """
+        timings = self.accountant.phase_timings()
+        return {
+            "elapsed": sum((timing.time_units for timing in timings), Fraction(0)),
+            "bits_sent": sum(timing.bits_sent for timing in timings),
+            "phase_timings": timings,
+            "link_bits": self.accountant.total_link_bits(),
+        }

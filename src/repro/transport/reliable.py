@@ -201,7 +201,8 @@ class ReliableNetwork(ScheduledNetwork):
         bit totals) and in the round's FIFO (measured clock, jitter ordinal),
         exactly like a delivered message — it just never reaches the inbox.
         """
-        self.accountant._record_validated(phase, edge[0], edge[1], bits)
+        link_bits = self.accountant.link_ledger(phase)
+        link_bits[edge] = link_bits.get(edge, 0) + bits
         self._log_wire_item(phase, edge, bits)
         self._retransmit_bits += bits
 

@@ -244,6 +244,12 @@ class ScheduledNetwork(SynchronousNetwork):
         """Measured duration: last delivery's landing time minus ``start_time``."""
         return self._replay()[2] - self.start_time
 
+    def result_accounting(self) -> Dict[str, object]:
+        """As the parent's, with ``elapsed`` read off the measured clock."""
+        accounting = super().result_accounting()
+        accounting["elapsed"] = self.elapsed_time()
+        return accounting
+
     def phase_segments(self) -> List[PhaseSegment]:
         """Measured ``(phase, start, end)`` per synchronous round, in order."""
         return list(self._replay()[0])

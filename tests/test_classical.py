@@ -8,7 +8,10 @@ import pytest
 
 from repro.classical.broadcast_default import BroadcastDefault
 from repro.classical.eig import EIGBroadcast, broadcast_bit_cost
-from repro.classical.flooding import classical_full_value_broadcast
+from repro.classical.flooding import (
+    classical_chunked_broadcast,
+    classical_full_value_broadcast,
+)
 from repro.classical.relay import DisjointPathRelay, majority_value
 from repro.exceptions import ProtocolError
 from repro.graph.generators import complete_graph, heterogeneous_bottleneck, ring_with_chords
@@ -170,18 +173,6 @@ class TestDisjointPathRelay:
         # 3 disjoint paths: one direct (1 hop) and two 2-hop paths -> 5 hops total.
         assert network.total_bits() == 5 * 10
 
-    def test_faulty_sender_per_path_values(self):
-        network = SynchronousNetwork(complete_graph(4), FaultModel([1]))
-        relay = DisjointPathRelay(network, max_faults=1)
-        received = relay.reliable_send_from_faulty(1, 3, ["a", "a", "b"], 8, "p")
-        assert received == "a"
-
-    def test_faulty_sender_per_path_values_wrong_length(self):
-        network = SynchronousNetwork(complete_graph(4), FaultModel([1]))
-        relay = DisjointPathRelay(network, max_faults=1)
-        with pytest.raises(ProtocolError):
-            relay.reliable_send_from_faulty(1, 3, ["a"], 8, "p")
-
 
 #: (topology, f, faulty placement).  ``ring7-chords`` has connectivity 4, so
 #: only f = 1 (three disjoint paths) is feasible on it.
@@ -251,7 +242,8 @@ class TestBatchedRelayMatchesPerValueOracle:
     @pytest.mark.parametrize(
         "values, sizes",
         [([], 8), ([], []), (["a"], 0), (["a", "b"], [8, -1]), (["a"], True),
-         (["a"], 1.5), (["a", "b"], [8])],
+         (["a"], 1.5), (["a", "b"], [8]), (["a"], "8"), (["a", "b"], "88"),
+         (["a", "b"], [8, "8"]), (["a"], {8: 8})],
     )
     def test_bad_vectors_are_rejected_before_anything_is_sent(self, values, sizes):
         network = SynchronousNetwork(complete_graph(4))
@@ -288,6 +280,71 @@ class TestSharedRoundsMatchPerOriginBroadcasts:
             return repr(outputs), _ledger(network), Counter(repr(c) for c in recorder.calls)
 
         assert run(True) == run(False)
+
+
+#: (f, faulty placement) on ``k7-unit`` with source 1: the source faulty and not.
+MANY_PLACEMENTS = [(1, (1,)), (1, (3,)), (2, (1, 4)), (2, (3, 5))]
+MANY_VALUES = [b"\x00", b"ab", {"claims": 3}, None, b"", 7]
+MANY_SIZES = [8, 16, 40, 1, 1, 3]
+
+
+class TestSharedRoundsMatchPerValueBroadcasts:
+    """``broadcast_many`` against one ``broadcast`` per value of the same source."""
+
+    @pytest.mark.parametrize("max_faults, faulty", MANY_PLACEMENTS)
+    @pytest.mark.parametrize("strategy_name", named_strategies())
+    def test_equal_decisions_bits_and_hook_calls(self, strategy_name, max_faults, faulty):
+        graph = topology("k7-unit")
+        contexts = [f"chunked|{index}" for index in range(len(MANY_VALUES))]
+
+        def run(shared):
+            recorder = RecordingStrategy(make_strategy(strategy_name, seed=4))
+            network = SynchronousNetwork(graph, FaultModel(faulty, recorder))
+            broadcaster = BroadcastDefault(network, graph.nodes(), max_faults, instance=2)
+            if shared:
+                outputs = broadcaster.broadcast_many(
+                    1, MANY_VALUES, MANY_SIZES, "bb", context="chunked", contexts=contexts
+                )
+            else:
+                outputs = {node: [] for node in network.fault_free_nodes()}
+                for value, size, context in zip(MANY_VALUES, MANY_SIZES, contexts):
+                    decided = broadcaster.broadcast(1, value, size, "bb", context=context)
+                    for receiver, decision in decided.items():
+                        outputs[receiver].append(decision)
+            hooks = Counter(repr(call) for call in recorder.value_hook_calls())
+            return repr(outputs), _ledger(network), hooks, len(network.delivered_messages())
+
+        shared, oracle = run(True), run(False)
+        assert shared[:3] == oracle[:3]
+        assert shared[3] * len(MANY_VALUES) == oracle[3]
+
+    def test_default_contexts_number_the_values(self):
+        graph = topology("k7-unit")
+
+        def run(contexts):
+            recorder = RecordingStrategy(make_strategy("chaos", seed=1))
+            network = SynchronousNetwork(graph, FaultModel([1, 5], recorder))
+            eig = BroadcastDefault(network, graph.nodes(), 2)
+            outputs = eig.broadcast_many(1, ["x", "y"], [8, 9], "bb", "ctx", contexts)
+            return repr(outputs), [repr(call) for call in recorder.calls]
+
+        assert run(None) == run(["ctx|0", "ctx|1"])
+
+    @pytest.mark.parametrize(
+        "source, values, sizes, contexts",
+        [(1, [], [], None), (1, ["a"], [8, 8], None), (1, ["a", "b"], [8], None),
+         (1, ["a"], [8], ["c", "d"]), (9, ["a"], [8], None), (1, ["a"], [0], None),
+         (1, ["a", "b"], [8, True], None)],
+    )
+    def test_bad_batches_are_rejected_before_anything_is_sent(
+        self, source, values, sizes, contexts
+    ):
+        graph = topology("k7-unit")
+        network = SynchronousNetwork(graph)
+        broadcaster = BroadcastDefault(network, graph.nodes(), 1)
+        with pytest.raises(ProtocolError):
+            broadcaster.broadcast_many(source, values, sizes, "bb", contexts=contexts)
+        assert network.total_bits() == 0
 
 
 class TestStrategiesAreKeyedStateless:
@@ -431,3 +488,30 @@ class TestClassicalFloodingBaseline:
         result = classical_full_value_broadcast(graph, 1, b"abc", 1, fault_model)
         assert sorted(result.outputs) == [1, 2, 4]
         assert result.agreed_value() == b"abc"
+
+    @pytest.mark.parametrize("payload_bytes", [8, 32])
+    @pytest.mark.parametrize("max_faults, faulty", [(1, ()), (2, ()), (2, (1, 4)), (2, (3, 5))])
+    def test_chunked_baseline_sends_the_messages_of_one_full_value_broadcast(
+        self, payload_bytes, max_faults, faulty
+    ):
+        graph = topology("k7-unit")
+        value = bytes(range(payload_bytes))
+        networks = []
+
+        def factory(graph, fault_model):
+            networks.append(SynchronousNetwork(graph, fault_model))
+            return networks[-1]
+
+        def run(broadcast):
+            fault_model = FaultModel(faulty, make_strategy("chaos", seed=3))
+            return broadcast(graph, 1, value, max_faults, fault_model, network_factory=factory)
+
+        chunked, full = run(classical_chunked_broadcast), run(classical_full_value_broadcast)
+        assert chunked.metadata["chunks"] == payload_bytes
+        counts = [len(network.delivered_messages()) for network in networks]
+        assert counts[0] == counts[1] > 0
+        # One bit ledger: the chunks' sizes add up to the full value's.
+        assert chunked.link_bits == full.link_bits
+        assert chunked.phase_timings == full.phase_timings
+        if 1 not in faulty:
+            assert chunked.agreed_value() == full.agreed_value() == value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from repro.transport.accounting import TimeAccountant
 from repro.transport.faults import ByzantineStrategy, FaultModel
 from repro.transport.message import Message
 from repro.transport.network import SynchronousNetwork
+from repro.types import PhaseTiming
 
 
 @pytest.fixture()
@@ -34,9 +37,10 @@ class TestMessage:
         with pytest.raises(ProtocolError):
             Message(1, 2, "p", "k", None, -5)
 
-    def test_rejects_non_integer_bits(self):
+    @pytest.mark.parametrize("bit_size", [True, False, 2.0, "8", None, Fraction(8)])
+    def test_rejects_non_integer_bits(self, bit_size):
         with pytest.raises(ProtocolError):
-            Message(1, 2, "p", "k", None, True)
+            Message(1, 2, "p", "k", None, bit_size)
 
     def test_rejects_self_message(self):
         with pytest.raises(ProtocolError):
@@ -55,6 +59,36 @@ class TestMessage:
         assert tampered.sender == 1
         changed_size = message.replace_payload("evil", bit_size=16)
         assert changed_size.bit_size == 16
+        assert (changed_size.phase, changed_size.kind) == ("p", "k")
+        assert message.sequence < tampered.sequence < changed_size.sequence
+        assert (message.payload, message.bit_size) == ("original", 8)
+        with pytest.raises(ProtocolError):
+            message.replace_payload("evil", bit_size=0)
+
+    def test_cannot_be_mutated(self):
+        message = Message(1, 2, "p", "k", "original", 8)
+        for name in ("sender", "receiver", "phase", "kind", "payload", "bit_size", "sequence"):
+            with pytest.raises(AttributeError):
+                setattr(message, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(message, name)
+        with pytest.raises(AttributeError):
+            message.extra = 1
+        with pytest.raises(TypeError):
+            message[4] = "evil"
+        assert message.payload == "original" and not hasattr(message, "__dict__")
+
+    def test_keyword_construction_repr_and_copies(self):
+        message = Message(
+            sender=1, receiver=2, phase="p", kind="k", payload=[1], bit_size=8
+        )
+        assert repr(message) == (
+            f"Message(sender=1, receiver=2, phase='p', kind='k', payload=[1], "
+            f"bit_size=8, sequence={message.sequence})"
+        )
+        for clone in (copy.copy(message), pickle.loads(pickle.dumps(message))):
+            assert type(clone) is Message and clone == message
+            assert clone.sequence == message.sequence
 
 
 class TestTimeAccountant:
@@ -180,6 +214,14 @@ class TestSynchronousNetwork:
         with pytest.raises(GraphError):
             network.send(2, 1, "x", 1, "p")
 
+    @pytest.mark.parametrize("bit_size", [0, -3, True, 2.5, "8", None])
+    def test_send_with_a_bad_size_charges_and_delivers_nothing(self, simple_graph, bit_size):
+        network = SynchronousNetwork(simple_graph)
+        with pytest.raises(ProtocolError):
+            network.send(1, 2, "x", bit_size, "p")
+        assert network.delivered_messages() == []
+        assert network.accountant.phase_names() == [] and network.total_bits() == 0
+
     def test_send_round_inboxes(self, simple_graph):
         network = SynchronousNetwork(simple_graph)
         inboxes = network.send_round(
@@ -223,29 +265,67 @@ class TestSynchronousNetwork:
 
 
 class TestAccountingProperties:
+    #: Mixed capacities, including pairs whose ratios tie (10/2 == 15/3 == 5/1).
+    CAPACITIES = {(1, 2): 2, (2, 3): 1, (1, 3): 4, (3, 1): 3, (2, 1): 7, (3, 2): 6}
+
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from([(1, 2), (1, 3), (2, 3)]),
-                st.integers(min_value=1, max_value=50),
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from(sorted(CAPACITIES)),
+                st.integers(min_value=1, max_value=10**6),
             ),
-            min_size=1,
-            max_size=20,
-        )
+            max_size=30,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "overhead-only"]),
+                st.fractions(min_value=0, max_value=50, max_denominator=12),
+            ),
+            max_size=4,
+        ),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_elapsed_time_is_max_over_links(self, transmissions):
-        graph = NetworkGraph.from_edges({(1, 2): 2, (2, 3): 1, (1, 3): 4})
-        accountant = TimeAccountant(graph)
-        per_link = {}
-        for (tail, head), bits in transmissions:
-            accountant.record_transmission("p", tail, head, bits)
-            per_link[(tail, head)] = per_link.get((tail, head), 0) + bits
-        expected = max(
-            Fraction(bits, graph.capacity(tail, head))
-            for (tail, head), bits in per_link.items()
+    @settings(max_examples=150, deadline=None)
+    def test_elapsed_time_is_the_per_link_fraction_maximum(self, transmissions, overheads):
+        graph = NetworkGraph.from_edges(self.CAPACITIES)
+        network = SynchronousNetwork(graph)
+        accountant = network.accountant
+        # The oracle: one Fraction per link, compared as Fractions.
+        ledgers = {}
+        for phase, (tail, head), bits in transmissions:
+            network.send(tail, head, None, bits, phase)
+            links = ledgers.setdefault(phase, {})
+            links[tail, head] = links.get((tail, head), 0) + bits
+        fixed = {}
+        for phase, duration in overheads:
+            accountant.add_fixed_overhead(phase, duration)
+            ledgers.setdefault(phase, {})
+            fixed[phase] = fixed.get(phase, 0) + duration
+        expected = {
+            phase: max(
+                (Fraction(bits, graph.capacity(*link)) for link, bits in links.items()),
+                default=Fraction(0),
+            )
+            + fixed.get(phase, 0)
+            for phase, links in ledgers.items()
+        }
+
+        assert accountant.phase_names() == list(expected)
+        for phase, elapsed in expected.items():
+            assert accountant.phase_elapsed(phase) == elapsed
+            assert isinstance(accountant.phase_elapsed(phase), Fraction)
+        assert accountant.total_elapsed() == sum(expected.values(), Fraction(0))
+        assert accountant.phase_timings() == tuple(
+            PhaseTiming(phase, elapsed, sum(ledgers[phase].values()))
+            for phase, elapsed in expected.items()
         )
-        assert accountant.phase_elapsed("p") == expected
+        assert network.result_accounting() == {
+            "elapsed": network.elapsed_time(),
+            "bits_sent": network.total_bits(),
+            "phase_timings": accountant.phase_timings(),
+            "link_bits": accountant.total_link_bits(),
+        }
+        assert network.total_bits() == sum(bits for _phase, _link, bits in transmissions)
 
     @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
