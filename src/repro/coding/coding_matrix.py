@@ -17,7 +17,6 @@ the algorithm).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -92,41 +91,36 @@ class CodingScheme:
         if cached is None:
             if not edges:
                 raise ProtocolError("combined_matrix requires at least one edge")
-            rows: List[List[int]] = [[] for _ in range(self.rho)]
-            widths: List[int] = []
-            for edge in edges:
-                matrix = self.matrix_for(edge)
+            matrices = [self.matrix_for(edge) for edge in edges]
+            for edge, matrix in zip(edges, matrices):
                 if matrix.rows != self.rho:
-                    # zip would silently drop the missing rows and hand a
-                    # ragged matrix to the trusted constructor; fail loudly
-                    # like the single-edge vecmat path does.
+                    # A short matrix would hand a ragged concatenation to the
+                    # trusted constructor; fail loudly like the single-edge
+                    # vecmat path does.
                     raise ProtocolError(
                         f"coding matrix for edge {edge} has {matrix.rows} rows "
                         f"but the scheme uses rho={self.rho}"
                     )
-                widths.append(matrix.cols)
-                for target, row in zip(rows, matrix.to_lists()):
-                    target.extend(row)
             cached = self._combined[edges] = (
-                GFMatrix._trusted(self.field, rows),
-                tuple(widths),
+                GFMatrix._hconcat(matrices),
+                tuple(matrix.cols for matrix in matrices),
             )
         return cached
 
 
-def _edge_rng(seed: int, instance: int, edge: Edge) -> random.Random:
-    """A deterministic RNG for one edge's matrix, independent across edges.
+def _edge_seed(seed: int, instance: int, edge: Edge) -> int:
+    """The seed of one edge's matrix: its entries are the draws of a fresh
+    ``random.Random`` of it, a stream independent across edges.
 
     The mixing constants are arbitrary large primes; they only need to keep
     distinct ``(seed, instance, edge)`` triples on distinct RNG streams.
     """
-    mixed = (
+    return (
         seed * 1_000_000_007
         + instance * 1_000_003
         + edge[0] * 10_007
         + edge[1] * 101
     )
-    return random.Random(mixed)
 
 
 def generate_coding_scheme(
@@ -158,8 +152,8 @@ def generate_coding_scheme(
     field = get_field(symbol_bits)
     matrices: Dict[Edge, GFMatrix] = {}
     for tail, head, capacity in graph.edges():
-        rng = _edge_rng(seed, instance, (tail, head))
-        matrices[(tail, head)] = GFMatrix.random(field, rho, capacity, rng)
+        edge = (tail, head)
+        matrices[edge] = GFMatrix.random(field, rho, capacity, _edge_seed(seed, instance, edge))
     return CodingScheme(
         field=field,
         rho=rho,

@@ -32,14 +32,16 @@ Registered backends:
     pure-Python tier's choice for degrees >= :data:`NUMPY_MIN_DEGREE`.
 
 ``native``
-    Schoolbook products of 64-bit limbs on the CPU's PCLMULQDQ instruction:
-    ``clmul.c`` (shipped beside this module) is compiled with the system C
-    compiler the first time a big field asks for it, cached in the user's
-    cache directory under a name hashing source, flags and machine, and bound
-    with :mod:`ctypes`.  Takes ``clmul``, ``vecmat``, ``dot_vec`` and
-    ``mul_vec``; operands cross with one ``to_bytes``/``join`` per call (a
-    matrix's limb buffer is kept on the matrix), and modular reduction stays
-    on ``field._reduce``.  Selected automatically for *every* big field when
+    Block-scanned Karatsuba products of 64-bit limbs on the CPU's PCLMULQDQ
+    instruction: ``clmul.c`` (shipped beside this module) is compiled with
+    the system C compiler the first time a big field asks for it, cached in
+    the user's cache directory under a name hashing source, flags and
+    machine, and bound with :mod:`ctypes`.  Takes ``clmul``, ``vecmat``,
+    ``dot_vec``, ``mul_vec`` and the seeded matrix draw (``draw_limbs``: a
+    coding matrix is born as its limb buffer and never becomes Python
+    integers unless something reads its entries); symbol vectors cross with
+    one ``to_bytes``/``join`` per call, and modular reduction stays on
+    ``field._reduce``.  Selected automatically for *every* big field when
     :meth:`NativeBackend.available` — compiler found (or library already
     cached), build and load succeeded, CPU reports PCLMULQDQ, self-check
     passed.  Anything else makes it unavailable, never an error: selection
@@ -54,7 +56,7 @@ life of the process.
 
 Adding a backend: subclass :class:`KernelBackend`, implement ``clmul`` (and
 optionally ``clmul_stacked`` / ``vecmat`` / ``dot_vec`` / ``mul_vec`` /
-``cache_stats`` / ``clear_caches``), then call :func:`register_backend`.  The
+``draw_limbs`` / ``cache_stats`` / ``clear_caches``), then call :func:`register_backend`.  The
 conformance tests in ``tests/test_gf_backends.py`` run against every
 registered name, so a new backend is property-tested against the bit-serial
 oracles for free.
@@ -67,6 +69,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import random
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import FieldError
@@ -97,11 +100,6 @@ FFT_MATRIX_CACHE_BYTES = 48 << 20
 #: Degree at/above which the numpy backend computes *scalar* products by FFT;
 #: below it the windowed byte scan is faster (measured) and is delegated to.
 FFT_SCALAR_MIN_DEGREE = 16384
-
-#: Largest per-matrix limb buffer (``rows x cols x 8 * limbs`` bytes) the
-#: native backend keeps on a matrix; bigger matrices cross row by row on every
-#: encode instead (same values, no resident copy).
-NATIVE_MATRIX_CACHE_BYTES = 48 << 20
 
 #: Compiler flags of the native kernel library; part of its cache name.
 NATIVE_CFLAGS = ("-O2", "-mpclmul", "-msse2", "-shared", "-fPIC")
@@ -151,6 +149,12 @@ class KernelBackend:
 
     def mul_vec(self, left: Sequence[int], right: Sequence[int]) -> Optional[List[int]]:
         """Reduced component-wise product, or ``None`` to decline."""
+        return None
+
+    def draw_limbs(self, seed: int, count: int):
+        """The next ``count`` elements of a fresh ``random.Random(seed)`` (one
+        ``getrandbits(degree)`` each) as a limb buffer for
+        :meth:`GFMatrix._from_limbs`, or ``None`` to decline."""
         return None
 
     # -- introspection ------------------------------------------------------
@@ -515,24 +519,63 @@ def _compile_native(source: bytes, directory: str, prefix: str) -> Tuple[Optiona
 
 
 def _bind_native(path: str) -> ctypes.CDLL:
-    """``dlopen`` the kernel library and declare its three functions."""
+    """``dlopen`` the kernel library and declare its five functions."""
     library = ctypes.CDLL(path)
-    size, data = ctypes.c_size_t, ctypes.c_char_p
+    size, data = ctypes.c_size_t, ctypes.c_void_p
     library.clmul_supported.argtypes = []
     library.clmul_supported.restype = ctypes.c_int
+    library.clmul_scratch.argtypes = [size]
+    library.clmul_scratch.restype = size
     library.clmul_vecmat.argtypes = [size, size, size, data, data, data]
     library.clmul_vecmat.restype = None
     library.clmul_pairs.argtypes = [size, size, data, data, data]
     library.clmul_pairs.restype = None
+    library.clmul_draw.argtypes = [size, data, size, size, size, data]
+    library.clmul_draw.restype = None
     return library
+
+
+def _native_out(products: int, terms: int, words: int, unit: int):
+    """A buffer for that many raw ``words``-limb products, each a sum of
+    ``terms``, and behind them the scratch ``clmul.c`` asks for
+    (``unit = clmul_scratch(words)``)."""
+    return ctypes.create_string_buffer(products * 16 * words + (terms + 3) * unit)
+
+
+def _native_draw(library, seed: int, count: int, degree: int, words: int):
+    """``count`` ``degree``-bit draws of ``random.Random(seed)`` as ``words``-limb
+    slots: the key is what CPython's ``init_by_array`` is fed for an ``int``."""
+    key_words = max(1, (abs(seed).bit_length() + 31) // 32)
+    key = abs(seed).to_bytes(4 * key_words, "little")
+    limbs = ctypes.create_string_buffer(count * 8 * words)
+    library.clmul_draw(key_words, key, count, degree, words, limbs)
+    return limbs
+
+
+def _native_self_check(library) -> bool:
+    """One seeded draw against ``random.Random`` (77 bits: a shifted top word
+    and a padded limb; a two-word key) and one product against
+    :func:`poly_mul` (21 limbs: a ragged block under one Karatsuba level),
+    before the library is trusted."""
+    seed = (5 << 32) | 7
+    reference, drawn = random.Random(seed), _native_draw(library, seed, 3, 77, 2).raw
+    if any(
+        int.from_bytes(drawn[at : at + 16], "little") != reference.getrandbits(77)
+        for at in range(0, 48, 16)
+    ):
+        return False
+    a, b = reference.getrandbits(21 * 64), reference.getrandbits(21 * 64)
+    out = _native_out(1, 1, 21, library.clmul_scratch(21))
+    library.clmul_pairs(1, 21, a.to_bytes(21 * 8, "little"), b.to_bytes(21 * 8, "little"), out)
+    return int.from_bytes(out[: 2 * 21 * 8], "little") == poly_mul(a, b)
 
 
 def _load_native() -> Tuple[Optional[ctypes.CDLL], Dict[str, object]]:
     """Find or build the kernel library; never raises.
 
     The cache name hashes source, flags and machine, so an edit to any of
-    them builds afresh.  The loaded library must report PCLMULQDQ and
-    multiply one two-limb pair like :func:`poly_mul` before it is trusted.
+    them builds afresh.  The loaded library must report PCLMULQDQ and pass
+    :func:`_native_self_check` before it is trusted.
     """
     import importlib.resources  # build-only modules load here and in the helpers
 
@@ -558,10 +601,7 @@ def _load_native() -> Tuple[Optional[ctypes.CDLL], Dict[str, object]]:
         return None, {"reason": f"cannot load {path}: {error}"}
     if not library.clmul_supported():
         return None, {"reason": "CPU does not report PCLMULQDQ"}
-    a, b = (1 << 127) | 0x87, (1 << 100) | (1 << 64) | 3
-    out = ctypes.create_string_buffer(32)
-    library.clmul_pairs(1, 2, a.to_bytes(16, "little"), b.to_bytes(16, "little"), out)
-    if int.from_bytes(out.raw, "little") != poly_mul(a, b):
+    if not _native_self_check(library):
         return None, {"reason": f"{path} failed its self-check"}
     return library, {
         "library": path,
@@ -582,15 +622,17 @@ class NativeBackend(KernelBackend):
     """PCLMULQDQ kernels in C (``clmul.c``), bound through :mod:`ctypes`.
 
     Every operand is ``ceil(m / 64)`` little-endian 64-bit limbs.  A call
-    packs its operands with one ``to_bytes`` per symbol and one ``join``,
-    runs one C function over them, and reduces the raw products it gets back
-    with ``field._reduce``.  Scalar products go the same way at every degree:
-    measured against the windowed scan, the native product (1.7 us at degree
-    64, 6 us at 4096) ties a *warm* window table at degree 128 and beats a
-    table build (56 us and up) everywhere, and a table only pays for itself
-    past ~50 products against one operand.  Stacked batches keep the windowed
-    scan, as under ``numpy``.  The only cache is a matrix's packed limb buffer,
-    kept on the matrix when it fits :data:`NATIVE_MATRIX_CACHE_BYTES`.
+    packs its symbol vectors with one ``to_bytes`` per symbol and one
+    ``join``, runs one C function over them, and reduces the raw products —
+    read in place, not copied out — with ``field._reduce``.  A matrix crosses
+    as its limb buffer: one drawn from a seed (:meth:`draw_limbs`) *is* that
+    buffer from birth, a hand-built integer matrix is packed on its first
+    encode and the pack kept on the matrix.  Scalar products go the same way
+    at every degree: measured against the windowed scan, the native product
+    (1.5 us at degree 64, 5 us at 4096) ties a *warm* window table at degree
+    128 and beats a table build (56 us and up) everywhere, and a table only
+    pays for itself past ~50 products against one operand.  Stacked batches
+    keep the windowed scan, as under ``numpy``.
     """
 
     name = "native"
@@ -612,7 +654,14 @@ class NativeBackend(KernelBackend):
         self._library = library
         self._words = (field.degree + 63) // 64
         self._width = 8 * self._words
-        self._ctx = {"hits": 0, "misses": 0, "skips_over_budget": 0, "bytes_built": 0}
+        self._unit = library.clmul_scratch(self._words)
+        #: The buffer type of one scalar product: instantiating it costs a
+        #: quarter of ``create_string_buffer``, on the path ``field.mul`` takes.
+        self._pair_out = type(_native_out(1, 1, self._words, self._unit))
+        #: Integer matrices packed (``misses``, ``bytes_built``) and encodes
+        #: that found such a pack in place (``hits``); a drawn matrix has
+        #: nothing to pack and counts as neither.
+        self._ctx = {"hits": 0, "misses": 0, "bytes_built": 0}
 
     def _pack(self, values: Sequence[int]) -> bytes:
         """The values as consecutive limb arrays; ``to_bytes`` rejects any
@@ -620,57 +669,56 @@ class NativeBackend(KernelBackend):
         width = self._width
         return b"".join([value.to_bytes(width, "little") for value in values])
 
-    def _reduced(self, out, count: int) -> List[int]:
-        """Split ``count`` raw products out of ``out`` and reduce each."""
-        raw, span, reduce = out.raw, 2 * self._width, self.field._reduce
+    def _reduced(self, out, products: int) -> List[int]:
+        """The ``products`` raw products at the head of ``out``, each reduced."""
+        view, span, reduce = memoryview(out), 2 * self._width, self.field._reduce
         return [
-            reduce(int.from_bytes(raw[start : start + span], "little"))
-            for start in range(0, count * span, span)
+            reduce(int.from_bytes(view[start : start + span], "little"))
+            for start in range(0, products * span, span)
         ]
 
     def clmul(self, a: int, b: int) -> int:
         width = self._width
-        out = ctypes.create_string_buffer(2 * width)
+        out = self._pair_out()
         self._library.clmul_pairs(
             1, self._words, a.to_bytes(width, "little"), b.to_bytes(width, "little"), out
         )
-        return int.from_bytes(out.raw, "little")
+        return int.from_bytes(out[: 2 * width], "little")
 
     def clmul_stacked(self, stacked: int, factor: int, packed_bytes: int) -> int:
         return self.field._windowed_stacked_mul(stacked, factor, packed_bytes)
 
-    def _matrix_limbs(self, matrix) -> Optional[bytes]:
-        """The matrix's row-major limb buffer, or ``None`` if over budget."""
-        limbs, stats = matrix._kctx, self._ctx
-        if limbs is not None:
-            stats["hits"] += 1
-        elif matrix.rows * matrix.cols * self._width > NATIVE_MATRIX_CACHE_BYTES:
-            stats["skips_over_budget"] += 1
-        else:
-            limbs = matrix._kctx = self._pack([entry for row in matrix._data for entry in row])
-            stats["misses"] += 1
-            stats["bytes_built"] += len(limbs)
+    def draw_limbs(self, seed: int, count: int):
+        return _native_draw(self._library, seed, count, self.field.degree, self._words)
+
+    def _matrix_limbs(self, matrix):
+        """The matrix's row-major limb buffer: its own, or a pack kept on it."""
+        limbs = matrix._limbs
+        if limbs is None:
+            limbs, stats = matrix._kctx, self._ctx
+            if limbs is not None:
+                stats["hits"] += 1
+            else:
+                limbs = matrix._kctx = self._pack([entry for row in matrix._data for entry in row])
+                stats["misses"] += 1
+                stats["bytes_built"] += len(limbs)
         return limbs
 
     def vecmat(self, matrix, vector: Sequence[int]) -> Optional[List[int]]:
         rows, cols = matrix.rows, matrix.cols
         if len(vector) != rows:
             raise FieldError(f"length mismatch: vector of {len(vector)} vs {rows} rows")
-        out = ctypes.create_string_buffer(cols * 2 * self._width)
-        kernel, words = self._library.clmul_vecmat, self._words
         limbs = self._matrix_limbs(matrix)
-        if limbs is not None:
-            kernel(rows, cols, words, self._pack(vector), limbs, out)
-        else:
-            for value, row in zip(vector, matrix._data):
-                if value:
-                    kernel(1, cols, words, self._pack((value,)), self._pack(row), out)
+        if len(limbs) != rows * cols * self._width:
+            raise FieldError(f"limb buffer of {len(limbs)} bytes on a {rows} x {cols} matrix")
+        out = _native_out(cols, rows, self._words, self._unit)
+        self._library.clmul_vecmat(rows, cols, self._words, self._pack(vector), limbs, out)
         return self._reduced(out, cols)
 
     def dot_vec(self, left: Sequence[int], right: Sequence[int]) -> Optional[int]:
         if len(left) != len(right):
             raise FieldError(f"length mismatch: {len(left)} vs {len(right)}")
-        out = ctypes.create_string_buffer(2 * self._width)
+        out = _native_out(1, len(left), self._words, self._unit)
         self._library.clmul_vecmat(
             len(left), 1, self._words, self._pack(left), self._pack(right), out
         )
@@ -679,14 +727,14 @@ class NativeBackend(KernelBackend):
     def mul_vec(self, left: Sequence[int], right: Sequence[int]) -> Optional[List[int]]:
         if len(left) != len(right):
             raise FieldError(f"length mismatch: {len(left)} vs {len(right)}")
-        out = ctypes.create_string_buffer(len(left) * 2 * self._width)
+        out = _native_out(len(left), 1, self._words, self._unit)
         self._library.clmul_pairs(
             len(left), self._words, self._pack(left), self._pack(right), out
         )
         return self._reduced(out, len(left))
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        return {"native_matrices": dict(self._ctx, budget_bytes=NATIVE_MATRIX_CACHE_BYTES)}
+        return {"native_matrices": dict(self._ctx)}
 
     def crossover(self) -> Dict[str, object]:
         return dict(_native_library()[1], limbs=self._words)

@@ -220,7 +220,6 @@ class GF2m:
         "degree",
         "modulus",
         "order",
-        "_mask",
         "_exp",
         "_log",
         "_inv_t",
@@ -258,7 +257,6 @@ class GF2m:
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree
-        self._mask = self.order - 1
         # Lazily populated log/antilog/inverse tables (degree <= 16 only).
         self._exp: List[int] | None = None
         self._log: List[int] | None = None
@@ -886,7 +884,7 @@ class GF2m:
 
     def random_element(self, rng: random.Random) -> int:
         """Draw an element uniformly at random using the supplied RNG."""
-        return rng.getrandbits(self.degree) & self._mask
+        return rng.getrandbits(self.degree)
 
     def random_nonzero(self, rng: random.Random) -> int:
         """Draw a uniformly random non-zero element."""
@@ -897,7 +895,8 @@ class GF2m:
 
     def random_vector(self, length: int, rng: random.Random) -> List[int]:
         """Draw a vector of ``length`` independent uniform elements."""
-        return [self.random_element(rng) for _ in range(length)]
+        draw, degree = rng.getrandbits, self.degree
+        return [draw(degree) for _ in range(length)]
 
     # ------------------------------------------------------------------ dunder
 

@@ -8,7 +8,9 @@ multiplication, transpose, horizontal/vertical stacking, Gaussian elimination
 (rank, determinant, inverse, solving), and random sampling.
 
 Matrices are stored as lists of row lists of plain integers, the same element
-representation used by :class:`repro.gf.field.GF2m`.
+representation used by :class:`repro.gf.field.GF2m` — except a matrix drawn
+from a seed on a field whose kernel backend draws limbs (``native``), which
+*is* its limb buffer and builds the row lists only if something reads entries.
 
 Performance notes:
     The hot kernels (``matmul``, ``vecmat``, Gaussian elimination) bind the
@@ -24,6 +26,7 @@ Performance notes:
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Iterable, List, Sequence
 
 from repro.exceptions import MatrixError
@@ -47,7 +50,10 @@ class GFMatrix:
     field and that the rows are rectangular.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "_stacked", "_kctx")
+    #: ``_limbs`` is the row-major limb buffer of a matrix born as one
+    #: (:meth:`_from_limbs`), else ``None``; ``_stacked`` / ``_kctx`` are what
+    #: the field's kernels cache on the matrix.
+    __slots__ = ("field", "rows", "cols", "_data", "_limbs", "_stacked", "_kctx")
 
     def __init__(self, field: GF2m, data: Sequence[Sequence[int]]) -> None:
         rows = [list(row) for row in data]
@@ -63,6 +69,7 @@ class GFMatrix:
         self.rows = len(rows)
         self.cols = width
         self._data = rows
+        self._limbs = None
         self._stacked = None
         self._kctx = None
 
@@ -81,9 +88,60 @@ class GFMatrix:
         matrix.rows = len(rows)
         matrix.cols = len(rows[0])
         matrix._data = rows
+        matrix._limbs = None
         matrix._stacked = None
         matrix._kctx = None
         return matrix
+
+    @classmethod
+    def _from_limbs(cls, field: GF2m, rows: int, cols: int, limbs) -> "GFMatrix":
+        """Internal constructor for a matrix that is its limb buffer.
+
+        ``limbs`` holds the entries row-major, each ``len(limbs) // (rows *
+        cols)`` little-endian bytes, and is adopted as-is.  ``_data`` stays
+        unset until :meth:`__getattr__` is asked for it.
+        """
+        matrix = object.__new__(cls)
+        matrix.field = field
+        matrix.rows = rows
+        matrix.cols = cols
+        matrix._limbs = limbs
+        matrix._stacked = None
+        matrix._kctx = None
+        return matrix
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot, so only for the ``_data`` of a
+        # limb-resident matrix: the first reader of entries builds them, once.
+        if name != "_data":
+            raise AttributeError(name)
+        view, cols = memoryview(self._limbs), self.cols
+        width = len(view) // (self.rows * cols)
+        entries = [
+            int.from_bytes(view[start : start + width], "little")
+            for start in range(0, len(view), width)
+        ]
+        self._data = [entries[start : start + cols] for start in range(0, len(entries), cols)]
+        return self._data
+
+    @classmethod
+    def _hconcat(cls, matrices: Sequence["GFMatrix"]) -> "GFMatrix":
+        """Column-wise concatenation of already-checked matrices (one field,
+        one row count): of their limb rows when every one has them."""
+        field, rows = matrices[0].field, matrices[0].rows
+        if any(matrix._limbs is None for matrix in matrices):
+            data = [matrix._data for matrix in matrices]
+            return cls._trusted(field, [list(chain.from_iterable(parts)) for parts in zip(*data)])
+        views = [memoryview(matrix._limbs) for matrix in matrices]
+        steps = [len(view) // rows for view in views]
+        limbs = b"".join(
+            [
+                view[row * step : (row + 1) * step]
+                for row in range(rows)
+                for view, step in zip(views, steps)
+            ]
+        )
+        return cls._from_limbs(field, rows, sum(matrix.cols for matrix in matrices), limbs)
 
     @classmethod
     def zeros(cls, field: GF2m, rows: int, cols: int) -> "GFMatrix":
@@ -117,14 +175,25 @@ class GFMatrix:
         return cls(field, [[entry] for entry in entries])
 
     @classmethod
-    def random(cls, field: GF2m, rows: int, cols: int, rng: random.Random) -> "GFMatrix":
-        """A matrix whose entries are independent uniform field elements."""
+    def random(
+        cls, field: GF2m, rows: int, cols: int, rng: "random.Random | int"
+    ) -> "GFMatrix":
+        """A matrix whose entries are independent uniform field elements.
+
+        ``rng`` is the generator to draw from, or an integer seed standing for
+        a fresh ``random.Random(seed)``: the entries are the same, but with
+        no generator to advance a kernel backend may draw them itself,
+        straight into the limb buffer its products read.
+        """
         if rows < 1 or cols < 1:
             raise MatrixError(f"invalid shape ({rows}, {cols})")
-        draw = field.random_element
-        return cls._trusted(
-            field, [[draw(rng) for _ in range(cols)] for _ in range(rows)]
-        )
+        if isinstance(rng, int):
+            kernel = field._kernel
+            limbs = kernel.draw_limbs(rng, rows * cols) if kernel is not None else None
+            if limbs is not None:
+                return cls._from_limbs(field, rows, cols, limbs)
+            rng = random.Random(rng)
+        return cls._trusted(field, [field.random_vector(cols, rng) for _ in range(rows)])
 
     # ---------------------------------------------------------------- accessors
 
@@ -548,9 +617,7 @@ class GFMatrix:
         self._require_same_field(other)
         if self.rows != other.rows:
             raise MatrixError(f"hstack row mismatch: {self.rows} vs {other.rows}")
-        return GFMatrix._trusted(
-            self.field, [row_a + row_b for row_a, row_b in zip(self._data, other._data)]
-        )
+        return GFMatrix._hconcat((self, other))
 
     def vstack(self, other: "GFMatrix") -> "GFMatrix":
         """Concatenate another matrix with the same column count below."""

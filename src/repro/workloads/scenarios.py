@@ -147,10 +147,24 @@ def input_stream(rng: random.Random, instances: int, value_bytes: int) -> List[b
     pure function of that generator's state — independent of the module-level
     :mod:`random` state and of whatever other scenarios are being built in the
     same process.
+
+    Every byte is ``rng.randrange(256)`` — nine generator bits, drawn again
+    while they make 256 or more — taken in one loop instead of through
+    ``randrange``'s three frames a byte; the values and the state the
+    generator is left in are those of ``bytes(rng.randrange(256) for ...)``.
     """
-    return [
-        bytes(rng.randrange(256) for _ in range(value_bytes)) for _ in range(instances)
-    ]
+    draw = rng.getrandbits
+    values = []
+    for _ in range(instances):
+        value = bytearray()
+        append = value.append
+        for _ in range(value_bytes):
+            byte = draw(9)
+            while byte >= 256:
+                byte = draw(9)
+            append(byte)
+        values.append(bytes(value))
+    return values
 
 
 def _make_inputs(instances: int, value_bytes: int, seed: int) -> List[bytes]:

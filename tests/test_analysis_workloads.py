@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from repro.adversary.strategies import EqualityGarbageStrategy
 from repro.exceptions import AgreementViolationError, ConfigurationError
 from repro.graph.generators import complete_graph
 from repro.transport.faults import FaultModel
-from repro.workloads.scenarios import adversarial_scenario, fault_free_scenario
+from repro.workloads.scenarios import adversarial_scenario, fault_free_scenario, input_stream
 from repro.workloads.topologies import named_topologies, topology
 
 
@@ -134,6 +135,18 @@ class TestWorkloads:
         first = fault_free_scenario(seed=7)
         second = fault_free_scenario(seed=7)
         assert list(first.inputs) == list(second.inputs)
+
+    @pytest.mark.parametrize("value_bytes", [0, 1, 2, 65536])
+    def test_input_stream_is_randrange_byte_by_byte(self, value_bytes):
+        # Persisted rows embed the inputs, and callers go on drawing from the
+        # generator they passed: values and final state are both contract.
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            expected = [
+                bytes(reference.randrange(256) for _ in range(value_bytes)) for _ in range(3)
+            ]
+            assert input_stream(rng, 3, value_bytes) == expected
+            assert rng.getstate() == reference.getstate()
 
     def test_scenario_runs_end_to_end(self):
         scenario = adversarial_scenario(

@@ -2,14 +2,17 @@
 
 ``tests/test_gf_backends.py`` conformance-tests every registered backend by
 name; this file covers what only ``native`` has: 64-bit limb boundaries, the
-lazily compiled and cached library (cold, warm, corrupted, raced, no
-compiler), and the packaging that lets an installed copy find ``clmul.c``.
+block and Karatsuba-level boundaries of the raw product routine, the lazily
+compiled and cached library (cold, warm, corrupted, raced, no compiler), and
+the packaging that lets an installed copy find ``clmul.c``.  What a *drawn*
+matrix must equal is ``tests/test_gf_draw_identity.py``.
 The build/cache tests run fresh interpreters against a private cache
 directory, so they neither depend on nor disturb the user's cache.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib.resources
 import json
@@ -25,6 +28,7 @@ from repro.exceptions import FieldError
 from repro.gf import backends
 from repro.gf.field import GF2m
 from repro.gf.matrix import GFMatrix
+from repro.gf.polynomials import poly_mul
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -87,6 +91,72 @@ class TestLimbBoundaries:
         assert field.mul_vec([], []) == []
 
 
+#: Limb counts around every boundary of the product routine: odd counts end
+#: in half a block, and a Karatsuba level is added when half the blocks still
+#: make five (20, 40, 80, 160, 320 limbs), each level padding to its own
+#: multiple; plus the two benchmark widths (35, 64) and ``huge_payloads`` (342).
+LIMB_COUNTS = (
+    *(1, 2, 3, 15, 16, 17, 19, 20, 21, 31, 32, 33, 35, 39, 40, 41, 63, 64, 65),
+    *(79, 80, 81, 159, 160, 161, 319, 320, 342),
+)
+
+
+@needs_native
+@pytest.mark.parametrize("words", LIMB_COUNTS)
+def test_raw_products_match_poly_mul_at_every_block_and_level_boundary(words):
+    """One routine behind both entry points: ``clmul_pairs`` is ``mul_vec`` and
+    scalar ``clmul``; ``clmul_vecmat`` is ``vecmat`` and, with one column,
+    ``dot_vec``."""
+    library, width = backends._native_library()[0], 8 * words
+    unit = library.clmul_scratch(words)
+    rng = random.Random(words)
+    edges = [(1 << 8 * width) - 1, 1 << (8 * width - 1), 1, 0]
+
+    def pack(values):
+        return b"".join(value.to_bytes(width, "little") for value in values)
+
+    def products(out, count):
+        return [
+            int.from_bytes(out[start : start + 2 * width], "little")
+            for start in range(0, count * 2 * width, 2 * width)
+        ]
+
+    def guarded(count, terms):
+        """``_native_out``'s buffer with a canary behind it, and a check that
+        the kernel kept to the size Python gave it."""
+        size = len(backends._native_out(count, terms, words, unit))
+        out = ctypes.create_string_buffer(b"\xa5" * (size + 32), size + 32)
+        return out, lambda: out[size:] == b"\xa5" * 32
+
+    def check_pairs(a, b):
+        out, intact = guarded(len(a), 1)
+        library.clmul_pairs(len(a), words, pack(a), pack(b), out)
+        assert intact()
+        assert products(out, len(a)) == [poly_mul(x, y) for x, y in zip(a, b)]
+
+    def check_vecmat(rows, cols, x, m):
+        out, intact = guarded(cols, rows)
+        library.clmul_vecmat(rows, cols, words, pack(x), pack(m), out)
+        assert intact()
+        expected = [0] * cols
+        for row, symbol in enumerate(x):
+            for column in range(cols):
+                expected[column] ^= poly_mul(symbol, m[row * cols + column])
+        assert products(out, cols) == expected, (rows, cols)
+
+    def symbols(count):
+        return [
+            rng.choice(edges[:2]) if rng.random() < 0.25 else rng.getrandbits(8 * width)
+            for _ in range(count)
+        ]
+
+    check_pairs([a for a in edges for _ in edges], edges * len(edges))
+    for count in (1, 3):
+        check_pairs(symbols(count), symbols(count))
+    for rows, cols in ((1, 1), (3, 1), (1, 3), (3, 2)):
+        check_vecmat(rows, cols, symbols(rows), symbols(rows * cols))
+
+
 @needs_native
 class TestNativeBackend:
     def test_sizes_are_checked_before_any_pointer_is_passed(self):
@@ -104,23 +174,30 @@ class TestNativeBackend:
         with pytest.raises(FieldError):
             kernel.mul_vec([1], [1, 2])
 
-    def test_limb_buffer_cached_on_the_matrix_and_streamed_over_budget(self, monkeypatch):
+    def test_a_hand_built_matrix_packs_once_and_a_drawn_one_never(self):
         field = GF2m(2185, kernel_backend="native")
-        rng = random.Random(2)
-        matrix = GFMatrix.random(field, 4, 6, rng)
-        vector = field.random_vector(4, rng)
-        first = matrix.vecmat(vector)
-        assert matrix.vecmat(vector) == first
-        stats = field.kernel_cache_stats()["native_matrices"]
-        assert (stats["hits"], stats["misses"], stats["skips_over_budget"]) == (1, 1, 0)
-        assert stats["bytes_built"] == len(matrix._kctx) == 4 * 6 * 35 * 8
-        monkeypatch.setattr(backends, "NATIVE_MATRIX_CACHE_BYTES", 0)
-        streamed = GFMatrix(field, matrix.to_lists())
+
+        def stats():
+            return field.kernel_cache_stats()["native_matrices"]
+
+        drawn = GFMatrix.random(field, 4, 6, 2)
+        vector = field.random_vector(4, random.Random(3))
         sparse = [vector[0], 0, vector[2], 0]
-        assert streamed.vecmat(vector) == first
-        assert streamed.vecmat(sparse) == matrix.vecmat(sparse)
-        assert streamed._kctx is None
-        assert field.kernel_cache_stats()["native_matrices"]["skips_over_budget"] == 2
+        first = drawn.vecmat(vector)
+        assert drawn.vecmat(vector) == first
+        assert len(drawn._limbs) == 4 * 6 * 35 * 8 and drawn._kctx is None
+        assert stats() == {"hits": 0, "misses": 0, "bytes_built": 0}
+        built = GFMatrix(field, drawn.to_lists())
+        assert built.vecmat(vector) == first == built.vecmat(vector)
+        assert built.vecmat(sparse) == drawn.vecmat(sparse) == built.vecmat_loop(sparse)
+        assert built._limbs is None and bytes(built._kctx) == bytes(drawn._limbs)
+        assert stats() == {"hits": 2, "misses": 1, "bytes_built": 4 * 6 * 35 * 8}
+
+    def test_a_limb_buffer_of_the_wrong_size_never_reaches_the_kernel(self):
+        field = GF2m(100, kernel_backend="native")
+        matrix = GFMatrix._from_limbs(field, 2, 2, bytes(2 * 2 * 8))  # one limb an entry, not two
+        with pytest.raises(FieldError):
+            matrix.vecmat([1, 2])
 
     def test_describe_names_the_library(self, monkeypatch):
         monkeypatch.delenv(backends.ENV_BACKEND, raising=False)
@@ -150,6 +227,7 @@ subprocess.Popen.__init__ = counting
 from repro.gf import backends
 from repro.gf.field import GF2m
 from repro.gf.matrix import GFMatrix
+from repro.gf.polynomials import poly_mul
 field = GF2m(2185)
 rng = random.Random(7)
 matrix = GFMatrix.random(field, 3, 4, rng)

@@ -78,6 +78,7 @@ class TestFlatMemory:
         sessions = _mixed_batch()
         assert len(sessions) >= 1000
         rss_before = rss_bytes()
+        kernels_before = process_cache_sample()["kernels"]
         metrics = ServiceMetrics()
         rows = []
         retried, quarantined = run_pool(
@@ -94,6 +95,7 @@ class TestFlatMemory:
             "quarantined": quarantined,
             "metrics": metrics,
             "rss_before": rss_before,
+            "kernels_before": kernels_before,
             "rss_after": rss_bytes(),
             "sample": process_cache_sample(),
         }
@@ -111,10 +113,20 @@ class TestFlatMemory:
         # Other tests may have created further canonical fields in this
         # process; only the two the batch itself drives must show traffic.
         for name in ("GF(2^32)", "GF(2^64)"):
-            layers = [v for v in kernels[name].values() if isinstance(v, dict)]
-            # The caches saw real traffic; eviction (not unbounded growth)
-            # is how they absorb it.
-            assert any(layer.get("misses", 0) > 0 for layer in layers)
+            native = kernels[name].get("native_matrices")
+            if native is None:
+                # The pure-Python tier: the table caches saw real traffic;
+                # eviction (not unbounded growth) is how they absorb it.
+                layers = [v for v in kernels[name].values() if isinstance(v, dict)]
+                assert any(layer.get("misses", 0) > 0 for layer in layers)
+                continue
+            # Under ``native`` every coding matrix of the batch is derived
+            # from a seed, so it is born as its limb buffer: with nothing to
+            # pack it is neither a miss (an integer matrix packed) nor a hit
+            # (such a pack found again).
+            before = batch_result["kernels_before"].get(name, {}).get("native_matrices", {})
+            grown = {key: value - before.get(key, 0) for key, value in native.items()}
+            assert grown == {"hits": 0, "misses": 0, "bytes_built": 0}
 
     def test_budgeted_caches_stay_within_budget(self, batch_result):
         budgets = list(_walk_budgets(batch_result["sample"]))
