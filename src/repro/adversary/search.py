@@ -38,14 +38,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.zoo import AdversaryLattice
 from repro.analysis.forensics import audit_rows
-from repro.engine.runner import (
-    ROW_SCHEMA_VERSION,
-    _write_rows_atomically,
-    dump_row,
-    run_cell,
-)
+from repro.engine.runner import ROW_SCHEMA_VERSION, run_cell
 from repro.engine.spec import SEQUENTIAL, Cell, canonical_params, cell_seed
 from repro.exceptions import ConfigurationError, ReproductionFinding
+from repro.exec import dump_row, read_jsonl, write_rows_atomically
 from repro.workloads.topologies import topology
 
 #: Spec name stamped on every search row (no registered grid — the "spec" is
@@ -292,31 +288,19 @@ def _load_rows(path: str, topology_name: str, base_seed: int) -> List[Dict[str, 
     iterations (matching schema, spec, topology and re-derived seed) — the
     fold that rebuilds the acceptance state needs every prior step.
     """
-    if not os.path.exists(path):
-        return []
     by_iteration: Dict[int, Dict[str, Any]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(row, dict):
-                continue
-            iteration = row.get("iteration")
-            if (
-                row.get("schema") == ROW_SCHEMA_VERSION
-                and row.get("spec") == SEARCH_SPEC
-                and row.get("topology") == topology_name
-                and isinstance(iteration, int)
-                and not isinstance(iteration, bool)
-                and row.get("seed") == cell_seed(base_seed, str(row.get("cell_id")))
-                and row.get("error") is None
-            ):
-                by_iteration.setdefault(iteration, row)
+    for row in read_jsonl(path)[0]:
+        iteration = row.get("iteration")
+        if (
+            row.get("schema") == ROW_SCHEMA_VERSION
+            and row.get("spec") == SEARCH_SPEC
+            and row.get("topology") == topology_name
+            and isinstance(iteration, int)
+            and not isinstance(iteration, bool)
+            and row.get("seed") == cell_seed(base_seed, str(row.get("cell_id")))
+            and row.get("error") is None
+        ):
+            by_iteration.setdefault(iteration, row)
     rows: List[Dict[str, Any]] = []
     for iteration in range(len(by_iteration)):
         row = by_iteration.get(iteration)
@@ -384,14 +368,12 @@ def run_search(
 
     handle = None
     if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         mode = "a" if (resume and rows) else "w"
         if resume and rows:
             # Drop any lines past the verified prefix (truncated tails, rows
             # from other searches) before appending.
-            _write_rows_atomically(out_path, rows)
+            write_rows_atomically(out_path, rows)
         handle = open(out_path, mode, encoding="utf-8")
 
     try:
@@ -439,7 +421,7 @@ def run_search(
         if out_path and rows:
             # Compact: a killed-and-resumed run and a fresh run of the same
             # (seed, budget) produce byte-identical files.
-            _write_rows_atomically(out_path, rows)
+            write_rows_atomically(out_path, rows)
 
     return SearchSummary(
         topology=topology_name,

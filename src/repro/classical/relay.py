@@ -52,7 +52,7 @@ _CANONICAL_REPR_TYPES = frozenset((bool, int, bytes, str, type(None)))
 #: Process-wide memo of vertex-disjoint relay paths.  Values are stored as
 #: tuples of node tuples; lookups hand out fresh lists, so cached paths can
 #: never be mutated through a caller.
-_PATH_CACHE = MinCutCache(max_entries=4096)
+_PATH_CACHE = MinCutCache(max_entries=4096, name="relay_paths")
 
 
 def relay_path_cache_stats() -> Dict[str, object]:

@@ -37,7 +37,7 @@ from repro.types import NodeId
 #: symbol_bits, modulus)`` — the graph signature of the *instance graph*
 #: already encodes the dispute-driven edge removals.  Uses the shared
 #: :class:`MinCutCache` LRU machinery (stats counters, lifetime counters).
-_RANK_CACHE = MinCutCache(max_entries=4096)
+_RANK_CACHE = MinCutCache(max_entries=4096, name="rank_verdicts")
 
 
 def verification_cache_stats() -> Dict[str, object]:

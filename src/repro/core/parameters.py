@@ -33,17 +33,12 @@ from repro.types import NodeId
 #: Bound on memoised parameter tuples; each entry is a few hundred bytes.
 PARAMETER_CACHE_ENTRIES = 4096
 
-_parameter_cache = MinCutCache(max_entries=PARAMETER_CACHE_ENTRIES)
+_parameter_cache = MinCutCache(max_entries=PARAMETER_CACHE_ENTRIES, name="instance_parameters")
 
 
 def instance_parameter_cache_stats() -> Dict[str, object]:
     """Hit/miss statistics of the instance-parameter memo."""
     return _parameter_cache.stats()
-
-
-def clear_instance_parameter_cache() -> None:
-    """Drop all memoised instance parameters (tests, workload switches)."""
-    _parameter_cache.clear()
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Three layers:
 * :mod:`repro.engine.spec` — :class:`ExperimentSpec` cross-products
   topologies × adversary strategies × payload sizes × ``f`` × protocols into
   concrete cells with deterministic per-cell seeds.
-* :mod:`repro.engine.runner` / :mod:`repro.engine.report` — a supervised
-  ``multiprocessing`` runner that shards cells across workers (respawning
-  crashed workers and quarantining cells that keep killing them), streams one
-  JSONL row per cell, resumes by skipping completed cells, and a reporting
+* :mod:`repro.engine.runner` / :mod:`repro.engine.report` — cells as tasks
+  of the supervised pool and rows of the journal in :mod:`repro.exec` (crashed
+  workers are replaced, cells that keep killing them quarantined, one JSONL
+  row streamed per cell, completed cells skipped on resume), and a reporting
   layer that renders measured throughput against the Eq. 6 / Theorem 2
   bounds.
 

@@ -934,3 +934,9 @@ def clear_kernel_caches() -> None:
     """
     for field in _FIELD_CACHE.values():
         field.clear_kernel_caches()
+
+
+# The one upward import of this layer: the kernel caches join the registry.
+from repro.graph.flow_cache import register_cache  # noqa: E402
+
+register_cache("kernels", "topology", clear_kernel_caches, kernel_cache_stats)

@@ -19,7 +19,7 @@ tests and long-lived processes switching workloads).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Set, Tuple
+from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.maxflow import all_max_flow_values, max_flow_value, max_flow_with_cut
@@ -43,12 +43,48 @@ def graph_signature(graph: NetworkGraph) -> GraphSignature:
     return (tuple(graph.nodes()), tuple(graph.edges()))
 
 
-class MinCutCache:
-    """A bounded LRU cache from hashable flow-query keys to solved values."""
+#: ``name -> (scope, clear, stats)`` of every process-wide cache family.
+_REGISTRY: Dict[str, Tuple[str, Callable[[], None], Callable[[], object]]] = {}
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+
+def register_cache(
+    name: str, scope: str, clear: Callable[[], None], stats: Callable[[], object]
+) -> None:
+    """Enter a process-wide cache family under its ops-surface name.
+
+    ``scope`` is how long its entries stay useful: a ``"topology"`` cache is
+    dropped by a sweep worker moving to the next topology
+    (:func:`clear_scope`), a ``"process"`` cache lives as long as the process.
+    """
+    _REGISTRY[name] = (scope, clear, stats)
+
+
+def clear_scope(scope: str) -> None:
+    """Clear every registered cache of the given scope."""
+    for cache_scope, clear, _stats in _REGISTRY.values():
+        if cache_scope == scope:
+            clear()
+
+
+def all_cache_stats() -> Dict[str, object]:
+    """``{name: stats()}`` of every registered cache — the ops surface."""
+    return {name: stats() for name, (_scope, _clear, stats) in sorted(_REGISTRY.items())}
+
+
+class MinCutCache:
+    """A bounded LRU cache from hashable flow-query keys to solved values;
+    given a ``name`` it registers itself (:func:`register_cache`)."""
+
+    def __init__(
+        self,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        name: Optional[str] = None,
+        scope: str = "topology",
+    ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        if name is not None:
+            register_cache(name, scope, self.clear, self.stats)
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
@@ -127,7 +163,7 @@ class MinCutCache:
         return len(self._entries)
 
 
-_CACHE = MinCutCache()
+_CACHE = MinCutCache(name="mincut")
 
 
 def mincut_cache() -> MinCutCache:

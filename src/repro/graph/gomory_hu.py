@@ -72,7 +72,7 @@ from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.flow_cache import GraphSignature, MinCutCache, graph_signature
+from repro.graph.flow_cache import GraphSignature, MinCutCache, graph_signature, register_cache
 from repro.graph.maxflow import _DinicSolver, _build_solver
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
@@ -127,6 +127,10 @@ def clear_gomory_hu_cache() -> None:
 def gomory_hu_cache_stats() -> Dict[str, object]:
     """Hit/miss counters plus derived rates (the structure-cache stats shape)."""
     return _GH_CACHE.stats()
+
+
+# Registered by hand: clearing must also reset the epoch repair counters.
+register_cache("gomory_hu", "topology", clear_gomory_hu_cache, gomory_hu_cache_stats)
 
 
 def incremental_repair_stats() -> Dict[str, int]:

@@ -164,7 +164,7 @@ def _peel_one_arborescence(
 #: child -> parent maps (never handed out directly: every lookup constructs
 #: fresh :class:`Arborescence` objects, which copy the maps, so cached
 #: packings cannot be mutated through a returned tree).
-_PACK_CACHE = MinCutCache(max_entries=256)
+_PACK_CACHE = MinCutCache(max_entries=256, name="arborescence_packs")
 
 
 def pack_cache_stats() -> Dict[str, object]:

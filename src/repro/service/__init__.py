@@ -10,18 +10,19 @@ long-lived process.  This package is that service layer:
   after every instance.  Sessions are pure functions of their spec, so a
   checkpoint plus the spec determines the rest of the run exactly.
 * :mod:`repro.service.wal` — the crash-safe write-ahead log those checkpoints
-  land in (append + fsync cadence; tmp+fsync+atomic-replace compaction, the
-  PR 6 contract).
-* :mod:`repro.service.pool` — a supervised pool of *persistent* workers with
-  warm per-topology caches, topology-affine dispatch with work stealing,
-  bounded queues with deterministic seeded-lattice load shedding, retry with
-  exponential backoff, and quarantine of poisoned sessions.
+  land in (append + fsync cadence; rewritten through the one atomic writer of
+  :mod:`repro.exec`).
+* :mod:`repro.service.pool` — sessions as tasks of the supervised pool
+  (:func:`repro.exec.run_tasks`): *persistent* workers with warm per-topology
+  caches pulling from one admitted queue, checkpoints streamed as events so a
+  crash retry resumes mid-flight, deterministic seeded-lattice load shedding,
+  retry with exponential backoff, and quarantine of poisoned sessions.
 * :mod:`repro.service.service` — the orchestrator: resume from the output
-  file and the WAL, run the pool, compact canonically.  A SIGKILLed worker or
-  driver resumes every session mid-flight and the completed output file is
-  byte-identical to an uninterrupted run.
+  file (:class:`repro.exec.Journal`) and the WAL, run the pool, settle.  A
+  SIGKILLed worker or driver resumes every session mid-flight and the
+  completed output file is byte-identical to an uninterrupted run.
 * :mod:`repro.service.metrics` — the ops surface: throughput/latency
-  counters, queue depths, cache hit rates, snapshot/restore counts, exported
+  counters, backpressure, cache statistics, snapshot/restore counts, exported
   as ``<out>.status.json`` and via ``python -m repro.service --status``.
 * :mod:`repro.service.workload` — deterministic session workload generation
   (mixed topologies and adversaries) for benchmarks and the chaos harness.

@@ -26,12 +26,8 @@ import os
 import sys
 
 from repro.exceptions import ConfigurationError
-from repro.service.service import (
-    BroadcastSessionService,
-    ServiceConfig,
-    quarantine_path_for,
-    status_path_for,
-)
+from repro.exec import quarantine_path_for
+from repro.service.service import BroadcastSessionService, ServiceConfig, status_path_for
 from repro.service.session import FAULT_FREE
 from repro.service.workload import generate_sessions
 
@@ -78,11 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (1 = serial, default)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=32,
-        help="per-worker dispatch queue bound (default: 32)",
+        help="worker processes pulling from one admitted queue "
+             "(1 = serial in-process, default)",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=1,
@@ -102,16 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shed-soft-limit", type=int, default=None,
-        help="queued-session level where deterministic load shedding starts "
-             "(default: shedding disabled)",
+        help="level of admitted, unfinished sessions where deterministic load "
+             "shedding starts (default: shedding disabled)",
     )
     parser.add_argument(
         "--shed-hard-limit", type=int, default=1 << 30,
-        help="queued-session level where the dispatcher backpressures",
+        help="level of admitted, unfinished sessions where the dispatcher "
+             "stops admitting until one finishes (backpressure)",
     )
     parser.add_argument(
         "--fresh", action="store_true",
-        help="ignore existing results and WAL; recompute every session",
+        help="ignore existing results, WAL and quarantine file; recompute "
+             "every session",
     )
     return parser
 
@@ -147,7 +142,6 @@ def _print_status(out_path: str) -> int:
     print(
         f"throughput: {rate_text}  mean latency: {mean_text}"
         f"  backpressure waits: {degradation.get('backpressure_waits')}"
-        f"  steals: {degradation.get('work_steals')}"
     )
     degraded = bool(sessions.get("quarantined")) or bool(
         status.get("stale_quarantined_sessions")
@@ -191,7 +185,6 @@ def main(argv=None) -> int:
         name=args.name,
         out_path=args.out,
         workers=args.workers,
-        queue_depth=args.queue_depth,
         checkpoint_every=args.checkpoint_every,
         fsync_every=args.fsync_every,
         max_session_retries=args.max_session_retries,

@@ -2,9 +2,9 @@
 
 Everything an operator needs to judge a long-running deployment at a glance:
 admission and completion counters, retry/quarantine tallies, snapshot and
-restore counts, queue depths, work-steal counts, per-session latency
-aggregates, and the hit rates of every warm cache (topology contexts, min-cut
-structure cache, GF kernel operand caches with their byte budgets).
+restore counts, backpressure waits, per-session latency aggregates, and the
+statistics of every registered cache (topology contexts, structure caches, GF
+kernel operand caches with their byte budgets).
 
 :meth:`ServiceMetrics.to_jsonable` is the schema persisted to
 ``<out>.status.json`` and printed by ``python -m repro.service --status``;
@@ -15,7 +15,9 @@ canonical session rows, which must stay byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from repro.graph.flow_cache import all_cache_stats
 
 
 def rss_bytes() -> Optional[int]:
@@ -31,25 +33,13 @@ def rss_bytes() -> Optional[int]:
 
 
 def process_cache_sample() -> Dict[str, object]:
-    """One process's warm-cache and memory sample (worker or serial driver).
+    """One process's memory and warm-cache sample (worker or serial driver).
 
-    Imported lazily so metrics stay constructible in processes that never
-    touched the protocol stack.  ``kernels`` carries each budgeted cache's
-    ``budget_bytes`` alongside its occupancy — the numbers the flat-memory
-    regression pins.
+    Every registered cache family reports under its own name; ``kernels``
+    carries each budgeted cache's ``budget_bytes`` alongside its occupancy —
+    the numbers the flat-memory regression pins.
     """
-    from repro.core.parameters import instance_parameter_cache_stats
-    from repro.gf.field import kernel_cache_stats
-    from repro.graph.flow_cache import cache_stats as mincut_cache_stats
-    from repro.service.session import topology_context_stats
-
-    return {
-        "topology_contexts": topology_context_stats(),
-        "instance_parameters": instance_parameter_cache_stats(),
-        "mincut": mincut_cache_stats(),
-        "kernels": kernel_cache_stats(),
-        "rss_bytes": rss_bytes(),
-    }
+    return {**all_cache_stats(), "rss_bytes": rss_bytes()}
 
 
 @dataclass
@@ -66,16 +56,15 @@ class ServiceMetrics:
         sessions_retried: Distinct sessions retried after a worker death.
         sessions_quarantined: Sessions abandoned after the retry budget.
         snapshots_written: WAL snapshot rows appended.
-        backpressure_waits: Times the dispatcher found every queue full and
-            had to wait for capacity.
-        work_steals: Sessions a worker took from another worker's queue.
+        backpressure_waits: Times the dispatcher stopped offering (hard
+            limit reached or the admitted queue full) behind unfinished work.
         instances_executed: NAB instances run across all sessions this run.
         wall_seconds: Wall-clock duration of the run's execution phase.
         latency_seconds_total / latency_seconds_max / latency_count:
             Per-session wall latency aggregate (submission to row).
-        queue_depths: Final per-worker queue depths (index = worker).
-        cache_stats: Warm-cache statistics captured at the end of the run
-            (topology contexts, min-cut cache, kernel caches with budgets).
+        cache_stats: :func:`process_cache_sample` at the end of the run; in
+            pooled mode the warm caches live in the workers, whose samples
+            (reported at shutdown) are attached under ``"workers"``.
     """
 
     sessions_submitted: int = 0
@@ -88,13 +77,11 @@ class ServiceMetrics:
     sessions_quarantined: int = 0
     snapshots_written: int = 0
     backpressure_waits: int = 0
-    work_steals: int = 0
     instances_executed: int = 0
     wall_seconds: float = 0.0
     latency_seconds_total: float = 0.0
     latency_seconds_max: float = 0.0
     latency_count: int = 0
-    queue_depths: List[int] = field(default_factory=list)
     cache_stats: Dict[str, object] = field(default_factory=dict)
 
     def record_latency(self, seconds: float) -> None:
@@ -116,19 +103,6 @@ class ServiceMetrics:
             return None
         return self.latency_seconds_total / self.latency_count
 
-    def capture_cache_stats(
-        self, worker_samples: Optional[List[Dict[str, object]]] = None
-    ) -> None:
-        """Sample this process's warm caches into :attr:`cache_stats`.
-
-        ``worker_samples`` — the per-worker samples persistent workers report
-        on shutdown — are attached under ``"workers"``; in pooled mode the
-        warm caches live *there*, not in the supervisor.
-        """
-        self.cache_stats = process_cache_sample()
-        if worker_samples is not None:
-            self.cache_stats["workers"] = list(worker_samples)
-
     def to_jsonable(self) -> Dict[str, object]:
         """The ops-metrics schema written to ``<out>.status.json``."""
         return {
@@ -143,11 +117,7 @@ class ServiceMetrics:
                 "quarantined": self.sessions_quarantined,
             },
             "snapshots": {"written": self.snapshots_written},
-            "degradation": {
-                "backpressure_waits": self.backpressure_waits,
-                "work_steals": self.work_steals,
-                "queue_depths": list(self.queue_depths),
-            },
+            "degradation": {"backpressure_waits": self.backpressure_waits},
             "throughput": {
                 "instances_executed": self.instances_executed,
                 "wall_seconds": self.wall_seconds,

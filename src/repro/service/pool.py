@@ -1,45 +1,35 @@
-"""The supervised session pool: persistent workers, affinity, degradation.
+"""The session pool: admission policy and session tasks over :mod:`repro.exec`.
 
-This generalises the engine runner's crash-tolerant pool (PR 6) from one-shot
-sweep workers to a long-lived service:
+The supervision itself — persistent workers on private pipes, a death
+attributed to exactly one in-flight session, retry with backoff, quarantine —
+is :func:`repro.exec.run_tasks`.  This module adds what is the service's own:
 
-* **Persistent workers.**  Each worker owns a private duplex pipe and serves
-  many sessions, keeping its per-topology contexts and budgeted kernel /
-  structure caches warm across sessions — the latency win a long-running
-  service exists for.  Death (pipe EOF) is still attributable to exactly one
-  in-flight session.
-* **Snapshot streaming.**  While executing, a worker streams checkpoint rows
-  (``("snapshot", row)``) back through its pipe before the final
-  ``("done", row)``; the single-threaded supervisor appends them to the
-  write-ahead log.  A worker SIGKILLed mid-session therefore leaves its
-  latest checkpoint durable, and the retry resumes from it instead of
-  starting over.
-* **Topology-affine dispatch with work stealing.**  Sessions are enqueued on
-  the worker whose last session shared their topology (bounded per-worker
-  queues); an idle worker with an empty queue steals from the longest queue,
-  so affinity never causes starvation.
-* **Graceful degradation.**  When every queue is full the dispatcher waits
-  (a backpressure counter records it); under configured overload the
-  :class:`AdmissionController` sheds sessions *deterministically* — a
-  SHA-256 lattice point derived from the session id decides, so which
-  sessions are sheddable is a pure function of identity, not of scheduling
-  noise.  Sessions whose worker died are retried with exponential backoff and
-  quarantined after ``max_session_retries`` retries: one poisoned session
-  never stalls the pool.
+* **Sessions as tasks.**  A worker streams a session's checkpoint rows as
+  events before its final row; the supervisor appends each to the write-ahead
+  log and swaps it into the task's request, so a worker SIGKILLed mid-session
+  leaves its latest checkpoint durable and the retry resumes from it instead
+  of starting over.  Workers serve many sessions and keep their topology
+  contexts and budgeted kernel / structure caches warm across them — the
+  latency win a long-running service exists for.
+* **Graceful degradation.**  Idle workers pull from one admitted queue.  The
+  :class:`AdmissionController` is consulted once per offered session with the
+  number of admitted sessions not yet finished: at the hard limit it holds
+  (a backpressure counter records it); in the soft band it sheds
+  *deterministically* — a SHA-256 lattice point derived from the session id
+  decides, so which sessions are sheddable is a pure function of identity,
+  not of scheduling noise.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import multiprocessing
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.exec import ADMIT, DROP, HOLD, Task, crash_evidence, run_tasks
 from repro.service.metrics import ServiceMetrics, process_cache_sample
 from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec, run_session
 
@@ -95,41 +85,32 @@ class AdmissionController:
 
 
 @dataclass
-class PoolTask:
-    """One session's journey through the pool."""
+class PoolTask(Task):
+    """One session's journey through the pool.
 
-    spec: SessionSpec
-    snapshot: Optional[Dict[str, object]] = None
-    attempts: int = 0
-    exitcodes: List[Optional[int]] = field(default_factory=list)
-    submitted_at: float = 0.0
+    ``request`` is ``(spec, snapshot)``: the session and the resume point its
+    next attempt starts from (``None`` starts it fresh).
+    """
 
+    spec: Optional[SessionSpec] = None
+    snapshot: InitVar[Optional[Dict[str, object]]] = None
 
-def quarantine_row(task: PoolTask) -> Dict[str, object]:
-    """The JSONL row describing a quarantined session (PR 6 idiom)."""
-    row: Dict[str, object] = {"schema": SESSION_SCHEMA_VERSION}
-    row.update(task.spec.to_jsonable())
-    row["attempts"] = task.attempts
-    row["worker_exitcodes"] = list(task.exitcodes)
-    row["error"] = (
-        f"WorkerCrash: worker process died {task.attempts} time(s) "
-        "executing this session"
-    )
-    return row
+    def __post_init__(self, snapshot: Optional[Dict[str, object]]) -> None:
+        self.request = (self.spec, snapshot)
 
 
 def execute_session(
-    spec: SessionSpec,
-    snapshot: Optional[Dict[str, object]],
-    checkpoint: Optional[Callable[[Dict[str, object]], None]],
     checkpoint_every: int,
+    request: Tuple[SessionSpec, Optional[Dict[str, object]]],
+    checkpoint: Callable[[Dict[str, object]], None],
 ) -> Dict[str, object]:
-    """Run one session, folding deterministic failures into an error row.
+    """The pool's handler: run one session, its checkpoints streamed as events.
 
     Only process death is a pool-level event; a session that raises (bad
     topology, protocol violation) yields a row with its ``error`` field set,
     exactly like the engine runner's cells, so the pool keeps draining.
     """
+    spec, snapshot = request
     try:
         return run_session(
             spec,
@@ -145,65 +126,12 @@ def execute_session(
         return row
 
 
-def _service_worker_main(conn: Connection, checkpoint_every: int) -> None:
-    """Persistent-worker child: serve sessions off ``conn`` until told to stop.
-
-    Request: ``(spec_jsonable, snapshot_or_None)``.  Response stream: zero or
-    more ``("snapshot", row)`` checkpoints followed by one ``("done", row)``.
-    A ``None`` request is the shutdown signal, answered with one
-    ``("stats", sample)`` — the worker's warm-cache and RSS sample for the
-    ops surface — before exiting.  Warm caches (topology contexts, kernel
-    operand caches, structure caches) live for the worker's whole life —
-    that is the point of persistence; every one of them is budget- or
-    entry-bounded, so memory stays flat.
-    """
-    try:
-        while True:
-            try:
-                request = conn.recv()
-            except (EOFError, OSError):
-                return
-            if request is None:
-                try:
-                    conn.send(("stats", process_cache_sample()))
-                except (OSError, ValueError):
-                    pass
-                return
-            spec_data, snapshot = request
-            spec = SessionSpec.from_jsonable(spec_data)
-            row = execute_session(
-                spec,
-                snapshot,
-                checkpoint=lambda row: conn.send(("snapshot", row)),
-                checkpoint_every=checkpoint_every,
-            )
-            conn.send(("done", row))
-    finally:
-        conn.close()
-
-
-class _WorkerSlot:
-    """Supervisor-side state of one persistent worker."""
-
-    def __init__(self, queue_depth: int) -> None:
-        self.conn: Optional[Connection] = None
-        self.process = None
-        self.queue: Deque[PoolTask] = deque()
-        self.queue_depth = queue_depth
-        self.busy: Optional[PoolTask] = None
-        self.last_topology: Optional[str] = None
-
-    def has_room(self) -> bool:
-        return len(self.queue) < self.queue_depth
-
-
 def run_pool(
     tasks: Sequence[PoolTask],
     workers: int,
     emit: Callable[[Dict[str, object], PoolTask], None],
     wal_append: Callable[[Dict[str, object]], None],
     metrics: ServiceMetrics,
-    queue_depth: int = 32,
     checkpoint_every: int = 1,
     max_session_retries: int = 2,
     retry_backoff: float = 0.5,
@@ -215,11 +143,11 @@ def run_pool(
     Args:
         tasks: The sessions to run (with any resume snapshots attached).
         workers: Pool size; ``<= 1`` runs serially in-process (checkpoints
-            still stream to the WAL, so a killed *driver* resumes too).
+            still stream to the WAL, so a killed *driver* resumes too; with
+            no queue there is nothing to shed).
         emit: Called with each completed row and its task (single-threaded).
         wal_append: Called with each streamed snapshot row (single-threaded).
         metrics: Counters updated in place.
-        queue_depth: Bound of each worker's supervisor-side queue.
         checkpoint_every: Instances between checkpoints within a session.
         max_session_retries: Crash-retry budget per session before quarantine.
         retry_backoff: Base seconds before a crashed session's retry
@@ -232,220 +160,62 @@ def run_pool(
     """
     if admission is None:
         admission = AdmissionController()
-    pool_started = time.perf_counter()
+    started = time.perf_counter()
 
-    def shed(task: PoolTask) -> None:
+    def admit(task: PoolTask, unfinished: int) -> str:
+        if unfinished >= admission.hard_limit:
+            return HOLD
+        if admission.admits(task.spec.session_id, unfinished):
+            return ADMIT
         metrics.sessions_shed += 1
         if on_shed is not None:
             on_shed(task.spec)
+        return DROP
 
-    if workers <= 1:
-        return _run_serial(tasks, emit, wal_append, metrics, checkpoint_every)
-
-    ctx = multiprocessing.get_context()
-    slots = [_WorkerSlot(queue_depth) for _ in range(workers)]
-
-    def spawn(slot: _WorkerSlot) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=_service_worker_main,
-            args=(child_conn, checkpoint_every),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        slot.conn = parent_conn
-        slot.process = process
-
-    def reap(slot: _WorkerSlot) -> Optional[int]:
-        process, conn = slot.process, slot.conn
-        slot.process, slot.conn = None, None
-        if conn is not None:
-            conn.close()
-        if process is None:
-            return None
-        process.join()
-        return process.exitcode
-
-    for slot in slots:
-        spawn(slot)
-
-    offered: Deque[PoolTask] = deque(tasks)
-    retried: set = set()
-    quarantined: List[Dict[str, object]] = []
-    #: Latest streamed snapshot per in-flight session: the resume point a
-    #: crash retry uses (strictly newer than anything loaded from the WAL).
-    latest_snapshot: Dict[str, Dict[str, object]] = {}
-
-    def total_queued() -> int:
-        return sum(len(slot.queue) for slot in slots) + sum(
-            1 for slot in slots if slot.busy is not None
-        )
-
-    def enqueue_ready() -> None:
-        """Admit/shed offered sessions into bounded queues until full."""
-        stalled = False
-        while offered:
-            queued = total_queued()
-            if queued >= admission.hard_limit:
-                stalled = True
-                break
-            task = offered[0]
-            if task.attempts == 0 and not admission.admits(
-                task.spec.session_id, queued
-            ):
-                offered.popleft()
-                shed(task)
-                continue
-            preferred = None
-            for slot in slots:
-                if slot.has_room() and slot.last_topology == task.spec.topology:
-                    preferred = slot
-                    break
-            if preferred is None:
-                with_room = [slot for slot in slots if slot.has_room()]
-                if not with_room:
-                    stalled = True
-                    break
-                preferred = min(with_room, key=lambda slot: len(slot.queue))
-            offered.popleft()
-            task.submitted_at = time.perf_counter()
-            preferred.queue.append(task)
-        if stalled and any(slot.busy is not None for slot in slots):
-            metrics.backpressure_waits += 1
-
-    def next_task_for(slot: _WorkerSlot) -> Optional[PoolTask]:
-        """The slot's own queue first; else steal from the longest queue."""
-        if slot.queue:
-            return slot.queue.popleft()
-        victim = max(slots, key=lambda other: len(other.queue))
-        if victim.queue:
-            metrics.work_steals += 1
-            # Steal from the tail: the head preserves the victim's affinity.
-            return victim.queue.pop()
-        return None
-
-    def dispatch() -> None:
-        for slot in slots:
-            while slot.busy is None:
-                task = next_task_for(slot)
-                if task is None:
-                    break
-                snapshot = latest_snapshot.get(task.spec.session_id, task.snapshot)
-                try:
-                    slot.conn.send((task.spec.to_jsonable(), snapshot))
-                except (OSError, ValueError):
-                    # Died while idle: the session was never attempted, so it
-                    # goes back unharmed and the worker is replaced.
-                    slot.queue.appendleft(task)
-                    reap(slot)
-                    spawn(slot)
-                    continue
-                slot.busy = task
-                slot.last_topology = task.spec.topology
-
-    try:
-        while offered or any(slot.queue for slot in slots) or any(
-            slot.busy is not None for slot in slots
-        ):
-            enqueue_ready()
-            dispatch()
-            busy_conns = {slot.conn: slot for slot in slots if slot.busy is not None}
-            if not busy_conns:
-                continue
-            for conn in _connection_wait(list(busy_conns)):
-                slot = busy_conns[conn]
-                task = slot.busy
-                try:
-                    kind, row = conn.recv()
-                except (EOFError, OSError):
-                    # Death mid-session (OOM kill, SIGKILL, segfault): the
-                    # streamed checkpoints are already in the WAL, so the
-                    # retry resumes from the latest one instead of replaying
-                    # the whole session.
-                    slot.busy = None
-                    task.attempts += 1
-                    task.exitcodes.append(reap(slot))
-                    spawn(slot)
-                    if task.attempts > max_session_retries:
-                        quarantined.append(quarantine_row(task))
-                        metrics.sessions_quarantined += 1
-                        latest_snapshot.pop(task.spec.session_id, None)
-                    else:
-                        retried.add(task.spec.session_id)
-                        metrics.sessions_retried = len(retried)
-                        if retry_backoff > 0:
-                            time.sleep(retry_backoff * 2 ** (task.attempts - 1))
-                        if task.spec.session_id in latest_snapshot:
-                            metrics.sessions_restored += 1
-                        offered.append(task)
-                    continue
-                if kind == "snapshot":
-                    latest_snapshot[task.spec.session_id] = row
-                    wal_append(row)
-                    metrics.snapshots_written += 1
-                    continue
-                slot.busy = None
-                latest_snapshot.pop(task.spec.session_id, None)
-                metrics.record_latency(time.perf_counter() - task.submitted_at)
-                _account_completion(metrics, row, task)
-                emit(row, task)
-    finally:
-        metrics.queue_depths = [len(slot.queue) for slot in slots]
-        worker_samples: List[Dict[str, object]] = []
-        for slot in slots:
-            if slot.conn is not None:
-                try:
-                    slot.conn.send(None)
-                    if slot.conn.poll(5):
-                        kind, sample = slot.conn.recv()
-                        if kind == "stats":
-                            worker_samples.append(sample)
-                except (OSError, ValueError, EOFError):
-                    pass
-                slot.conn.close()
-            if slot.process is not None:
-                slot.process.join(timeout=5)
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join()
-        metrics.capture_cache_stats(worker_samples)
-        metrics.wall_seconds = time.perf_counter() - pool_started
-    return len(retried), quarantined
-
-
-def _account_completion(metrics, row, task) -> None:
-    """Settle the completion counters for one finished session row."""
-    metrics.sessions_completed += 1
-    if row.get("error") is not None:
-        metrics.sessions_failed += 1
-    else:
-        metrics.instances_executed += task.spec.instances
-
-
-def _run_serial(
-    tasks: Sequence[PoolTask],
-    emit: Callable[[Dict[str, object], PoolTask], None],
-    wal_append: Callable[[Dict[str, object]], None],
-    metrics: ServiceMetrics,
-    checkpoint_every: int,
-) -> Tuple[int, List[Dict[str, object]]]:
-    """In-process execution: no worker crashes, but driver kills still resume."""
-    serial_started = time.perf_counter()
-
-    def checkpoint(row: Dict[str, object]) -> None:
-        wal_append(row)
+    def on_event(task: PoolTask, snapshot: Dict[str, object]) -> None:
+        # The streamed checkpoint is strictly newer than anything loaded from
+        # the WAL: it is what a crash retry of this session resumes from.
+        task.request = (task.spec, snapshot)
+        wal_append(snapshot)
         metrics.snapshots_written += 1
 
-    for task in tasks:
-        task.submitted_at = time.perf_counter()
-        row = execute_session(
-            task.spec, task.snapshot, checkpoint, checkpoint_every
-        )
-        metrics.record_latency(time.perf_counter() - task.submitted_at)
-        _account_completion(metrics, row, task)
+    def on_retry(task: PoolTask) -> None:
+        if task.request[1] is not None:
+            metrics.sessions_restored += 1
+
+    def on_done(task: PoolTask, row: Dict[str, object]) -> None:
+        metrics.record_latency(time.perf_counter() - task.admitted_at)
+        metrics.sessions_completed += 1
+        if row.get("error") is not None:
+            metrics.sessions_failed += 1
+        else:
+            metrics.instances_executed += task.spec.instances
         emit(row, task)
-    metrics.queue_depths = [0]
-    metrics.capture_cache_stats()
-    metrics.wall_seconds = time.perf_counter() - serial_started
-    return 0, []
+
+    outcome = run_tasks(
+        tasks,
+        workers,
+        functools.partial(execute_session, checkpoint_every),
+        on_done,
+        on_event,
+        retries=max_session_retries,
+        backoff=retry_backoff,
+        admit=admit,
+        on_retry=on_retry,
+        farewell=process_cache_sample,
+    )
+    metrics.sessions_retried = outcome.retried
+    metrics.sessions_quarantined = len(outcome.dead)
+    metrics.backpressure_waits = outcome.holds
+    metrics.cache_stats = process_cache_sample()
+    if workers > 1:
+        metrics.cache_stats["workers"] = outcome.farewells
+    metrics.wall_seconds = time.perf_counter() - started
+    return outcome.retried, [
+        {
+            "schema": SESSION_SCHEMA_VERSION,
+            **task.spec.to_jsonable(),
+            **crash_evidence(task, "session"),
+        }
+        for task in outcome.dead
+    ]

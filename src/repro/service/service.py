@@ -2,18 +2,18 @@
 
 :class:`BroadcastSessionService` ties the pieces together.  A run:
 
-1. **Resumes** from the output file (completed rows are reused, exactly the
-   engine runner's contract: well-formed, schema-matching, error-free rows
-   keyed by session id) and from the write-ahead log (the latest snapshot per
-   in-flight session becomes that session's resume point; shed notices stay
-   sticky).
+1. **Resumes** from the output file (:class:`repro.exec.Journal`, the engine
+   runner's contract: well-formed, schema-matching, error-free rows keyed by
+   session id are reused) and from the write-ahead log (the latest snapshot
+   written by an in-flight session *as submitted now* becomes its resume
+   point; shed notices stay sticky).
 2. **Executes** the pending sessions on the supervised pool
    (:func:`repro.service.pool.run_pool`), streaming one JSONL row per
    completed session to the output file and every checkpoint to the WAL.
-3. **Compacts** the output into canonical submission order with the
-   tmp+fsync+atomic-replace contract, settles the WAL (snapshots of settled
-   sessions are dropped; shed notices are kept), writes the quarantine file,
-   and persists the ops metrics to ``<out>.status.json``.
+3. **Settles**: the journal compacts the output into canonical submission
+   order and settles the quarantine file, the WAL is cut down to its shed
+   notices (snapshots of settled sessions are obsolete), and the ops metrics
+   are persisted to ``<out>.status.json``.
 
 Because session rows are pure functions of their spec and checkpoints restore
 exactly, a run that was SIGKILLed anywhere — worker, driver, mid-write — and
@@ -23,16 +23,19 @@ rerun with the same arguments produces a byte-identical output file.
 from __future__ import annotations
 
 import json
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.exec import (
+    Journal,
+    discard_file,
+    write_atomically,
+    write_rows_atomically,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import AdmissionController, PoolTask, run_pool
-from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec
-from repro.service.wal import WriteAheadLog, load_wal, write_rows_atomically
-from repro.engine.runner import dump_row
+from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec, snapshot_belongs_to
+from repro.service.wal import WriteAheadLog, load_wal
 
 
 @dataclass(frozen=True)
@@ -45,22 +48,21 @@ class ServiceConfig:
             live next to it as ``<out>.wal.jsonl``, ``<out>.quarantine.jsonl``
             and ``<out>.status.json``).
         workers: Pool size; ``1`` runs serially in-process.
-        queue_depth: Bound of each worker's dispatch queue.
         checkpoint_every: Instances between WAL checkpoints within a session.
         fsync_every: WAL fsync cadence (1 = every checkpoint).
         max_session_retries: Crash-retry budget per session.
         retry_backoff: Base seconds of the crash-retry exponential backoff.
         admission_seed: Seed of the deterministic shed lattice.
-        shed_soft_limit: Queued-session level where shedding starts
-            (``None`` disables shedding — the byte-identity configuration).
-        shed_hard_limit: Queued-session level where the dispatcher
-            backpressures instead of enqueueing.
+        shed_soft_limit: Level of admitted, unfinished sessions where
+            shedding starts (``None`` disables it — the byte-identity
+            configuration).
+        shed_hard_limit: Level where the dispatcher backpressures instead of
+            admitting.
     """
 
     name: str = "service"
     out_path: Optional[str] = None
     workers: int = 1
-    queue_depth: int = 32
     checkpoint_every: int = 1
     fsync_every: int = 1
     max_session_retries: int = 2
@@ -115,86 +117,16 @@ def wal_path_for(out_path: str) -> str:
     return out_path + ".wal.jsonl"
 
 
-def quarantine_path_for(out_path: str) -> str:
-    """The quarantine file next to an output file."""
-    return out_path + ".quarantine.jsonl"
-
-
 def status_path_for(out_path: str) -> str:
     """The ops-metrics file next to an output file."""
     return out_path + ".status.json"
 
 
-def _load_completed_rows(
-    path: str, service: str, sessions: Sequence[SessionSpec]
-) -> Tuple[Dict[str, Dict[str, object]], int]:
-    """Reusable completed rows keyed by session id, plus discarded line count.
-
-    The engine runner's resume contract: malformed lines (a truncated tail
-    after a kill), rows of another service/seed and errored rows (retried
-    rather than frozen in) are counted and dropped.
-    """
-    expected = {spec.session_id: spec for spec in sessions}
-    completed: Dict[str, Dict[str, object]] = {}
-    discarded = 0
-    if not os.path.exists(path):
-        return completed, discarded
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                discarded += 1
-                continue
-            if not isinstance(row, dict):
-                discarded += 1
-                continue
-            spec = expected.get(row.get("session_id"))
-            if (
-                spec is not None
-                and row.get("schema") == SESSION_SCHEMA_VERSION
-                and row.get("service") == service
-                and row.get("seed") == spec.seed
-                and row.get("error") is None
-            ):
-                completed[spec.session_id] = row
-            else:
-                discarded += 1
-    return completed, discarded
-
-
-def _ends_with_newline(path: str) -> bool:
-    """Whether the file's last byte is a newline (vacuously true when empty)."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() == 0:
-                return True
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) == b"\n"
-    except OSError:
-        return True
-
-
-def _write_status_atomically(path: str, payload: Dict[str, object]) -> None:
-    """Persist the ops metrics with the tmp+replace contract (ops data only)."""
-    tmp_path = path + ".tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as tmp:
-            json.dump(payload, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+def _shed_notice(spec: SessionSpec) -> Dict[str, object]:
+    """The WAL row that keeps a shed session shed across resumes."""
+    notice: Dict[str, object] = {"kind": "shed", "schema": SESSION_SCHEMA_VERSION}
+    notice.update(spec.to_jsonable())
+    return notice
 
 
 class BroadcastSessionService:
@@ -222,96 +154,63 @@ class BroadcastSessionService:
         metrics = ServiceMetrics()
         metrics.sessions_submitted = len(sessions)
         out_path = config.out_path
-
-        completed: Dict[str, Dict[str, object]] = {}
-        discarded = 0
+        journal = Journal(
+            out_path,
+            "session_id",
+            {
+                spec.session_id: {
+                    "schema": SESSION_SCHEMA_VERSION,
+                    "service": config.name,
+                    "seed": spec.seed,
+                }
+                for spec in sessions
+            },
+            resume,
+        )
+        discarded = journal.discarded
+        wal_path = wal_path_for(out_path) if out_path else None
         snapshots: Dict[str, Dict[str, object]] = {}
         shed_ids: Set[str] = set()
-        if out_path:
-            directory = os.path.dirname(os.path.abspath(out_path))
-            os.makedirs(directory, exist_ok=True)
-            if resume:
-                completed, discarded = _load_completed_rows(
-                    out_path, config.name, sessions
-                )
-                snapshots, shed_ids, wal_discarded = load_wal(
-                    wal_path_for(out_path), schema=SESSION_SCHEMA_VERSION
-                )
-                discarded += wal_discarded
-            else:
-                for stale in (wal_path_for(out_path),):
-                    try:
-                        os.remove(stale)
-                    except FileNotFoundError:
-                        pass
-        metrics.sessions_resumed_from_output = len(completed)
+        if wal_path and resume:
+            snapshots, shed_ids, wal_discarded = load_wal(wal_path, schema=SESSION_SCHEMA_VERSION)
+            discarded += wal_discarded
+        elif wal_path:
+            discard_file(wal_path)
+        metrics.sessions_resumed_from_output = len(journal.completed)
         metrics.sessions_shed = len(shed_ids)
 
         tasks: List[PoolTask] = []
         for spec in sessions:
-            if spec.session_id in completed or spec.session_id in shed_ids:
+            if spec.session_id in journal.completed or spec.session_id in shed_ids:
                 continue
             snapshot = snapshots.get(spec.session_id)
+            if snapshot is not None and not snapshot_belongs_to(spec, snapshot):
+                # Left by a run with another seed, size, f or faulty set under
+                # the same id: not a resume point for this session.
+                snapshot = None
+                discarded += 1
             if snapshot is not None:
                 metrics.sessions_restored += 1
             tasks.append(PoolTask(spec=spec, snapshot=snapshot))
 
-        handle = None
-        wal = None
-        computed: Dict[str, Dict[str, object]] = {}
-        retried = 0
-        quarantine_rows: List[Dict[str, object]] = []
-        started = time.perf_counter()
+        wal = WriteAheadLog(wal_path, fsync_every=config.fsync_every) if wal_path else None
+
+        def wal_append(row: Dict[str, object]) -> None:
+            if wal is not None:
+                wal.append(row)
+
+        def on_shed(spec: SessionSpec) -> None:
+            shed_ids.add(spec.session_id)
+            wal_append(_shed_notice(spec))
+
         try:
-            if out_path:
-                if resume and completed and (
-                    discarded or not _ends_with_newline(out_path)
-                ):
-                    # The file held lines we are not reusing or a partial
-                    # tail: rewrite only the good rows before appending, so
-                    # new rows never glue onto a broken line.
-                    write_rows_atomically(
-                        out_path,
-                        [
-                            completed[spec.session_id]
-                            for spec in sessions
-                            if spec.session_id in completed
-                        ],
-                    )
-                handle = open(
-                    out_path, "a" if (resume and completed) else "w", encoding="utf-8"
-                )
-                wal = WriteAheadLog(
-                    wal_path_for(out_path), fsync_every=config.fsync_every
-                )
-
-            def emit(row: Dict[str, object], task: PoolTask) -> None:
-                computed[task.spec.session_id] = row
-                if handle is not None:
-                    handle.write(dump_row(row) + "\n")
-                    handle.flush()
-
-            def wal_append(row: Dict[str, object]) -> None:
-                if wal is not None:
-                    wal.append(row)
-
-            def on_shed(spec: SessionSpec) -> None:
-                shed_ids.add(spec.session_id)
-                notice: Dict[str, object] = {
-                    "kind": "shed",
-                    "schema": SESSION_SCHEMA_VERSION,
-                }
-                notice.update(spec.to_jsonable())
-                wal_append(notice)
-
-            if tasks:
+            with journal:
                 retried, quarantine_rows = run_pool(
                     tasks,
                     workers=config.workers,
-                    emit=emit,
+                    emit=lambda row, task: journal.append(row),
                     wal_append=wal_append,
                     metrics=metrics,
-                    queue_depth=config.queue_depth,
                     checkpoint_every=config.checkpoint_every,
                     max_session_retries=config.max_session_retries,
                     retry_backoff=config.retry_backoff,
@@ -322,125 +221,49 @@ class BroadcastSessionService:
                     ),
                     on_shed=on_shed,
                 )
-            else:
-                metrics.capture_cache_stats()
         finally:
-            if handle is not None:
-                handle.close()
             if wal is not None:
                 wal.close()
-        metrics.wall_seconds = time.perf_counter() - started
-        metrics.sessions_retried = retried
 
-        available = dict(completed)
-        available.update(computed)
-        rows = [
-            available[spec.session_id]
-            for spec in sessions
-            if spec.session_id in available
-        ]
-
-        quarantine_path = None
-        stale_quarantined = 0
+        rows = journal.settle(quarantine_rows)
         status_path = None
         if out_path:
-            # Compact to canonical submission order: fresh and resumed runs
-            # of the same workload produce byte-identical files.
-            write_rows_atomically(out_path, rows)
             # Settle the WAL: snapshots of settled sessions are obsolete;
             # shed notices survive so shed decisions stay sticky.
             if shed_ids:
-                notices: List[Dict[str, object]] = []
-                for spec in sessions:
-                    if spec.session_id in shed_ids:
-                        notice = {
-                            "kind": "shed",
-                            "schema": SESSION_SCHEMA_VERSION,
-                        }
-                        notice.update(spec.to_jsonable())
-                        notices.append(notice)
-                write_rows_atomically(wal_path_for(out_path), notices)
-            else:
-                try:
-                    os.remove(wal_path_for(out_path))
-                except FileNotFoundError:
-                    pass
-
-            candidate = quarantine_path_for(out_path)
-            if quarantine_rows:
-                write_rows_atomically(candidate, quarantine_rows)
-                quarantine_path = candidate
-            elif os.path.exists(candidate):
-                stale_quarantined = self._settle_stale_quarantine(
-                    candidate, available
+                write_rows_atomically(
+                    wal_path,
+                    [_shed_notice(spec) for spec in sessions if spec.session_id in shed_ids],
                 )
-                if stale_quarantined:
-                    quarantine_path = candidate
-
+            else:
+                discard_file(wal_path)
             status_path = status_path_for(out_path)
-            _write_status_atomically(
-                status_path,
-                {
-                    "service": config.name,
-                    "out_path": out_path,
-                    "total_sessions": len(sessions),
-                    "settled_sessions": len(rows),
-                    "quarantine_path": quarantine_path,
-                    "stale_quarantined_sessions": stale_quarantined,
-                    "metrics": metrics.to_jsonable(),
-                },
+            status = {
+                "service": config.name,
+                "out_path": out_path,
+                "total_sessions": len(sessions),
+                "settled_sessions": len(rows),
+                "quarantine_path": journal.quarantine_path,
+                "stale_quarantined_sessions": journal.stale_quarantined,
+                "metrics": metrics.to_jsonable(),
+            }
+            write_atomically(
+                status_path, [json.dumps(status, indent=2, sort_keys=True), "\n"]
             )
 
         return ServiceSummary(
             service=config.name,
             rows=rows,
-            computed_sessions=len(computed),
-            skipped_sessions=len(completed),
+            computed_sessions=len(journal.computed),
+            skipped_sessions=len(journal.completed),
             shed_sessions=len(shed_ids),
             total_sessions=len(sessions),
             out_path=out_path,
             discarded_rows=discarded,
             retried_sessions=retried,
             quarantined_sessions=len(quarantine_rows),
-            quarantine_path=quarantine_path,
-            stale_quarantined_sessions=stale_quarantined,
+            quarantine_path=journal.quarantine_path,
+            stale_quarantined_sessions=journal.stale_quarantined,
             status_path=status_path,
             metrics=metrics,
         )
-
-    @staticmethod
-    def _settle_stale_quarantine(
-        candidate: str, available: Dict[str, Dict[str, object]]
-    ) -> int:
-        """Handle a quarantine file left by a *prior* run.
-
-        Sessions it names that are now completed are vindicated; if every one
-        is, the file is removed.  Any session still unaccounted for keeps the
-        file in place and is counted, so stale quarantines are reported, never
-        silently ignored.
-        """
-        stale = 0
-        try:
-            with open(candidate, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError:
-                        stale += 1
-                        continue
-                    if not isinstance(row, dict):
-                        stale += 1
-                        continue
-                    if row.get("session_id") not in available:
-                        stale += 1
-        except OSError:
-            return 0
-        if stale == 0:
-            try:
-                os.remove(candidate)
-            except FileNotFoundError:
-                pass
-        return stale

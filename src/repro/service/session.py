@@ -28,6 +28,7 @@ from repro.core.instance import InstanceResult, instance_result_from_jsonable
 from repro.core.nab import NABRunResult, NetworkAwareBroadcast
 from repro.exceptions import ProtocolError
 from repro.graph.connectivity import meets_connectivity_requirement
+from repro.graph.flow_cache import MinCutCache
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import FaultModel
 from repro.types import NodeId
@@ -130,10 +131,9 @@ class SessionSpec:
 
 #: Per-process warm topology contexts keyed ``(topology, source, max_faults)``:
 #: the frozen graph with preconditions already checked.  Persistent workers
-#: keep these across sessions — the whole point of a long-running pool.
-_TOPOLOGY_CONTEXTS: Dict[Tuple[str, NodeId, int], NetworkGraph] = {}
-_CONTEXT_HITS = 0
-_CONTEXT_MISSES = 0
+#: keep these across sessions — the whole point of a long-running pool — so
+#: the scope is ``"process"``; the LRU bound keeps a long life flat.
+_TOPOLOGY_CONTEXTS = MinCutCache(max_entries=256, name="topology_contexts", scope="process")
 
 
 def warm_graph(topology_name: str, source: NodeId, max_faults: int) -> NetworkGraph:
@@ -147,13 +147,10 @@ def warm_graph(topology_name: str, source: NodeId, max_faults: int) -> NetworkGr
         ProtocolError: if the topology violates ``n >= 3f + 1`` or
             connectivity ``>= 2f + 1`` (checked once, on the miss).
     """
-    global _CONTEXT_HITS, _CONTEXT_MISSES
     key = (topology_name, source, max_faults)
-    graph = _TOPOLOGY_CONTEXTS.get(key)
+    graph = _TOPOLOGY_CONTEXTS.lookup(key)
     if graph is not None:
-        _CONTEXT_HITS += 1
         return graph
-    _CONTEXT_MISSES += 1
     graph = topology(topology_name)
     if not graph.has_node(source):
         raise ProtocolError(f"source {source} is not a node of {topology_name}")
@@ -167,25 +164,18 @@ def warm_graph(topology_name: str, source: NodeId, max_faults: int) -> NetworkGr
             f"{topology_name}: connectivity below 2f + 1 = {2 * max_faults + 1}"
         )
     graph = graph if graph.is_frozen else graph.copy().freeze()
-    _TOPOLOGY_CONTEXTS[key] = graph
+    _TOPOLOGY_CONTEXTS.store(key, graph)
     return graph
 
 
-def topology_context_stats() -> Dict[str, int]:
-    """``{"entries", "hits", "misses"}`` of the warm topology context cache."""
-    return {
-        "entries": len(_TOPOLOGY_CONTEXTS),
-        "hits": _CONTEXT_HITS,
-        "misses": _CONTEXT_MISSES,
-    }
+def topology_context_stats() -> Dict[str, object]:
+    """``entries`` / ``hits`` / ``misses`` (and rates) of the warm contexts."""
+    return _TOPOLOGY_CONTEXTS.stats()
 
 
 def clear_topology_contexts() -> None:
     """Drop every warm context (memory hygiene / test isolation)."""
-    global _CONTEXT_HITS, _CONTEXT_MISSES
     _TOPOLOGY_CONTEXTS.clear()
-    _CONTEXT_HITS = 0
-    _CONTEXT_MISSES = 0
 
 
 # ----------------------------------------------------------------- execution
@@ -210,6 +200,17 @@ def snapshot_row(
     row["results"] = [result.to_jsonable() for result in results]
     row["pending_inputs"] = [value.hex() for value in pending_inputs]
     return row
+
+
+def snapshot_belongs_to(spec: SessionSpec, snapshot: Dict[str, object]) -> bool:
+    """Whether ``snapshot`` was written by exactly this session.
+
+    A session id names neither the seed nor the payload size, instance count,
+    ``f`` or faulty set, so every spec field is compared: state restored from
+    a session that merely shares the id would yield a row no run of ``spec``
+    produces.
+    """
+    return all(snapshot.get(name) == value for name, value in spec.to_jsonable().items())
 
 
 def session_row(spec: SessionSpec, run: NABRunResult, inputs: Sequence[bytes]) -> Dict[str, object]:
@@ -249,8 +250,9 @@ def run_session(
         property the chaos harness pins down end to end.
 
     Raises:
-        ProtocolError: if ``snapshot`` belongs to a different session or is
-            inconsistent with the spec.
+        ProtocolError: if ``snapshot`` was written by a session with any
+            other spec field (:func:`snapshot_belongs_to`) or is inconsistent
+            in itself.
     """
     inputs = spec.inputs()
     graph = warm_graph(spec.topology, spec.source, spec.max_faults)
@@ -265,10 +267,10 @@ def run_session(
     results: List[InstanceResult] = []
     pending: List[bytes] = list(inputs)
     if snapshot is not None:
-        if snapshot.get("session_id") != spec.session_id:
+        if not snapshot_belongs_to(spec, snapshot):
             raise ProtocolError(
-                f"snapshot belongs to session {snapshot.get('session_id')!r}, "
-                f"not {spec.session_id!r}"
+                f"snapshot of session {snapshot.get('session_id')!r} was not "
+                f"written by {spec.session_id!r} as specified now"
             )
         nab.restore_state(dict(snapshot["state"]))
         results = [

@@ -1,58 +1,23 @@
 """The service's crash-safe write-ahead log.
 
-Checkpoints (and shed notices) are appended as one canonical JSON line each —
-``json.dumps(..., sort_keys=True, separators=(",", ":"))``, the engine
-runner's row serialisation — with a configurable fsync cadence, so a SIGKILL
+Checkpoints (and shed notices) are appended as one canonical JSON line each
+(:func:`repro.exec.dump_row`) with a configurable fsync cadence, so a SIGKILL
 at any instant loses at most the un-fsynced tail and never corrupts earlier
-rows.  Loading tolerates exactly that tail: malformed or truncated lines are
-counted and dropped, never fatal.
+rows.  Loading tolerates exactly that tail (:func:`repro.exec.read_jsonl`):
+malformed or truncated lines are counted and dropped, never fatal.
 
 The latest snapshot per session wins (the log is append-only, so later lines
-supersede earlier ones), mirroring how the engine runner's resume keeps the
-last well-formed row per cell.  Atomic full-file replacement follows the
-PR 6 compaction contract: write a temp file, fsync it, ``os.replace``, then
-best-effort fsync the directory.
+supersede earlier ones), mirroring how the journal keeps the last well-formed
+row per key.  Full-file replacement is :func:`repro.exec.write_atomically`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.engine.runner import dump_row
-
-
-def write_rows_atomically(path: str, rows: Sequence[Dict[str, object]]) -> None:
-    """Replace ``path`` with one canonical JSON line per row, crash-safely.
-
-    A kill at any instant leaves either the old file or the complete new one,
-    never a truncated mix; a failed write cleans up its temp file.
-    """
-    tmp_path = path + ".tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as tmp:
-            for row in rows:
-                tmp.write(dump_row(row) + "\n")
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
+from repro.exec import dump_row, read_jsonl
+from repro.exec import write_rows_atomically  # noqa: F401 - the WAL's rewrite, re-exported
 
 
 class WriteAheadLog:
@@ -74,7 +39,6 @@ class WriteAheadLog:
         self.fsync_every = fsync_every
         self._handle = None
         self._since_fsync = 0
-        self.appended = 0
 
     def append(self, row: Dict[str, object]) -> None:
         """Append one row, flushing always and fsyncing on the cadence."""
@@ -84,7 +48,6 @@ class WriteAheadLog:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(dump_row(row) + "\n")
         self._handle.flush()
-        self.appended += 1
         self._since_fsync += 1
         if self._since_fsync >= self.fsync_every:
             os.fsync(self._handle.fileno())
@@ -98,14 +61,6 @@ class WriteAheadLog:
             self._handle.close()
             self._handle = None
             self._since_fsync = 0
-
-    def remove(self) -> None:
-        """Close and delete the log — every session it covered is settled."""
-        self.close()
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -129,35 +84,24 @@ def load_wal(
         of sessions recorded as load-shed (shedding is sticky across resumes:
         a shed session stays shed rather than flapping back in); ``discarded``
         counts dropped lines (truncated tails, malformed rows, schema
-        mismatches).
+        mismatches).  Whether a snapshot still belongs to the session now
+        carrying its id is the caller's check
+        (:func:`repro.service.session.snapshot_belongs_to`).
     """
     snapshots: Dict[str, Dict[str, object]] = {}
     shed_ids: Set[str] = set()
-    discarded = 0
-    if not os.path.exists(path):
-        return snapshots, shed_ids, discarded
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                discarded += 1
-                continue
-            if not isinstance(row, dict):
-                discarded += 1
-                continue
-            if schema is not None and row.get("schema") != schema:
-                discarded += 1
-                continue
-            kind = row.get("kind")
-            session_id = row.get("session_id")
-            if kind == "snapshot" and isinstance(session_id, str):
-                snapshots[session_id] = row
-            elif kind == "shed" and isinstance(session_id, str):
-                shed_ids.add(session_id)
-            else:
-                discarded += 1
+    rows, discarded = read_jsonl(path)
+    for row in rows:
+        kind = row.get("kind")
+        session_id = row.get("session_id")
+        if not isinstance(session_id, str) or (
+            schema is not None and row.get("schema") != schema
+        ):
+            discarded += 1
+        elif kind == "snapshot":
+            snapshots[session_id] = row
+        elif kind == "shed":
+            shed_ids.add(session_id)
+        else:
+            discarded += 1
     return snapshots, shed_ids, discarded

@@ -26,7 +26,6 @@ from repro.engine import (
     summarize_rows,
 )
 from repro.engine.protocol import _REGISTRY
-from repro.engine.runner import _write_rows_atomically
 from repro.engine.spec import cell_seed
 from repro.exceptions import ConfigurationError
 
@@ -442,54 +441,20 @@ class TestCrashTolerantWorkers:
         assert os.path.exists(out + ".quarantine.jsonl")
 
 
-class TestCrashSafeCompaction:
-    def test_kill_between_write_and_rename_preserves_the_file(
-        self, tmp_path, monkeypatch
-    ):
-        path = str(tmp_path / "rows.jsonl")
-        _write_rows_atomically(path, [{"a": 1}, {"b": 2}])
-        before = _read_bytes(path)
-
-        # Simulate a SIGKILL landing mid-compaction: the fsync (the last step
-        # before the rename) never returns.
-        def killed(fd):
-            raise KeyboardInterrupt("killed mid-compaction")
-
-        monkeypatch.setattr(os, "fsync", killed)
-        with pytest.raises(KeyboardInterrupt):
-            _write_rows_atomically(path, [{"c": 3}])
-        assert _read_bytes(path) == before
-        assert not os.path.exists(path + ".tmp")
-
-    def test_tmp_file_is_fsynced_before_the_rename(self, tmp_path, monkeypatch):
-        events = []
-        real_fsync, real_replace = os.fsync, os.replace
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))[1]
-        )
-        monkeypatch.setattr(
-            os,
-            "replace",
-            lambda src, dst: (events.append("replace"), real_replace(src, dst))[1],
-        )
-        path = str(tmp_path / "rows.jsonl")
-        _write_rows_atomically(path, [{"a": 1}])
-        # File-content fsync strictly precedes the rename (the trailing fsync
-        # is the best-effort directory sync).
-        assert events[0] == "fsync"
-        assert "replace" in events
-        assert events.index("fsync") < events.index("replace")
-
-    def test_failed_write_cleans_up_its_tmp_file(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "rows.jsonl")
-
-        class Unserialisable:
-            pass
-
-        with pytest.raises(TypeError):
-            _write_rows_atomically(path, [{"bad": Unserialisable()}])
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+    def test_fresh_run_ignores_a_leftover_quarantine_file(self, tmp_path):
+        out = str(tmp_path / "rows.jsonl")
+        quarantine = out + ".quarantine.jsonl"
+        with open(quarantine, "w", encoding="utf-8") as handle:
+            handle.write('{"cell_id": "somebody|else"}\n')
+        # Resumed, the foreign line is kept and reported ...
+        resumed = run_spec(SMALL_SPEC, out_path=out, workers=1, limit=1)
+        assert resumed.stale_quarantined_cells == 1
+        assert resumed.quarantine_path == quarantine
+        # ... but resume=False means fresh: it goes with the output file.
+        fresh = run_spec(SMALL_SPEC, out_path=out, workers=1, limit=1, resume=False)
+        assert fresh.stale_quarantined_cells == 0
+        assert fresh.quarantine_path is None
+        assert not os.path.exists(quarantine)
 
 
 class TestCli:

@@ -446,5 +446,58 @@ class TestServiceOrchestration:
         assert metrics["snapshots"]["written"] == 6
         assert metrics["throughput"]["sessions_per_minute"] > 0
         assert metrics["latency"]["count"] == 3
-        assert "topology_contexts" in metrics["caches"]
-        assert "mincut" in metrics["caches"]
+        # Every registered cache family reports, not a hand-picked four.
+        assert {
+            "topology_contexts", "instance_parameters", "mincut", "kernels",
+            "gomory_hu", "arborescence_packs", "relay_paths", "rank_verdicts",
+            "rss_bytes",
+        } <= set(metrics["caches"])
+        assert set(metrics["degradation"]) == {"backpressure_waits"}
+
+    def test_snapshot_left_by_another_seed_is_not_a_resume_point(self, tmp_path):
+        # Session ids do not contain the seed: restoring seed 1's state into
+        # the seed 2 session persisted a row with validity_ok false for a
+        # fault-free source — a fabricated specification violation.
+        def session(seed):
+            (spec,) = generate_sessions(
+                1, topologies=("k4-fast",), payload_bytes=2, instances=3,
+                seed=seed, service="svc",
+            )
+            return spec
+
+        checkpoints = []
+        run_session(session(1), checkpoint=checkpoints.append)
+        out = str(tmp_path / "sessions.jsonl")
+        with WriteAheadLog(wal_path_for(out)) as wal:
+            wal.append(checkpoints[-1])
+        summary = BroadcastSessionService(
+            ServiceConfig(name="svc", out_path=out)
+        ).run([session(2)])
+        assert summary.metrics.sessions_restored == 0
+        assert summary.discarded_rows == 1
+        assert summary.rows[0]["record"]["validity_ok"] is True
+        fresh = str(tmp_path / "fresh.jsonl")
+        BroadcastSessionService(
+            ServiceConfig(name="svc", out_path=fresh)
+        ).run([session(2)])
+        assert _read_bytes(out) == _read_bytes(fresh)
+
+    def test_fresh_run_ignores_a_leftover_quarantine_file(self, tmp_path, capsys):
+        from repro.service.__main__ import main
+
+        out = str(tmp_path / "sessions.jsonl")
+        quarantine = out + ".quarantine.jsonl"
+        write_rows_atomically(quarantine, [{"session_id": "somebody/else"}])
+        sessions = _workload(2)
+        config = ServiceConfig(name="pool-test", out_path=out, workers=1)
+        # Resumed, the foreign line is kept and reported ...
+        resumed = BroadcastSessionService(config).run(sessions)
+        assert resumed.stale_quarantined_sessions == 1
+        assert main(["--status", "--out", out]) == 1
+        # ... but --fresh means fresh: it goes with the output and the WAL.
+        fresh = BroadcastSessionService(config).run(sessions, resume=False)
+        assert fresh.stale_quarantined_sessions == 0
+        assert fresh.quarantine_path is None
+        assert not os.path.exists(quarantine)
+        assert main(["--status", "--out", out]) == 0
+        assert "health: ok" in capsys.readouterr().out

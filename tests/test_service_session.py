@@ -105,6 +105,18 @@ class TestSnapshotRestoreProperty:
             run_session(spec, snapshot=checkpoints[0])
 
 
+    def test_snapshot_of_the_same_id_under_another_seed_is_rejected(self):
+        # The id names neither seed nor size: every spec field must match.
+        spec = _spec("k4-fast", FAULT_FREE)
+        checkpoints = []
+        run_session(spec, checkpoint=checkpoints.append)
+        for change in ({"seed": spec.seed + 1}, {"payload_bytes": 3}, {"instances": 5}):
+            other = type(spec)(**{**spec.__dict__, **change})
+            assert other.session_id == spec.session_id
+            with pytest.raises(ProtocolError):
+                run_session(other, snapshot=checkpoints[0])
+
+
 class TestDisputeStateSerialisation:
     def test_round_trip_preserves_knowledge(self):
         state = DisputeState(2)
