@@ -46,8 +46,9 @@ def main() -> None:
     speedup = float(records["classical-flooding"].elapsed) / float(records["nab"].elapsed)
     print()
     print(f"NAB is {speedup:.1f}x faster on this workload; the gap grows with the request size")
-    print("and with the capacity ratio between fast and slow links (see the")
-    print("bench_nab_vs_classical benchmark for the sweep).")
+    print("and with the capacity ratio between fast and slow links (see")
+    print("tests/test_paper_claims.py::test_section1_classical_is_arbitrarily_worse_than_nab")
+    print("for the sweep).")
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ Performance notes:
     inner loops and construct results through a trusted (validation-free)
     internal constructor, which makes matrix products and Gaussian
     elimination over table-backed fields an order of magnitude faster than
-    the polynomial path (see ``benchmarks/bench_gf_kernels.py``).  Degrees
-    above 16 run on the big-field kernels: carry-less multiplication through
-    a kernel backend (below), linear-time squaring, chunked modular
-    reduction against a per-field reduction table, and an inlined
-    extended-Euclid inverse (see ``benchmarks/bench_large_field.py``).  The
+    the polynomial path, and bit-for-bit equal to it
+    (``tests/test_gf_matrix_regression.py``).  Degrees above 16 run on the
+    big-field kernels: carry-less multiplication through a kernel backend
+    (below), linear-time squaring, chunked modular reduction against a
+    per-field reduction table, and an inlined extended-Euclid inverse
+    (``tests/test_big_field_kernels.py``).  The
     original bit-serial polynomial arithmetic is retained on every field as
     the correctness oracle for tests.
 

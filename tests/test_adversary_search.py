@@ -73,6 +73,21 @@ def test_kill_and_resume_is_byte_identical_to_uninterrupted(tmp_path):
     assert _read(str(reference)) == _read(str(resumed))
 
 
+def test_fixed_budget_search_finds_the_worst_case(tmp_path):
+    # The adversary_zoo grid's worst cell (the composed strategy) forces 4
+    # dispute-control executions on this arena; every hand-written strategy
+    # forces 1.  Seed 0 first reaches 4 at iteration 29.
+    out = tmp_path / "search.jsonl"
+    summary = run_search(
+        TOPOLOGY, objective="dispute-control", budget=30, seed=0,
+        out_path=str(out), max_faults=2, resume=False,
+    )
+    assert summary.iterations == 30
+    assert summary.best_score == 4
+    scores = [Fraction(json.loads(line)["objective_value"]) for line in out.read_text().splitlines()]
+    assert scores.index(Fraction(4)) == 29
+
+
 def test_resume_ignores_rows_from_a_different_search(tmp_path):
     out = tmp_path / "search.jsonl"
     run_search(TOPOLOGY, budget=1, seed=0, out_path=str(out), max_faults=2,

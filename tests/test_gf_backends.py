@@ -122,6 +122,21 @@ class TestBackendConformance:
             ], (name, length)
 
 
+@pytest.mark.parametrize("degree", (4096, 8192))
+def test_batched_encodes_agree_at_huge_payload_degrees(degree):
+    # The coding-shaped encode every batched backend carries for the
+    # huge_payloads grid, against the windowed per-symbol loop.
+    rng = random.Random(7100 + degree)
+    oracle = GF2m(degree, kernel_backend="windowed")
+    entries = [[oracle.random_element(rng) for _ in range(4)] for _ in range(2)]
+    vector = [oracle.random_element(rng) for _ in range(2)]
+    expected = GFMatrix(oracle, entries).vecmat_loop(vector)
+    for name in BACKENDS:
+        if name != "bitserial":  # declines vecmat: it would rerun the windowed scan
+            field = GF2m(degree, kernel_backend=name)
+            assert GFMatrix(field, entries).vecmat(vector) == expected, name
+
+
 class TestRegistry:
     def test_exactly_the_shipped_backends_registered(self):
         assert backends.backend_names() == ["bitserial", "native", "numpy", "windowed"]

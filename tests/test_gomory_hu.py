@@ -173,6 +173,34 @@ class TestDecrementalRepair:
             assert tree.min_weight() == gomory_hu_tree(smaller).min_weight()
             current = smaller
 
+    def test_torus_repair_counters_are_pinned(self):
+        # 12x12 torus, its first 24 link pairs removed in sorted order: every
+        # step equals a full rebuild, and the repair outcomes are exact.
+        graph = torus_2d(12, 12)
+        pairs = sorted(
+            {frozenset((t, h)) for t, h, _ in graph.edges()},
+            key=lambda p: tuple(sorted(p)),
+        )[:24]
+        graphs = [graph]
+        for pair in pairs:
+            graphs.append(graphs[-1].remove_links_between([pair]))
+        rebuilt = [gomory_hu_tree(smaller).min_weight() for smaller in graphs[1:]]
+        clear_gomory_hu_cache()
+        tree = gomory_hu_tree(graph)
+        repaired = []
+        for step, pair in enumerate(pairs):
+            a, b = sorted(pair)
+            tree = repair_tree_after_pair_removal(graphs[step], tree, graphs[step + 1], a, b)
+            repaired.append(tree.min_weight())
+        assert repaired == rebuilt
+        stats = incremental_repair_stats()
+        assert {key: stats[key] for key in ("pairs", "adjusted", "certified", "resolved")} == {
+            "pairs": 24,
+            "adjusted": 429,
+            "certified": 2860,
+            "resolved": 143,
+        }
+
     def test_repair_counters_account_every_tree_edge(self):
         clear_gomory_hu_cache()
         graph = _symmetric_random(12, 21, min_connectivity=3)

@@ -270,6 +270,28 @@ class TestReliableNetworkArq:
             network.send(edge[0], edge[1], b"x", rng.randint(1, 16), f"p{index % 3}")
         assert network.elapsed_time() == network.accountant.total_elapsed()
 
+    @pytest.mark.parametrize("factor", [0, Fraction(1, 10), Fraction(1, 2), 1, 2])
+    def test_bit_ledger_is_clean_plus_retransmits(self, graph, factor):
+        # Faults only ever add accounted wire copies: at every loss rate the
+        # lossy total is the clean total plus retransmit_bits, and at rate 0
+        # the ARQ layer costs nothing at all.
+        def drive(network):
+            edges = sorted(graph.edge_set())
+            for index in range(2000):
+                tail, head = edges[index % len(edges)]
+                network.send(tail, head, b"x", 1 + index % 16, f"phase-{index % 8}")
+            return network
+
+        clean = drive(ScheduledNetwork(graph))
+        lossy = drive(ReliableNetwork(graph, fault_plan=fault_plan("drop-10pct").scaled(factor)))
+        stats = lossy.reliability_stats()
+        assert lossy.total_bits() == clean.total_bits() + stats["retransmit_bits"]
+        assert lossy.elapsed_time() == lossy.accountant.total_elapsed()
+        assert (stats["retransmit_bits"] == 0) == (factor == 0)
+        if factor == 0:
+            assert stats["timeout_time"] == "0"
+            assert lossy.elapsed_time() == clean.elapsed_time()
+
 
 class TestProtocolsOverLossyLinks:
     @pytest.mark.parametrize("protocol_name", ["nab", "classical-flooding"])

@@ -75,12 +75,23 @@ class TestFaultFreeSteadyState:
     def test_pipelining_beats_sequential_on_deep_topology(self):
         # 64-byte payloads on the depth-3 pipeline: the measured speedup is
         # an exact rational and deterministic, comfortably above 1.2x at 8
-        # instances (the full >= 1.5x gate runs in BENCH_pipelined_nab at
-        # 16 instances on the depth-4 pipeline).
+        # instances (the >= 1.5x claim is pinned on the depth-4 pipeline
+        # below).
         nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
         result = nab.run_pipelined(_inputs(8, length=64))
         assert result.sequential_elapsed > result.total_elapsed
         assert result.speedup >= Fraction(13, 10)
+
+    def test_deep_pipeline_speedup_is_exact(self):
+        # Q = 16 instances of 128 B on the depth-4 pipeline, both runs on the
+        # simulated clock: the ~1.58x speedup is a constant of the code.
+        inputs = [
+            bytes(((7 * index + offset) % 255) + 1 for offset in range(128))
+            for index in range(16)
+        ]
+        result = NetworkAwareBroadcast(topology("pipeline-4x3"), 1, 1).run_pipelined(inputs)
+        assert result.total_elapsed == result.analytic.total_time
+        assert result.speedup == Fraction(17536, 11077)
 
     def test_speedup_grows_with_instances(self):
         speedups = []
