@@ -195,10 +195,8 @@ class DisputeState:
                 exactly two distinct nodes, or a negative ``max_faults``).
         """
         state = cls(int(data["max_faults"]))
-        state.add_disputes(
-            frozenset(pair) for pair in data.get("disputes", ())
-        )
-        for node in data.get("known_faulty", ()):
+        state.add_disputes(frozenset(pair) for pair in data["disputes"])
+        for node in data["known_faulty"]:
             state.mark_faulty(node)
         return state
 

@@ -138,9 +138,11 @@ def instance_result_from_jsonable(data: Dict[str, object]) -> InstanceResult:
     restored from a write-ahead snapshot aggregates its completed instances
     into a :class:`repro.types.RunRecord` byte-identical to an uninterrupted
     run's.  Outputs are accepted as hex strings (the current rendering) or as
-    the JSON integers older snapshots hold.
+    JSON integers.  Every key is required: a payload written before one of
+    them existed raises here, and the session service discards such a
+    snapshot and runs its session fresh rather than guess the missing value.
     """
-    parameters = data.get("parameters")
+    parameters = data["parameters"]
     return InstanceResult(
         instance=int(data["instance"]),
         outputs={
@@ -155,7 +157,7 @@ def instance_result_from_jsonable(data: Dict[str, object]) -> InstanceResult:
                 time_units=Fraction(timing["time_units"]),
                 bits_sent=int(timing["bits_sent"]),
             )
-            for timing in data.get("phase_timings", ())
+            for timing in data["phase_timings"]
         ),
         parameters=None
         if parameters is None
@@ -166,14 +168,14 @@ def instance_result_from_jsonable(data: Dict[str, object]) -> InstanceResult:
             rho=int(parameters["rho"]),
         ),
         dispute_control_ran=bool(data["dispute_control_ran"]),
-        new_disputes=tuple(frozenset(pair) for pair in data.get("new_disputes", ())),
-        newly_identified_faulty=tuple(data.get("newly_identified_faulty", ())),
+        new_disputes=tuple(frozenset(pair) for pair in data["new_disputes"]),
+        newly_identified_faulty=tuple(data["newly_identified_faulty"]),
         mismatch_announced=bool(data["mismatch_announced"]),
         link_bits={
             tuple(int(part) for part in edge.split("->")): bits
-            for edge, bits in data.get("link_bits", {}).items()
+            for edge, bits in data["link_bits"].items()
         },
-        phase1_depth=data.get("phase1_depth"),
+        phase1_depth=data["phase1_depth"],
     )
 
 

@@ -11,17 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dispute_state import DisputeState
-from repro.core.instance import InstanceResult, NABInstance, summarize_instances
+from repro.core.instance import (
+    InstanceResult,
+    NABInstance,
+    instance_result_from_jsonable,
+    summarize_instances,
+)
 from repro.core.pipeline import PipelinedNABResult, run_pipelined
 from repro.transport.network import NetworkFactory
 from repro.exceptions import ProtocolError
-from repro.graph.connectivity import meets_connectivity_requirement
+from repro.graph.connectivity import resilience_violation
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import FaultModel
 from repro.types import NodeId, RunRecord, broadcast_spec_flags
+
+#: The per-instance hook of :meth:`NetworkAwareBroadcast.run`.
+Checkpoint = Callable[[Dict[str, object]], None]
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,6 @@ class NetworkAwareBroadcast:
             Defaults to no faults.
         coding_seed: Public seed for the coding matrices (part of the
             algorithm specification).
-        validate_connectivity: Set to ``False`` to skip the (vertex-
-            connectivity) precondition check, e.g. for deliberately invalid
-            networks in experiments.
         network_factory: Builds the transport each instance runs on; defaults
             to the zero-delay :class:`repro.transport.network.SynchronousNetwork`.
             Pass a :class:`repro.transport.scheduled.ScheduledNetwork` factory
@@ -113,7 +118,6 @@ class NetworkAwareBroadcast:
         max_faults: int,
         fault_model: FaultModel | None = None,
         coding_seed: int = 0,
-        validate_connectivity: bool = True,
         network_factory: NetworkFactory | None = None,
         recorder=None,
     ) -> None:
@@ -121,20 +125,14 @@ class NetworkAwareBroadcast:
             raise ProtocolError(f"source {source} is not a node of the network")
         if max_faults < 0:
             raise ProtocolError(f"max_faults must be non-negative, got {max_faults}")
-        node_count = graph.node_count()
-        if node_count < 3 * max_faults + 1:
-            raise ProtocolError(
-                f"n={node_count} violates n >= 3f + 1 for f={max_faults}"
-            )
-        if validate_connectivity and not meets_connectivity_requirement(graph, max_faults):
-            raise ProtocolError(
-                f"network connectivity is below 2f + 1 = {2 * max_faults + 1}"
-            )
+        violation = resilience_violation(graph, max_faults)
+        if violation is not None:
+            raise ProtocolError(violation)
         self.graph = graph if graph.is_frozen else graph.copy().freeze()
         self.source = source
         self.max_faults = max_faults
         self.fault_model = fault_model if fault_model is not None else FaultModel()
-        self.fault_model.validate_for(node_count, max_faults)
+        self.fault_model.validate_for(graph.node_count(), max_faults)
         self.coding_seed = coding_seed
         self.network_factory = network_factory
         #: Optional :class:`repro.analysis.forensics.ForensicRecorder`; when
@@ -167,11 +165,41 @@ class NetworkAwareBroadcast:
         self._instances_run += 1
         return result
 
-    def run(self, values: Sequence[bytes]) -> NABRunResult:
-        """Run one instance per value and aggregate timings and throughput."""
+    def run(
+        self,
+        values: Sequence[bytes],
+        snapshot: Optional[Mapping[str, object]] = None,
+        checkpoint: Optional[Checkpoint] = None,
+    ) -> NABRunResult:
+        """Run one instance per value and aggregate timings and throughput.
+
+        The one instance loop and aggregation of NAB, fresh or resumed.
+        ``checkpoint`` is called after every instance but the last with the
+        JSON-safe ``state`` (:meth:`snapshot_state`), completed ``results``
+        and hex ``pending_inputs``; passed back as ``snapshot`` with the same
+        ``values``, such a payload resumes the run exactly.
+
+        Raises:
+            ProtocolError: if no values are given, or ``snapshot`` is
+                malformed or inconsistent with its state or ``values``.
+        """
         if not values:
             raise ProtocolError("at least one value is required")
-        results = [self.run_instance(value) for value in values]
+        results: List[InstanceResult] = []
+        if snapshot is not None:
+            self.dispute_state, self._instances_run, results = parse_checkpoint(
+                snapshot, self.max_faults, len(values)
+            )
+        for value in values[len(results):]:
+            results.append(self.run_instance(value))
+            if checkpoint is not None and len(results) < len(values):
+                checkpoint(
+                    {
+                        "state": self.snapshot_state(),
+                        "results": [result.to_jsonable() for result in results],
+                        "pending_inputs": [pending.hex() for pending in values[len(results):]],
+                    }
+                )
         total_elapsed = sum((result.elapsed for result in results), Fraction(0))
         total_bits = sum(result.bits_sent for result in results)
         if total_elapsed > 0:
@@ -189,14 +217,19 @@ class NetworkAwareBroadcast:
             ),
         )
 
-    def run_record(self, values: Sequence[bytes]) -> RunRecord:
-        """Run one instance per value and return the shared :class:`RunRecord`.
+    def run_record(
+        self,
+        values: Sequence[bytes],
+        snapshot: Optional[Mapping[str, object]] = None,
+        checkpoint: Optional[Checkpoint] = None,
+    ) -> RunRecord:
+        """:meth:`run`, returned as the shared :class:`RunRecord`.
 
         This is the entry point the experiment engine's protocol registry
         calls; :meth:`run` remains available when per-instance detail
         (:class:`InstanceResult`) is needed.
         """
-        run = self.run(values)
+        run = self.run(values, snapshot, checkpoint)
         return run.as_run_record(values, self.fault_model.is_faulty(self.source))
 
     def run_pipelined(self, values: Sequence[bytes]) -> PipelinedNABResult:
@@ -236,31 +269,42 @@ class NetworkAwareBroadcast:
             "dispute_state": self.dispute_state.to_jsonable(),
         }
 
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Adopt a state previously captured by :meth:`snapshot_state`.
-
-        The next :meth:`run_instance` call continues exactly where the
-        captured run stopped: same instance index, same dispute state, so its
-        outputs and bit counts equal the uninterrupted run's.
-
-        Raises:
-            ProtocolError: if the snapshot was taken with a different
-                ``max_faults`` or claims a negative instance index.
-        """
-        restored = DisputeState.from_jsonable(state["dispute_state"])
-        if restored.max_faults != self.max_faults:
-            raise ProtocolError(
-                f"snapshot was taken with max_faults={restored.max_faults}, "
-                f"this run uses {self.max_faults}"
-            )
-        instances_run = int(state["instances_run"])
-        if instances_run < 0:
-            raise ProtocolError(
-                f"snapshot claims a negative instance index {instances_run}"
-            )
-        self.dispute_state = restored
-        self._instances_run = instances_run
-
     def current_instance_graph(self) -> NetworkGraph:
         """The graph ``G_k`` the next instance would run on."""
         return self.dispute_state.instance_graph(self.graph)
+
+
+def parse_checkpoint(
+    snapshot: Mapping[str, object], max_faults: int, instances: int
+) -> Tuple[DisputeState, int, List[InstanceResult]]:
+    """The dispute state, next instance index and completed results of a
+    :meth:`NetworkAwareBroadcast.run` checkpoint, for a run of ``instances``
+    values at ``max_faults``: what a resumed run adopts, so its next instance
+    continues exactly where the captured run stopped.
+
+    Raises:
+        ProtocolError: if any of the three restore parsers refuses the
+            snapshot (a malformed or older-layout payload), or its state and
+            results disagree with each other or with the run.
+    """
+    try:
+        state = snapshot["state"]
+        dispute_state = DisputeState.from_jsonable(state["dispute_state"])
+        instances_run = state["instances_run"]
+        results = [instance_result_from_jsonable(data) for data in snapshot["results"]]
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
+    if dispute_state.max_faults != max_faults:
+        raise ProtocolError(
+            f"snapshot was taken with max_faults={dispute_state.max_faults}, "
+            f"this run uses {max_faults}"
+        )
+    if type(instances_run) is not int or instances_run < 0:
+        raise ProtocolError(f"snapshot claims instance index {instances_run!r}")
+    stored = [result.instance for result in results]
+    if stored != list(range(instances_run)) or len(results) > instances:
+        raise ProtocolError(
+            f"inconsistent snapshot: state says {instances_run} instance(s) "
+            f"ran, results are of instances {stored}, the run has {instances}"
+        )
+    return dispute_state, instances_run, results

@@ -328,9 +328,8 @@ def run_pipelined(nab, values: Sequence[bytes]) -> PipelinedNABResult:
     Raises:
         ProtocolError: if no values are given.
     """
-    if not values:
-        raise ProtocolError("at least one value is required")
-    results = [nab.run_instance(value) for value in values]
+    run = nab.run(values)
+    results = run.instances
     stages = [_stages_of(result) for result in results]
     dispute_ran = [result.dispute_control_ran for result in results]
 
@@ -347,17 +346,16 @@ def run_pipelined(nab, values: Sequence[bytes]) -> PipelinedNABResult:
         for name in (timing.name,)
         if name[0] == "stage"
     )
-    total_bits = sum(result.bits_sent for result in results)
     payload_bits = sum(8 * len(value) for value in values)
     throughput = Fraction(payload_bits) / total_elapsed if total_elapsed > 0 else None
     round_overhead, analytic = _steady_state(results, stages, values)
     return PipelinedNABResult(
-        instances=tuple(results),
+        instances=results,
         total_elapsed=total_elapsed,
         sequential_elapsed=sequential_elapsed,
-        total_bits=total_bits,
+        total_bits=run.total_bits,
         throughput=throughput,
-        dispute_control_executions=sum(1 for ran in dispute_ran if ran),
+        dispute_control_executions=run.dispute_control_executions,
         depth=stages[-1].depth,
         round_length=stages[-1].round_length,
         round_overhead=round_overhead,

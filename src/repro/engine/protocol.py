@@ -108,13 +108,18 @@ def _check_execution(params: Mapping[str, object], protocol: "Protocol") -> bool
 
     Raises:
         ConfigurationError: if pipelined execution is requested but the
-            protocol does not declare :attr:`Protocol.supports_pipelined`.
+            protocol does not declare :attr:`Protocol.supports_pipelined`, or
+            a ``"snapshot"`` / ``"checkpoint"`` reaches a checkpoint-free run.
     """
     pipelined = params.get("execution", "sequential") == "pipelined"
     if pipelined and not protocol.supports_pipelined:
         raise ConfigurationError(
             f"protocol {protocol.name!r} does not support pipelined execution"
         )
+    resumable = protocol.supports_checkpoints and not pipelined
+    if not resumable and ("snapshot" in params or "checkpoint" in params):
+        execution = "pipelined" if pipelined else "sequential"
+        raise ConfigurationError(f"{protocol.name!r} is checkpoint-free in {execution} execution")
     return pipelined
 
 
@@ -132,6 +137,10 @@ class Protocol(ABC):
     #: The single source of truth consulted both by the adapters (rejecting
     #: pipelined params) and by grid expansion (skipping pipelined cells).
     supports_pipelined: bool = False
+
+    #: Whether a sequential run honours ``params["snapshot"]`` (resume) and
+    #: ``params["checkpoint"]`` (a per-instance hook); others reject both.
+    supports_checkpoints: bool = False
 
     @abstractmethod
     def run(
@@ -151,7 +160,8 @@ class Protocol(ABC):
             fault_model: Which nodes are Byzantine and their strategy.
             params: Protocol parameters; ``"max_faults"`` is always present,
                 adapters may consume extras (``"coding_seed"``,
-                ``"chunk_bytes"``, ``"execution"``, ``"link_model"``, ...).
+                ``"chunk_bytes"``, ``"execution"``, ``"link_model"``,
+                ``"snapshot"``, ``"checkpoint"``, ...).
         """
 
 
@@ -160,6 +170,7 @@ class NABProtocol(Protocol):
 
     name = "nab"
     supports_pipelined = True
+    supports_checkpoints = True
 
     def run(self, graph, source, inputs, fault_model, params):
         pipelined = _check_execution(params, self)
@@ -175,7 +186,9 @@ class NABProtocol(Protocol):
         if pipelined:
             record = nab.run_pipelined_record(list(inputs))
         else:
-            record = nab.run_record(list(inputs))
+            record = nab.run_record(
+                list(inputs), params.get("snapshot"), params.get("checkpoint")
+            )
         return attach_reliability_stats(record, factory)
 
 

@@ -31,13 +31,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.capacity.bounds import CapacityAnalysis, analyse_network
+from repro.core.nab import Checkpoint
 from repro.engine.protocol import get_protocol
-from repro.engine.spec import Cell, ExperimentSpec
+from repro.engine.spec import Cell, ExperimentSpec, warm_graph
 from repro.exceptions import ConfigurationError
 from repro.exec import Journal, Task, crash_evidence, run_tasks
 from repro.exec import dump_row  # noqa: F401 - re-exported: rows are dumped by the journal
 from repro.graph.flow_cache import MinCutCache, clear_scope
 from repro.sched.faults import fault_plan
+from repro.types import RunRecord
 
 #: Version stamp of the persisted row layout; bump on breaking changes so
 #: resume never mixes incompatible rows.
@@ -73,15 +75,53 @@ def _bounds_jsonable(analysis: CapacityAnalysis) -> Dict[str, object]:
     }
 
 
+def run_cell_record(
+    cell: Cell,
+    snapshot: Optional[Dict[str, object]] = None,
+    checkpoint: Optional[Checkpoint] = None,
+) -> RunRecord:
+    """Run a cell's protocol on its scenario, raising on failure: the one path
+    from cell to record, under sweep rows and session rows alike.  Only a
+    sequential ``nab`` cell takes a ``snapshot`` / ``checkpoint``."""
+    scenario = cell.scenario()
+    params: Dict[str, object] = {
+        "max_faults": cell.max_faults,
+        "coding_seed": cell.seed,
+        "execution": cell.execution,
+    }
+    if cell.link_model != "instant":
+        # The zero-latency scheduled clock is contractually identical to
+        # the plain transport's (see repro.transport.scheduled), so
+        # default cells skip the per-send scheduling bookkeeping entirely.
+        params["link_model"] = cell.link_model
+    if cell.fault_plan != "none":
+        # Any named plan (clean ones included) routes through the ARQ
+        # transport — the clean fast path is contractually bit-identical
+        # to the default transport, and exercising it keeps the zero-rate
+        # byte-identity guarantee honest.  Only "none" itself skips the
+        # per-send bookkeeping entirely, mirroring link_model "instant".
+        params["fault_plan"] = cell.fault_plan
+    if snapshot is not None:
+        params["snapshot"] = snapshot
+    if checkpoint is not None:
+        params["checkpoint"] = checkpoint
+    return get_protocol(cell.protocol).run(
+        scenario.graph,
+        scenario.source,
+        list(scenario.inputs),
+        scenario.fault_model,
+        params,
+    )
+
+
 def run_cell(cell: Cell) -> Dict[str, object]:
     """Execute one cell and return its persisted-row dict.
 
     The row is deterministic: it contains no timestamps or host information,
-    only the cell identity, the protocol's :class:`RunRecord` and the
-    network's analytical bounds.  Protocol failures are captured in an
-    ``"error"`` field instead of aborting the sweep.
+    only the cell identity, the protocol's :class:`RunRecord`
+    (:func:`run_cell_record`) and the network's analytical bounds.  Failures
+    are captured in an ``"error"`` field instead of aborting the sweep.
     """
-    scenario = cell.scenario()
     row: Dict[str, object] = {
         "schema": ROW_SCHEMA_VERSION,
         "spec": cell.spec_name,
@@ -94,7 +134,7 @@ def run_cell(cell: Cell) -> Dict[str, object]:
         "instances": cell.instances,
         "max_faults": cell.max_faults,
         "protocol": cell.protocol,
-        "source": scenario.source,
+        "source": cell.source,
         "execution": cell.execution,
         "link_model": cell.link_model,
     }
@@ -109,10 +149,10 @@ def run_cell(cell: Cell) -> Dict[str, object]:
         # pre-existing byte layout.
         row["strategy_params"] = cell.strategy_params
     try:
-        memo_key = (cell.topology, scenario.source, cell.max_faults)
+        memo_key = (cell.topology, cell.source, cell.max_faults)
         analysis = _ANALYSIS_MEMO.lookup(memo_key)
         if analysis is None:
-            analysis = analyse_network(scenario.graph, scenario.source, cell.max_faults)
+            analysis = analyse_network(warm_graph(*memo_key), cell.source, cell.max_faults)
             _ANALYSIS_MEMO.store(memo_key, analysis)
         if cell.bounds_only:
             # Analytical cell: gamma*/rho*/Eq. 6/Theorem 2 are the whole
@@ -122,32 +162,7 @@ def run_cell(cell: Cell) -> Dict[str, object]:
             row["bounds"] = _bounds_jsonable(analysis)
             row["error"] = None
             return row
-        protocol = get_protocol(cell.protocol)
-        params: Dict[str, object] = {
-            "max_faults": cell.max_faults,
-            "coding_seed": cell.seed,
-            "execution": cell.execution,
-        }
-        if cell.link_model != "instant":
-            # The zero-latency scheduled clock is contractually identical to
-            # the plain transport's (see repro.transport.scheduled), so
-            # default cells skip the per-send scheduling bookkeeping entirely.
-            params["link_model"] = cell.link_model
-        if cell.fault_plan != "none":
-            # Any named plan (clean ones included) routes through the ARQ
-            # transport — the clean fast path is contractually bit-identical
-            # to the default transport, and exercising it keeps the zero-rate
-            # byte-identity guarantee honest.  Only "none" itself skips the
-            # per-send bookkeeping entirely, mirroring link_model "instant".
-            params["fault_plan"] = cell.fault_plan
-        record = protocol.run(
-            scenario.graph,
-            scenario.source,
-            list(scenario.inputs),
-            scenario.fault_model,
-            params,
-        )
-        row["record"] = record.to_jsonable()
+        row["record"] = run_cell_record(cell).to_jsonable()
         row["bounds"] = _bounds_jsonable(analysis)
         row["error"] = None
     except Exception as exc:  # noqa: BLE001 - sweeps must survive bad cells

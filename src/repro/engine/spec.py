@@ -7,27 +7,31 @@ deterministic seed derived from the spec's base seed and the cell identity, so
 input streams and seeded adversary strategies are bit-for-bit reproducible no
 matter which worker process executes the cell or in what order.
 
-Infeasible grid points (too few nodes for ``n >= 3f + 1``, or network
-connectivity below ``2f + 1``) are filtered out during expansion rather than
-failing at run time, so specs can list topology and fault axes freely.
+Infeasible grid points (too few nodes for ``n >= 3f + 1``, network
+connectivity below ``2f + 1``, or an adversary at ``f = 0``) are filtered out
+during expansion rather than failing at run time, so specs can list topology
+and fault axes freely.  A cell's graph comes from :func:`warm_graph`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.exceptions import ConfigurationError
-from repro.graph.connectivity import meets_connectivity_requirement
+from repro.exceptions import ConfigurationError, ProtocolError
+from repro.graph.connectivity import resilience_violation
+from repro.graph.flow_cache import MinCutCache
+from repro.graph.network_graph import NetworkGraph
 from repro.sched.faults import named_fault_plans
 from repro.sched.links import named_link_models
+from repro.transport.faults import FaultModel
 from repro.types import NodeId
 from repro.workloads.scenarios import (
     Scenario,
-    adversarial_scenario,
-    fault_free_scenario,
+    input_stream,
     make_strategy,
     named_strategies,
     strategy_attacks_source,
@@ -72,10 +76,68 @@ def cell_seed(base_seed: int, cell_id: str) -> int:
     """A deterministic 64-bit seed for one cell, stable across processes.
 
     Derived from a cryptographic hash (not Python's randomised ``hash``) so
-    resumed and parallel runs regenerate identical inputs.
+    resumed and parallel runs regenerate identical inputs.  Sessions derive
+    theirs the same way, from the service seed and the session id.
     """
     digest = hashlib.sha256(f"{base_seed}|{cell_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def faulty_placement(
+    strategy: str, nodes: Sequence[NodeId], source: NodeId, max_faults: int
+) -> Optional[Tuple[NodeId, ...]]:
+    """The default Byzantine set of a grid point or session, sorted.
+
+    Source-attacking strategies corrupt the source plus the ``f - 1``
+    highest-numbered other nodes, every other strategy the ``f``
+    highest-numbered non-source nodes.  ``None`` for an adversary at
+    ``f < 1``, where no node may be faulty.
+    """
+    if strategy == FAULT_FREE:
+        return ()
+    if max_faults < 1:
+        return None
+    others = sorted((node for node in nodes if node != source), reverse=True)
+    if strategy_attacks_source(strategy):
+        return tuple(sorted([source, *others[: max_faults - 1]]))
+    return tuple(sorted(others[:max_faults]))
+
+
+#: Warm topology contexts keyed ``(topology, source, max_faults)``: frozen,
+#: precondition-checked graphs that workers keep across cells and sessions.
+_TOPOLOGY_CONTEXTS = MinCutCache(max_entries=256, name="topology_contexts", scope="process")
+
+
+def warm_graph(topology_name: str, source: NodeId, max_faults: int) -> NetworkGraph:
+    """The frozen graph of a cell or session, built and checked on first use.
+
+    Raises:
+        ProtocolError: if ``source`` is not a node of the topology, or it
+            fails :func:`repro.graph.connectivity.resilience_violation`.
+    """
+    key = (topology_name, source, max_faults)
+    graph = _TOPOLOGY_CONTEXTS.lookup(key)
+    if graph is not None:
+        return graph
+    graph = topology(topology_name)
+    if not graph.has_node(source):
+        raise ProtocolError(f"source {source} is not a node of {topology_name}")
+    violation = resilience_violation(graph, max_faults)
+    if violation is not None:
+        raise ProtocolError(f"{topology_name}: {violation}")
+    graph = graph if graph.is_frozen else graph.copy().freeze()
+    _TOPOLOGY_CONTEXTS.store(key, graph)
+    return graph
+
+
+def topology_context_stats() -> Dict[str, object]:
+    """``entries`` / ``hits`` / ``misses`` (and rates) of the warm contexts."""
+    return _TOPOLOGY_CONTEXTS.stats()
+
+
+def clear_topology_contexts() -> None:
+    """Drop every warm context (memory hygiene / test isolation)."""
+    _TOPOLOGY_CONTEXTS.clear()
 
 
 @dataclass(frozen=True)
@@ -84,7 +146,7 @@ class Cell:
 
     Cells are plain picklable values: the graph and strategy objects are
     (re)built inside whichever worker process executes the cell, via
-    :meth:`scenario`.
+    :meth:`scenario`.  A service session is a cell too.
     """
 
     spec_name: str
@@ -115,29 +177,27 @@ class Cell:
     #: the paper's bounds.
     bounds_only: bool = False
 
+    def inputs(self) -> List[bytes]:
+        """The cell's broadcast values, one per instance, derived from its seed."""
+        return input_stream(random.Random(self.seed), self.instances, self.payload_bytes)
+
     def scenario(self) -> Scenario:
-        """Build the fully specified scenario for this cell."""
+        """Build the fully specified scenario for this cell, on its warm graph."""
         if self.strategy == FAULT_FREE:
-            return fault_free_scenario(
-                topology_name=self.topology,
-                instances=self.instances,
-                value_bytes=self.payload_bytes,
-                max_faults=self.max_faults,
-                seed=self.seed,
-                source=self.source,
-            )
-        params = json.loads(self.strategy_params) if self.strategy_params else {}
-        params.pop("faulty_nodes", None)  # placement, consumed at expansion
-        return adversarial_scenario(
-            topology_name=self.topology,
-            strategy_name=self.strategy,
-            faulty_nodes=self.faulty_nodes,
-            instances=self.instances,
-            value_bytes=self.payload_bytes,
-            max_faults=self.max_faults,
-            seed=self.seed,
+            name, fault_model = FAULT_FREE, FaultModel()
+        else:
+            params = json.loads(self.strategy_params) if self.strategy_params else {}
+            params.pop("faulty_nodes", None)  # placement, consumed at expansion
+            strategy = make_strategy(self.strategy, self.seed, params or None)
+            name, fault_model = strategy.name, FaultModel(self.faulty_nodes, strategy)
+        return Scenario(
+            name=f"{name}/{self.topology}",
+            graph=warm_graph(self.topology, self.source, self.max_faults),
             source=self.source,
-            strategy_params=params or None,
+            max_faults=self.max_faults,
+            fault_model=fault_model,
+            inputs=self.inputs(),
+            seed=self.seed,
         )
 
 
@@ -201,32 +261,13 @@ class ExperimentSpec:
     #: ids (and derived seeds) of ordinary grids are untouched.
     bounds_only: bool = False
 
-    def _faulty_nodes(
-        self, strategy: str, nodes: List[NodeId], max_faults: int
-    ) -> Tuple[NodeId, ...]:
-        """Deterministic faulty-set placement for one cell.
-
-        Source-attacking strategies corrupt the source itself; all others
-        corrupt the ``f`` highest-numbered non-source nodes (the nodes the
-        example gallery traditionally sacrifices).
-        """
-        if strategy == FAULT_FREE:
-            return ()
-        override = self.strategy_params.get(strategy, {}).get("faulty_nodes")
-        if override is not None:
-            return tuple(sorted(override))
-        non_source = [node for node in nodes if node != self.source]
-        if strategy_attacks_source(strategy):
-            extras = sorted(non_source, reverse=True)[: max_faults - 1]
-            return tuple(sorted([self.source] + extras))
-        return tuple(sorted(sorted(non_source, reverse=True)[:max_faults]))
-
     def expand(self) -> List[Cell]:
         """Cross-product every axis into concrete cells, in deterministic order.
 
-        Infeasible combinations (``n < 3f + 1`` or connectivity below
-        ``2f + 1``) are skipped.  Unknown strategy names raise immediately so
-        typos do not silently shrink the grid.
+        Infeasible combinations (``n < 3f + 1``, connectivity below
+        ``2f + 1``, or an adversarial strategy at ``f = 0``) are skipped.
+        Unknown strategy names raise immediately so typos do not silently
+        shrink the grid.
         """
         known = set(named_strategies()) | {FAULT_FREE}
         for strategy in self.strategies:
@@ -291,26 +332,20 @@ class ExperimentSpec:
                     f"available: {', '.join(sorted(known_plans))}"
                 )
         cells: List[Cell] = []
-        feasibility: Dict[Tuple[str, int], bool] = {}
-        node_lists: Dict[str, List[NodeId]] = {}
         for topology_name in self.topologies:
-            if topology_name not in node_lists:
-                node_lists[topology_name] = topology(topology_name).nodes()
+            graph = topology(topology_name)
+            nodes = graph.nodes()
             for max_faults in self.fault_counts:
-                key = (topology_name, max_faults)
-                if key not in feasibility:
-                    graph = topology(topology_name)
-                    feasibility[key] = (
-                        graph.node_count() >= 3 * max_faults + 1
-                        and meets_connectivity_requirement(graph, max_faults)
-                    )
-                if not feasibility[key]:
+                if resilience_violation(graph, max_faults) is not None:
                     continue
                 for strategy in self.strategies:
-                    faulty = self._faulty_nodes(
-                        strategy, node_lists[topology_name], max_faults
-                    )
-                    if not set(faulty) <= set(node_lists[topology_name]):
+                    faulty = faulty_placement(strategy, nodes, self.source, max_faults)
+                    if faulty is None:
+                        continue
+                    override = self.strategy_params.get(strategy, {}).get("faulty_nodes")
+                    if override is not None:
+                        faulty = tuple(sorted(override))
+                    if not set(faulty) <= set(nodes):
                         raise ConfigurationError(
                             f"spec {self.name!r}: faulty_nodes {sorted(faulty)} "
                             f"are not all nodes of topology {topology_name!r}"

@@ -2,9 +2,9 @@
 
 Two requirements of the paper are checked / exercised here:
 
-* a correct BB algorithm exists only if the network connectivity is at least
-  ``2f + 1`` (Fischer–Lynch–Merritt); :func:`vertex_connectivity` and
-  :func:`meets_connectivity_requirement` verify that precondition;
+* a correct BB algorithm exists only if ``n >= 3f + 1`` and the network
+  connectivity is at least ``2f + 1`` (Fischer–Lynch–Merritt):
+  :func:`resilience_violation`, its connectivity half memoised per graph;
 * reliable end-to-end communication between fault-free nodes is emulated by
   sending the same data along ``2f + 1`` vertex-disjoint paths and taking a
   majority at the receiver (Appendix D); :func:`vertex_disjoint_paths`
@@ -20,14 +20,18 @@ number of disjoint paths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import GraphError
+from repro.graph.flow_cache import MinCutCache, graph_signature
 from repro.graph.maxflow import _DinicSolver
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
 _SplitName = Tuple[str, NodeId]
+
+#: ``meets_connectivity_requirement`` verdicts keyed ``(graph_signature, f)``.
+_VERDICTS = MinCutCache(max_entries=256, name="connectivity_verdicts")
 
 
 def _node_split_solver(
@@ -163,11 +167,27 @@ def meets_connectivity_requirement(graph: NetworkGraph, max_faults: int) -> bool
     Decided with the capped threshold check
     (:func:`has_vertex_connectivity_at_least`) rather than the exact
     :func:`vertex_connectivity` — identical answers, but usable as a
-    feasibility filter on 1000-node fabrics.
+    feasibility filter on 1000-node fabrics.  Memoised: spec expansion, warm
+    graphs and NAB's constructor ask it of the same structures.
     """
     if max_faults < 0:
         raise GraphError(f"max_faults must be non-negative, got {max_faults}")
-    return has_vertex_connectivity_at_least(graph, 2 * max_faults + 1)
+    key = (graph_signature(graph), max_faults)
+    verdict = _VERDICTS.lookup(key)
+    if verdict is None:
+        verdict = has_vertex_connectivity_at_least(graph, 2 * max_faults + 1)
+        _VERDICTS.store(key, verdict)
+    return verdict
+
+
+def resilience_violation(graph: NetworkGraph, max_faults: int) -> Optional[str]:
+    """Which of ``n >= 3f + 1`` / connectivity ``>= 2f + 1`` fails, or ``None``."""
+    node_count = graph.node_count()
+    if node_count < 3 * max_faults + 1:
+        return f"n={node_count} violates n >= 3f + 1 for f={max_faults}"
+    if not meets_connectivity_requirement(graph, max_faults):
+        return f"network connectivity is below 2f + 1 = {2 * max_faults + 1}"
+    return None
 
 
 def vertex_disjoint_paths(

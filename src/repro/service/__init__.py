@@ -4,19 +4,17 @@ One sweep at a time (:mod:`repro.engine`) is the experiment posture; a
 production deployment serves *thousands of concurrent NAB sessions* from one
 long-lived process.  This package is that service layer:
 
-* :mod:`repro.service.session` — one session = one :class:`SessionSpec`
-  executed instance by instance, checkpointing its cross-instance state
-  (dispute knowledge, instance index, completed results, pending inputs)
+* :mod:`repro.service.session` — one session = one :class:`SessionSpec`, a
+  sequential ``nab`` cell run through the engine's one path and checkpointed
   after every instance.  Sessions are pure functions of their spec, so a
   checkpoint plus the spec determines the rest of the run exactly.
 * :mod:`repro.service.wal` — the crash-safe write-ahead log those checkpoints
   land in (append + fsync cadence; rewritten through the one atomic writer of
   :mod:`repro.exec`).
 * :mod:`repro.service.pool` — sessions as tasks of the supervised pool
-  (:func:`repro.exec.run_tasks`): *persistent* workers with warm per-topology
-  caches pulling from one admitted queue, checkpoints streamed as events so a
-  crash retry resumes mid-flight, deterministic seeded-lattice load shedding,
-  retry with exponential backoff, and quarantine of poisoned sessions.
+  (:func:`repro.exec.run_tasks`): persistent workers keeping their warm graphs
+  and caches, checkpoints streamed as events so a crash retry resumes
+  mid-flight, deterministic load shedding, retry with backoff, quarantine.
 * :mod:`repro.service.service` — the orchestrator: resume from the output
   file (:class:`repro.exec.Journal`) and the WAL, run the pool, settle.  A
   SIGKILLed worker or driver resumes every session mid-flight and the

@@ -25,10 +25,10 @@ import json
 import os
 import sys
 
+from repro.engine.spec import FAULT_FREE
 from repro.exceptions import ConfigurationError
 from repro.exec import quarantine_path_for
 from repro.service.service import BroadcastSessionService, ServiceConfig, status_path_for
-from repro.service.session import FAULT_FREE
 from repro.service.workload import generate_sessions
 
 

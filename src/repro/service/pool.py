@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import ADMIT, DROP, HOLD, Task, crash_evidence, run_tasks
 from repro.service.metrics import ServiceMetrics, process_cache_sample
-from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec, run_session
+from repro.service.session import SESSION_SCHEMA_VERSION, SessionSpec, run_session, session_row
 
 #: Resolution of the admission lattice: the shed decision quantises the
 #: overload fraction to ``1 / ADMISSION_STEPS`` (same grid as the link-fault
@@ -119,11 +119,7 @@ def execute_session(
             checkpoint_every=checkpoint_every,
         )
     except Exception as exc:  # noqa: BLE001 - services must survive bad sessions
-        row: Dict[str, object] = {"schema": SESSION_SCHEMA_VERSION}
-        row.update(spec.to_jsonable())
-        row["record"] = None
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+        return session_row(spec, None, f"{type(exc).__name__}: {exc}")
 
 
 def run_pool(

@@ -6,35 +6,21 @@ a SHA-256-derived private seed, so two processes generating the same workload
 agree on every session byte for byte — the premise of the chaos harness's
 "restart with the same arguments and resume" contract.
 
-Faulty-set placement mirrors the experiment grid
-(:meth:`repro.engine.spec.ExperimentSpec._faulty_nodes`): source-attacking
-strategies corrupt the source itself, every other strategy corrupts the ``f``
-highest-numbered non-source nodes, fault-free sessions corrupt nobody.
+Seeds and faulty sets follow the experiment grid's rules
+(:func:`repro.engine.spec.cell_seed` of the session id,
+:func:`repro.engine.spec.faulty_placement`).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.service.session import FAULT_FREE, SessionSpec, session_seed
-from repro.types import NodeId
-from repro.workloads.scenarios import named_strategies, strategy_attacks_source
-from repro.workloads.topologies import topology
+from repro.engine.spec import FAULT_FREE, cell_seed, faulty_placement
 from repro.exceptions import ConfigurationError
-
-
-def _placement(
-    strategy: str, topology_name: str, source: NodeId, max_faults: int
-) -> Tuple[NodeId, ...]:
-    """Deterministic faulty-set placement (the experiment grid's rule)."""
-    if strategy == FAULT_FREE:
-        return ()
-    nodes = sorted(topology(topology_name).nodes())
-    non_source = [node for node in nodes if node != source]
-    if strategy_attacks_source(strategy):
-        extras = sorted(non_source, reverse=True)[: max_faults - 1]
-        return tuple(sorted([source] + extras))
-    return tuple(sorted(sorted(non_source, reverse=True)[:max_faults]))
+from repro.service.session import SessionSpec
+from repro.types import NodeId
+from repro.workloads.scenarios import named_strategies
+from repro.workloads.topologies import topology
 
 
 def generate_sessions(
@@ -56,7 +42,8 @@ def generate_sessions(
     randomness and identical calls reproduce identical specs.
 
     Raises:
-        ConfigurationError: if an axis is empty or a strategy is unknown.
+        ConfigurationError: if an axis is empty, a strategy or topology is
+            unknown, or an adversarial strategy meets ``max_faults < 1``.
     """
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
@@ -68,10 +55,16 @@ def generate_sessions(
             raise ConfigurationError(
                 f"unknown strategy {name!r}; available: {sorted(known)}"
             )
+    nodes = {name: topology(name).nodes() for name in topologies}
     sessions: List[SessionSpec] = []
     for index in range(count):
         topology_name = topologies[index % len(topologies)]
         strategy = strategies[index % len(strategies)]
+        faulty = faulty_placement(strategy, nodes[topology_name], source, max_faults)
+        if faulty is None:
+            raise ConfigurationError(
+                f"strategy {strategy!r} needs max_faults >= 1, got {max_faults}"
+            )
         session_id = f"{service}/{index:06d}/{topology_name}/{strategy}"
         sessions.append(
             SessionSpec(
@@ -79,11 +72,11 @@ def generate_sessions(
                 session_id=session_id,
                 topology=topology_name,
                 strategy=strategy,
-                faulty_nodes=_placement(strategy, topology_name, source, max_faults),
+                faulty_nodes=faulty,
                 payload_bytes=payload_bytes,
                 instances=instances,
                 max_faults=max_faults,
-                seed=session_seed(seed, session_id),
+                seed=cell_seed(seed, session_id),
                 source=source,
             )
         )

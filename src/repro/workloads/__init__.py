@@ -1,14 +1,13 @@
-"""Workload construction: named topologies and end-to-end scenarios.
+"""Workload construction: named topologies, adversary strategies and inputs.
 
 These helpers give the examples and benchmarks a single place to obtain
-reproducible experiment setups: a capacitated network, a Byzantine fault
-model, a resilience parameter and a stream of inputs to broadcast.
+reproducible experiment pieces: a capacitated network, a Byzantine strategy
+and a stream of inputs to broadcast.  A fully specified :class:`Scenario` is
+built by :meth:`repro.engine.spec.Cell.scenario`.
 """
 
 from repro.workloads.scenarios import (
     Scenario,
-    adversarial_scenario,
-    fault_free_scenario,
     input_stream,
     make_strategy,
     named_strategies,
@@ -19,8 +18,6 @@ __all__ = [
     "topology",
     "named_topologies",
     "Scenario",
-    "fault_free_scenario",
-    "adversarial_scenario",
     "input_stream",
     "make_strategy",
     "named_strategies",

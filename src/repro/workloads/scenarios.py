@@ -1,8 +1,8 @@
-"""End-to-end scenario builders: network + fault model + input stream.
+"""Scenario pieces: named adversary strategies, input streams, :class:`Scenario`.
 
-A :class:`Scenario` bundles everything needed to run an experiment so that
-examples and benchmarks stay declarative: which topology, who is faulty and
-with what strategy, how many instances of how many bytes.
+A :class:`Scenario` bundles everything needed to run an experiment: which
+topology, who is faulty and with what strategy, how many instances of how
+many bytes.  Only :meth:`repro.engine.spec.Cell.scenario` constructs one.
 
 All randomness is threaded through explicit :class:`random.Random` instances
 derived from the scenario seed — never the module-level :mod:`random` state —
@@ -31,7 +31,6 @@ from repro.exceptions import ConfigurationError
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import ByzantineStrategy, FaultModel
 from repro.types import NodeId
-from repro.workloads.topologies import topology
 
 
 def _options(params: Optional[Mapping[str, object]], *allowed: str) -> Dict[str, object]:
@@ -165,60 +164,3 @@ def input_stream(rng: random.Random, instances: int, value_bytes: int) -> List[b
             append(byte)
         values.append(bytes(value))
     return values
-
-
-def _make_inputs(instances: int, value_bytes: int, seed: int) -> List[bytes]:
-    return input_stream(random.Random(seed), instances, value_bytes)
-
-
-def fault_free_scenario(
-    topology_name: str = "k4-fast",
-    instances: int = 5,
-    value_bytes: int = 8,
-    max_faults: int = 1,
-    seed: int = 0,
-    source: NodeId = 1,
-) -> Scenario:
-    """A scenario with no Byzantine nodes (the common case in steady state)."""
-    graph = topology(topology_name)
-    return Scenario(
-        name=f"fault-free/{topology_name}",
-        graph=graph,
-        source=source,
-        max_faults=max_faults,
-        fault_model=FaultModel(),
-        inputs=_make_inputs(instances, value_bytes, seed),
-        seed=seed,
-    )
-
-
-def adversarial_scenario(
-    topology_name: str = "k4-fast",
-    strategy_name: str = "equality-garbage",
-    faulty_nodes: Sequence[NodeId] = (3,),
-    instances: int = 5,
-    value_bytes: int = 8,
-    max_faults: int = 1,
-    seed: int = 0,
-    strategy: Optional[ByzantineStrategy] = None,
-    source: NodeId = 1,
-    strategy_params: Optional[Mapping[str, object]] = None,
-) -> Scenario:
-    """A scenario with Byzantine nodes following a named (or custom) strategy.
-
-    Raises:
-        ConfigurationError: if the strategy name or a strategy parameter is
-            unknown.
-    """
-    if strategy is None:
-        strategy = make_strategy(strategy_name, seed, strategy_params)
-    graph = topology(topology_name)
-    return Scenario(
-        name=f"{strategy.name}/{topology_name}",
-        graph=graph,
-        source=source,
-        max_faults=max_faults,
-        fault_model=FaultModel(faulty_nodes, strategy),
-        inputs=_make_inputs(instances, value_bytes, seed),
-        seed=seed,
-    )

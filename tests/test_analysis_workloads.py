@@ -15,10 +15,11 @@ from repro.analysis.throughput import (
     verify_agreement_and_validity,
 )
 from repro.adversary.strategies import EqualityGarbageStrategy
+from repro.engine.spec import FAULT_FREE, Cell
 from repro.exceptions import AgreementViolationError, ConfigurationError
 from repro.graph.generators import complete_graph
 from repro.transport.faults import FaultModel
-from repro.workloads.scenarios import adversarial_scenario, fault_free_scenario, input_stream
+from repro.workloads.scenarios import input_stream
 from repro.workloads.topologies import named_topologies, topology
 
 
@@ -104,6 +105,22 @@ class TestThroughputMeasurement:
         verify_agreement_and_validity(run, [b"\xff\xff"], source_faulty=True)
 
 
+def _scenario(strategy, faulty_nodes=(), instances=5, payload_bytes=8, seed=0):
+    return Cell(
+        spec_name="unit",
+        cell_id="unit",
+        topology="k4-fast",
+        strategy=strategy,
+        payload_bytes=payload_bytes,
+        instances=instances,
+        max_faults=1,
+        protocol="nab",
+        source=1,
+        seed=seed,
+        faulty_nodes=tuple(faulty_nodes),
+    ).scenario()
+
+
 class TestWorkloads:
     def test_named_topologies_buildable(self):
         names = named_topologies()
@@ -117,23 +134,23 @@ class TestWorkloads:
             topology("does-not-exist")
 
     def test_fault_free_scenario(self):
-        scenario = fault_free_scenario(instances=3, value_bytes=4, seed=1)
+        scenario = _scenario(FAULT_FREE, instances=3, payload_bytes=4, seed=1)
         assert len(scenario.inputs) == 3
         assert all(len(value) == 4 for value in scenario.inputs)
         assert scenario.fault_model.fault_count() == 0
 
     def test_adversarial_scenario_by_name(self):
-        scenario = adversarial_scenario(strategy_name="false-flag", faulty_nodes=[2])
+        scenario = _scenario("false-flag", [2])
         assert scenario.fault_model.is_faulty(2)
         assert scenario.fault_model.strategy.name == "false-flag"
 
     def test_adversarial_scenario_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
-            adversarial_scenario(strategy_name="nope")
+            _scenario("nope", [3])
 
     def test_scenarios_are_reproducible(self):
-        first = fault_free_scenario(seed=7)
-        second = fault_free_scenario(seed=7)
+        first = _scenario(FAULT_FREE, seed=7)
+        second = _scenario(FAULT_FREE, seed=7)
         assert list(first.inputs) == list(second.inputs)
 
     @pytest.mark.parametrize("value_bytes", [0, 1, 2, 65536])
@@ -149,13 +166,7 @@ class TestWorkloads:
             assert rng.getstate() == reference.getstate()
 
     def test_scenario_runs_end_to_end(self):
-        scenario = adversarial_scenario(
-            topology_name="k4-fast",
-            strategy_name="equality-garbage",
-            faulty_nodes=[3],
-            instances=3,
-            value_bytes=4,
-        )
+        scenario = _scenario("equality-garbage", [3], instances=3, payload_bytes=4)
         nab = repro.NetworkAwareBroadcast(
             scenario.graph, scenario.source, scenario.max_faults, fault_model=scenario.fault_model
         )

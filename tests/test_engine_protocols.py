@@ -21,9 +21,9 @@ from repro.engine import (
     register_protocol,
     registered_protocols,
 )
+from repro.engine.runner import run_cell_record
 from repro.exceptions import ConfigurationError
-from repro.transport.faults import FaultModel
-from repro.types import RunRecord, broadcast_spec_flags, canonical_output
+from repro.types import broadcast_spec_flags, canonical_output
 from repro.workloads import named_strategies
 
 
@@ -47,18 +47,6 @@ def _cell(protocol: str, strategy: str) -> Cell:
         source=1,
         seed=cell_seed(0, cell_id),
         faulty_nodes=faulty,
-    )
-
-
-def _run_cell_record(cell: Cell) -> RunRecord:
-    scenario = cell.scenario()
-    protocol = get_protocol(cell.protocol)
-    return protocol.run(
-        scenario.graph,
-        scenario.source,
-        list(scenario.inputs),
-        scenario.fault_model,
-        {"max_faults": cell.max_faults, "coding_seed": cell.seed},
     )
 
 
@@ -94,7 +82,7 @@ class TestEveryProtocolUnderEveryAdversary:
     def test_flags_match_actual_outputs(self, protocol_name, strategy):
         cell = _cell(protocol_name, strategy)
         scenario = cell.scenario()
-        record = _run_cell_record(cell)
+        record = run_cell_record(cell)
 
         assert record.protocol == protocol_name
         assert record.instances == 2
@@ -125,8 +113,8 @@ class TestEveryProtocolUnderEveryAdversary:
                 }
 
     def test_only_nab_runs_dispute_control(self):
-        nab_record = _run_cell_record(_cell("nab", "equality-garbage"))
-        classical_record = _run_cell_record(_cell("classical-flooding", "equality-garbage"))
+        nab_record = run_cell_record(_cell("nab", "equality-garbage"))
+        classical_record = run_cell_record(_cell("classical-flooding", "equality-garbage"))
         assert nab_record.dispute_control_executions >= 1
         assert classical_record.dispute_control_executions == 0
 
@@ -162,7 +150,7 @@ class TestCanonicalOutputs:
 
     def test_nab_integer_outputs_preserve_payload_length(self):
         cell = _cell("nab", FAULT_FREE)
-        record = _run_cell_record(cell)
+        record = run_cell_record(cell)
         scenario = cell.scenario()
         for value, outputs in zip(scenario.inputs, record.outputs):
             for output in outputs.values():
@@ -172,7 +160,7 @@ class TestCanonicalOutputs:
 
 class TestRunRecordShape:
     def test_throughput_and_jsonable(self):
-        record = _run_cell_record(_cell("nab", FAULT_FREE))
+        record = run_cell_record(_cell("nab", FAULT_FREE))
         assert record.throughput == Fraction(record.payload_bits) / record.elapsed
         payload = record.to_jsonable()
         assert payload["protocol"] == "nab"
@@ -182,6 +170,6 @@ class TestRunRecordShape:
         assert sum(payload["link_bits"].values()) == record.bits_sent
 
     def test_identical_cells_produce_identical_records(self):
-        first = _run_cell_record(_cell("nab", "chaos"))
-        second = _run_cell_record(_cell("nab", "chaos"))
+        first = run_cell_record(_cell("nab", "chaos"))
+        second = run_cell_record(_cell("nab", "chaos"))
         assert first.to_jsonable() == second.to_jsonable()

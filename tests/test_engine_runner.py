@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
+from dataclasses import replace
 
 import pytest
 
@@ -22,12 +24,16 @@ from repro.engine import (
     get_spec,
     named_specs,
     render_comparison,
+    run_cell,
     run_spec,
     summarize_rows,
 )
 from repro.engine.protocol import _REGISTRY
+from repro.engine.runner import run_cell_record
 from repro.engine.spec import cell_seed
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ProtocolError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro")
 
 #: A small but representative grid: 2 topologies x 3 strategies x 2 protocols.
 SMALL_SPEC = ExperimentSpec(
@@ -99,6 +105,26 @@ class TestSpecExpansion:
         )
         cells = spec.expand()
         assert [cell.topology for cell in cells] == ["k4-fast"]
+
+    def test_adversary_at_f0_is_infeasible(self):
+        # f = 0 sliced [:-1]: the source-attacker took every other node with
+        # it, and a relay attacker's cell ran with no faulty node at all.
+        spec = ExperimentSpec(
+            name="unit_f0",
+            topologies=("k4-fast",),
+            strategies=(FAULT_FREE, "equivocating-source", "equality-garbage"),
+            payload_bytes=(4,),
+            fault_counts=(0, 1),
+            protocols=("nab",),
+            instances=1,
+        )
+        points = [(cell.max_faults, cell.strategy, cell.faulty_nodes) for cell in spec.expand()]
+        assert points == [
+            (0, FAULT_FREE, ()),
+            (1, FAULT_FREE, ()),
+            (1, "equivocating-source", (1,)),
+            (1, "equality-garbage", (4,)),
+        ]
 
     def test_unknown_strategy_rejected(self):
         spec = ExperimentSpec(
@@ -285,6 +311,63 @@ class TestParallelRunner:
         summary = run_spec(SMALL_SPEC, out_path=parallel_out, workers=2, resume=False)
         assert summary.computed_cells == 12
         assert _read_bytes(parallel_out) == _read_bytes(serial_out)
+
+
+def _files_matching(pattern: str) -> dict:
+    """``{path under src/repro: match count}`` of every file matching ``pattern``."""
+    found = {}
+    for directory, _subdirs, names in os.walk(SRC):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    count = len(re.findall(pattern, handle.read()))
+                if count:
+                    found[os.path.relpath(path, SRC)] = count
+    return found
+
+
+class TestOneRunPath:
+    def test_a_sequential_nab_cell_resumes_from_any_checkpoint(self):
+        cell = next(cell for cell in SMALL_SPEC.expand() if cell.strategy == "equality-garbage")
+        cell = replace(cell, instances=3)
+        checkpoints = []
+        reference = dump_row(run_cell_record(cell, checkpoint=checkpoints.append).to_jsonable())
+        assert reference == dump_row(run_cell(cell)["record"])
+        assert [len(snapshot["results"]) for snapshot in checkpoints] == [1, 2]
+        for snapshot in checkpoints:
+            resumed = run_cell_record(cell, snapshot=json.loads(dump_row(snapshot)))
+            assert dump_row(resumed.to_jsonable()) == reference
+
+    @pytest.mark.parametrize(
+        "protocol, execution",
+        [("classical-flooding", "sequential"), ("eig", "sequential"), ("nab", "pipelined")],
+    )
+    def test_everything_else_is_checkpoint_free(self, protocol, execution):
+        nab = next(cell for cell in SMALL_SPEC.expand() if cell.protocol == "nab")
+        cell = replace(nab, protocol=protocol, execution=execution)
+        snapshot = {"state": {}, "results": [], "pending_inputs": []}
+        for resume in ({"checkpoint": lambda snapshot: None}, {"snapshot": snapshot}):
+            with pytest.raises(ConfigurationError, match="checkpoint-free"):
+                run_cell_record(cell, **resume)
+        assert run_cell(cell)["error"] is None
+
+    def test_infeasible_cell_is_refused_by_the_warm_graph(self):
+        nab = next(cell for cell in SMALL_SPEC.expand() if cell.protocol == "nab")
+        with pytest.raises(ProtocolError, match="figure1a: network connectivity"):
+            run_cell_record(replace(nab, topology="figure1a"))
+
+    def test_one_aggregation_one_precondition_gate(self):
+        assert _files_matching(r"NABRunResult\(") == {os.path.join("core", "nab.py"): 1}
+        assert _files_matching(r"validate_connectivity") == {}
+        assert set(_files_matching(r"meets_connectivity_requirement\(")) == {
+            os.path.join("graph", "connectivity.py")
+        }
+        assert set(_files_matching(r"resilience_violation\(")) == {
+            os.path.join("graph", "connectivity.py"),
+            os.path.join("core", "nab.py"),
+            os.path.join("engine", "spec.py"),
+        }
 
 
 class _CrashUntilSentinel(Protocol):

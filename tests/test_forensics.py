@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis import ForensicRecorder, analyze_records, audit_rows
 from repro.core.nab import NetworkAwareBroadcast
-from repro.workloads import adversarial_scenario, named_strategies
+from repro.engine.spec import Cell, canonical_params
+from repro.workloads import named_strategies
 
 #: (strategy, faulty placement) pairs on k7-unit at f = 2.  The equivocating
 #: source must actually be the source; every other strategy corrupts two
@@ -30,17 +31,20 @@ K7_PLACEMENTS = [
 
 
 def _run_with_recorder(strategy_name, faulty, params=None, instances=3):
-    scenario = adversarial_scenario(
-        topology_name="k7-unit",
-        strategy_name=strategy_name,
-        faulty_nodes=faulty,
+    scenario = Cell(
+        spec_name="unit",
+        cell_id="unit",
+        topology="k7-unit",
+        strategy=strategy_name,
+        payload_bytes=8,
         instances=instances,
-        value_bytes=8,
         max_faults=2,
-        seed=11,
+        protocol="nab",
         source=1,
-        strategy_params=params,
-    )
+        seed=11,
+        faulty_nodes=tuple(faulty),
+        strategy_params=canonical_params(params) if params else "",
+    ).scenario()
     recorder = ForensicRecorder()
     protocol = NetworkAwareBroadcast(
         scenario.graph,

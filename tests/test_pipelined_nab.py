@@ -12,10 +12,9 @@ from repro.capacity.pipelining import pipelined_schedule
 from repro.core.nab import NetworkAwareBroadcast
 from repro.core.pipeline import run_pipelined
 from repro.engine import dump_row, get_spec, run_cell, run_spec
-from repro.engine.spec import FAULT_FREE, ExperimentSpec
+from repro.engine.spec import FAULT_FREE, Cell, ExperimentSpec
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.transport.faults import FaultModel
-from repro.workloads.scenarios import adversarial_scenario
 from repro.workloads.topologies import topology
 
 #: The headline grid's topologies plus the deep layered pipelines.
@@ -24,6 +23,22 @@ TOPOLOGIES = ("k4-fast", "bottleneck4", "ring7-chords", "pipeline-3x3", "pipelin
 
 def _inputs(count, length=8):
     return [bytes(((11 * index + offset) % 255) + 1 for offset in range(length)) for index in range(count)]
+
+
+def _scenario(topology_name, strategy, faulty_nodes, instances, seed):
+    return Cell(
+        spec_name="unit",
+        cell_id="unit",
+        topology=topology_name,
+        strategy=strategy,
+        payload_bytes=8,
+        instances=instances,
+        max_faults=1,
+        protocol="nab",
+        source=1,
+        seed=seed,
+        faulty_nodes=faulty_nodes,
+    ).scenario()
 
 
 class TestFaultFreeSteadyState:
@@ -116,13 +131,7 @@ class TestFaultFreeSteadyState:
 
 class TestAdversarialPipeline:
     def test_dispute_control_stalls_but_preserves_agreement(self):
-        scenario = adversarial_scenario(
-            topology_name="ring7-chords",
-            strategy_name="equality-garbage",
-            faulty_nodes=(7,),
-            instances=5,
-            seed=3,
-        )
+        scenario = _scenario("ring7-chords", "equality-garbage", (7,), instances=5, seed=3)
         nab = NetworkAwareBroadcast(
             scenario.graph, scenario.source, scenario.max_faults,
             fault_model=scenario.fault_model,
@@ -138,13 +147,7 @@ class TestAdversarialPipeline:
         assert result.total_elapsed >= max(r.elapsed for r in result.instances)
 
     def test_outputs_match_sequential_under_attack(self):
-        scenario = adversarial_scenario(
-            topology_name="k4-fast",
-            strategy_name="phase1-relay",
-            faulty_nodes=(4,),
-            instances=4,
-            seed=9,
-        )
+        scenario = _scenario("k4-fast", "phase1-relay", (4,), instances=4, seed=9)
         sequential = NetworkAwareBroadcast(
             scenario.graph, scenario.source, scenario.max_faults,
             fault_model=scenario.fault_model,

@@ -72,6 +72,22 @@ def _run(sessions, workers, **overrides):
     return rows, snapshots, retried, quarantined, metrics
 
 
+def _assert_discarded_for_a_fresh_run(tmp_path, spec, snapshot):
+    """A WAL holding ``snapshot`` resumes into a fresh run of ``spec``, byte
+    for byte, with the snapshot counted as discarded and dropped from the WAL."""
+    out = str(tmp_path / "sessions.jsonl")
+    with WriteAheadLog(wal_path_for(out)) as wal:
+        wal.append(snapshot)
+    summary = BroadcastSessionService(ServiceConfig(name="pool-test", out_path=out)).run([spec])
+    assert summary.metrics.sessions_restored == 0
+    assert summary.discarded_rows == 1
+    assert summary.rows[0]["error"] is None
+    assert not os.path.exists(wal_path_for(out))
+    fresh = str(tmp_path / "fresh.jsonl")
+    BroadcastSessionService(ServiceConfig(name="pool-test", out_path=fresh)).run([spec])
+    assert _read_bytes(out) == _read_bytes(fresh)
+
+
 class TestPoolCompletion:
     def test_pooled_rows_equal_serial_rows_bit_for_bit(self):
         sessions = _workload(8)
@@ -481,6 +497,52 @@ class TestServiceOrchestration:
             ServiceConfig(name="svc", out_path=fresh)
         ).run([session(2)])
         assert _read_bytes(out) == _read_bytes(fresh)
+
+    @pytest.mark.parametrize("pending", [["ffff", "ffff"], "truncate"])
+    def test_snapshot_with_foreign_pending_inputs_is_not_a_resume_point(
+        self, tmp_path, pending
+    ):
+        # Such a snapshot resumed into a row unlike the fresh run's (or, cut
+        # short, into a record of fewer instances than the session has).
+        (spec,) = _workload(
+            1, topologies=("k4-fast",), strategies=("equality-garbage",), instances=4
+        )
+        checkpoints = []
+        run_session(spec, checkpoint=checkpoints.append)
+        snapshot = json.loads(dump_row(checkpoints[1]))
+        snapshot["pending_inputs"] = (
+            snapshot["pending_inputs"][:1] if pending == "truncate" else pending
+        )
+        _assert_discarded_for_a_fresh_run(tmp_path, spec, snapshot)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # Results written before these keys existed.
+            lambda snapshot: [
+                result.pop(key)
+                for result in snapshot["results"]
+                for key in ("link_bits", "phase1_depth", "newly_identified_faulty")
+            ],
+            lambda snapshot: snapshot["state"].update(instances_run="2"),
+            lambda snapshot: snapshot.update(
+                results=snapshot["results"] + snapshot["results"][-1:],
+                pending_inputs=snapshot["pending_inputs"][1:],
+            ),
+        ],
+        ids=["older-layout", "index-as-string", "duplicated-result"],
+    )
+    def test_snapshot_the_restore_parsers_refuse_is_not_a_resume_point(self, tmp_path, mutate):
+        # It matches its session field for field, so it used to reach the
+        # worker, fail to restore there and persist an error row.
+        (spec,) = _workload(
+            1, topologies=("k4-fast",), strategies=("equality-garbage",), instances=4
+        )
+        checkpoints = []
+        run_session(spec, checkpoint=checkpoints.append)
+        snapshot = json.loads(dump_row(checkpoints[1]))
+        mutate(snapshot)
+        _assert_discarded_for_a_fresh_run(tmp_path, spec, snapshot)
 
     def test_fresh_run_ignores_a_leftover_quarantine_file(self, tmp_path, capsys):
         from repro.service.__main__ import main

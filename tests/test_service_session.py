@@ -6,34 +6,46 @@ run's outputs, bits and dispute-control count *exactly*, across every
 registered adversary strategy on the headline topologies.  Sessions are pure
 functions of their spec, so the checkpoint taken after instance ``k`` plus
 the spec must determine the rest of the run bit for bit.
+
+A session is a cell: its record is the one :func:`run_cell` computes for
+``spec.cell()``, its faulty set the one spec expansion places, and a
+checkpoint that does not belong to it — or does not parse — is refused with
+:class:`ProtocolError`, never resumed into another row.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dispute_state import DisputeState
 from repro.core.instance import instance_result_from_jsonable
-from repro.core.nab import NetworkAwareBroadcast
-from repro.engine.runner import dump_row
-from repro.exceptions import ProtocolError
+from repro.core.nab import NetworkAwareBroadcast, parse_checkpoint
+from repro.engine.runner import dump_row, run_cell
+from repro.engine.spec import FAULT_FREE, ExperimentSpec, cell_seed
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.service.session import (
-    FAULT_FREE,
     SessionSpec,
     clear_topology_contexts,
     run_session,
-    session_seed,
+    snapshot_belongs_to,
     topology_context_stats,
     warm_graph,
 )
 from repro.service.workload import generate_sessions
-from repro.workloads.scenarios import make_strategy, named_strategies
+from repro.workloads.scenarios import named_strategies
 from repro.workloads.topologies import topology
 
 #: The headline topologies of the comparison grids (all feasible at f = 1).
 HEADLINE_TOPOLOGIES = ("k4-fast", "bottleneck4", "ring7-chords")
+
+#: Every registered strategy, plus no adversary at all.
+STRATEGIES = [FAULT_FREE] + named_strategies()
 
 
 def _spec(topology_name: str, strategy: str, instances: int = 4) -> SessionSpec:
@@ -57,7 +69,7 @@ def _json_round_trip(row):
 
 class TestSnapshotRestoreProperty:
     @pytest.mark.parametrize("topology_name", HEADLINE_TOPOLOGIES)
-    @pytest.mark.parametrize("strategy", [FAULT_FREE] + named_strategies())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_checkpoint_resumes_byte_identically(
         self, topology_name, strategy
     ):
@@ -105,6 +117,20 @@ class TestSnapshotRestoreProperty:
             run_session(spec, snapshot=checkpoints[0])
 
 
+    def test_snapshot_with_foreign_pending_inputs_is_rejected(self):
+        # Resumed, these snapshots gave an error-free row that differs from
+        # the fresh run, and one whose record counted 2 of 4 instances.
+        spec = _spec("k4-fast", "equality-garbage")
+        checkpoints = []
+        run_session(spec, checkpoint=checkpoints.append)
+        altered = _json_round_trip(checkpoints[0])
+        altered["pending_inputs"] = ["ffff"] * len(altered["pending_inputs"])
+        truncated = _json_round_trip(checkpoints[0])
+        truncated["pending_inputs"] = truncated["pending_inputs"][:1]
+        for snapshot in (altered, truncated):
+            with pytest.raises(ProtocolError):
+                run_session(spec, snapshot=snapshot)
+
     def test_snapshot_of_the_same_id_under_another_seed_is_rejected(self):
         # The id names neither seed nor size: every spec field must match.
         spec = _spec("k4-fast", FAULT_FREE)
@@ -147,31 +173,168 @@ class TestDisputeStateSerialisation:
             )
 
 
+def _restore_mutations():
+    """One structural edit of a checkpoint: what a torn or hostile WAL holds."""
+    foreign = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 5),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.lists(st.integers(0, 5), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 5), max_size=2),
+    )
+    hex_value = st.binary(min_size=0, max_size=3).map(bytes.hex)
+    return st.one_of(
+        st.tuples(st.just("drop_result"), st.integers(0, 9)),
+        st.tuples(st.just("duplicate_result"), st.integers(0, 9)),
+        st.tuples(st.just("truncate_pending"), st.integers(0, 9)),
+        st.tuples(st.just("extend_pending"), st.lists(hex_value, min_size=1, max_size=2)),
+        st.tuples(st.just("alter_pending"), st.tuples(st.integers(0, 9), hex_value)),
+        st.tuples(st.just("delete_key"), st.integers(0, 999)),
+        st.tuples(st.just("confuse_instances_run"), foreign),
+        st.tuples(st.just("confuse_dispute_state"), foreign),
+    )
+
+
+def _key_paths(snapshot):
+    """Every deletable key path: top level, state, dispute state, results."""
+    paths = [(key,) for key in snapshot]
+    paths += [("state", key) for key in snapshot["state"]]
+    paths += [("state", "dispute_state", key) for key in snapshot["state"]["dispute_state"]]
+    for index, result in enumerate(snapshot["results"]):
+        paths += [("results", index, key) for key in result]
+    return paths
+
+
+def _mutate(snapshot, mutation):
+    mutated = copy.deepcopy(snapshot)
+    kind, argument = mutation
+    results, pending = mutated["results"], mutated["pending_inputs"]
+    if kind == "drop_result":
+        del results[argument % len(results)]
+    elif kind == "duplicate_result":
+        index = argument % len(results)
+        results.insert(index, copy.deepcopy(results[index]))
+    elif kind == "truncate_pending":
+        del pending[argument % len(pending):]
+    elif kind == "extend_pending":
+        pending.extend(argument)
+    elif kind == "alter_pending":
+        pending[argument[0] % len(pending)] = argument[1]
+    elif kind == "delete_key":
+        paths = _key_paths(mutated)
+        *parents, key = paths[argument % len(paths)]
+        container = mutated
+        for parent in parents:
+            container = container[parent]
+        del container[key]
+    elif kind == "confuse_instances_run":
+        mutated["state"]["instances_run"] = argument
+    else:
+        mutated["state"]["dispute_state"] = argument
+    return mutated
+
+
+@functools.lru_cache(maxsize=None)
+def _restore_case(strategy):
+    """A session with real checkpoints, and the bytes of its fresh run."""
+    spec = _spec("k4-fast", strategy)
+    checkpoints = []
+    reference = dump_row(run_session(spec, checkpoint=checkpoints.append))
+    return spec, tuple(dump_row(snapshot) for snapshot in checkpoints), reference
+
+
+class TestRestoreRejectsMalformedSnapshots:
+    @settings(max_examples=80, deadline=None)
+    @example(  # dropped then duplicated: the count holds, the instance order does not
+        strategy="equality-garbage",
+        index=1,
+        mutations=[("drop_result", 0), ("duplicate_result", 0)],
+    )
+    @given(
+        strategy=st.sampled_from(["equality-garbage", "dispute-liar"]),
+        index=st.integers(0, 2),
+        mutations=st.lists(_restore_mutations(), min_size=1, max_size=2),
+    )
+    def test_mutated_checkpoint_is_refused_or_resumes_exactly(
+        self, strategy, index, mutations
+    ):
+        # Structural edits only: the contents of a stored instance result
+        # cannot be checked without re-running it.
+        spec, checkpoints, reference = _restore_case(strategy)
+        snapshot = json.loads(checkpoints[index % len(checkpoints)])
+        for mutation in mutations:
+            if not snapshot.get("results") or not snapshot.get("pending_inputs"):
+                break
+            if not isinstance(snapshot.get("state"), dict) or not isinstance(
+                snapshot["state"].get("dispute_state"), dict
+            ):
+                break
+            snapshot = _mutate(snapshot, mutation)
+        if not snapshot_belongs_to(spec, snapshot):
+            # The service's resume gate: it discards the snapshot and runs
+            # the session fresh, so no other exception may escape here.
+            with pytest.raises(ProtocolError):
+                run_session(spec, snapshot=snapshot)
+            return
+        assert dump_row(run_session(spec, snapshot=snapshot)) == reference
+
+
+class TestSessionIsACell:
+    @pytest.mark.parametrize("topology_name", HEADLINE_TOPOLOGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_session_record_and_placement_are_its_cells(self, topology_name, strategy):
+        spec = _spec(topology_name, strategy)
+        assert run_session(spec)["record"] == run_cell(spec.cell())["record"]
+        (cell,) = ExperimentSpec(
+            name="placement",
+            topologies=(topology_name,),
+            strategies=(strategy,),
+            payload_bytes=(spec.payload_bytes,),
+            fault_counts=(spec.max_faults,),
+            protocols=("nab",),
+            instances=spec.instances,
+            source=spec.source,
+        ).expand()
+        assert cell.faulty_nodes == spec.faulty_nodes
+
+    @pytest.mark.parametrize("strategy", ["equivocating-source", "equality-garbage"])
+    def test_adversary_at_f0_is_refused(self, strategy):
+        # f = 0 sliced [:-1]: an equivocating source took 6 of k7-unit's 7
+        # nodes with it, and other strategies ran "adversarial" with none.
+        with pytest.raises(ConfigurationError):
+            generate_sessions(1, strategies=(strategy,), max_faults=0)
+        (fault_free,) = generate_sessions(1, max_faults=0)
+        assert fault_free.faulty_nodes == ()
+
+
 class TestNABStateHooks:
     def test_restore_rejects_mismatched_max_faults(self):
         graph = topology("k4-fast")
         nab = NetworkAwareBroadcast(graph, 1, 1)
-        snapshot = nab.snapshot_state()
-        snapshot["dispute_state"]["max_faults"] = 2
+        state = nab.snapshot_state()
+        parse_checkpoint({"state": state, "results": []}, 1, 1)
+        state["dispute_state"]["max_faults"] = 2
         with pytest.raises(ProtocolError):
-            nab.restore_state(snapshot)
+            parse_checkpoint({"state": state, "results": []}, 1, 1)
 
     def test_restore_rejects_negative_instance_index(self):
         graph = topology("k4-fast")
         nab = NetworkAwareBroadcast(graph, 1, 1)
-        snapshot = nab.snapshot_state()
-        snapshot["instances_run"] = -1
+        state = nab.snapshot_state()
+        state["instances_run"] = -1
         with pytest.raises(ProtocolError):
-            nab.restore_state(snapshot)
+            parse_checkpoint({"state": state, "results": []}, 1, 1)
 
     def test_instance_result_round_trip_is_exact(self):
         spec = _spec("bottleneck4", "equality-garbage", instances=2)
-        graph = topology(spec.topology)
+        scenario = spec.cell().scenario()
         nab = NetworkAwareBroadcast(
-            graph, spec.source, spec.max_faults,
-            fault_model=spec.fault_model(), coding_seed=spec.seed,
+            scenario.graph, spec.source, spec.max_faults,
+            fault_model=scenario.fault_model, coding_seed=spec.seed,
         )
-        for value in spec.inputs():
+        for value in scenario.inputs:
             result = nab.run_instance(value)
             rendered = result.to_jsonable()
             restored = instance_result_from_jsonable(
@@ -209,13 +372,20 @@ class TestWarmTopologyContext:
 
 
 class TestSessionSeeds:
-    def test_session_seed_is_stable_and_id_sensitive(self):
-        assert session_seed(0, "a") == session_seed(0, "a")
-        assert session_seed(0, "a") != session_seed(0, "b")
-        assert session_seed(0, "a") != session_seed(1, "a")
+    def test_session_seed_is_the_cell_seed_of_its_id(self):
+        first, second = generate_sessions(2, seed=3, service="seeds")
+        assert first.seed == cell_seed(3, first.session_id)
+        assert second.seed == cell_seed(3, second.session_id)
+        assert first.seed != second.seed
 
-    def test_spec_round_trip(self):
+    def test_spec_is_a_sequential_nab_cell(self):
         spec = _spec("k4-fast", "equality-garbage")
-        assert SessionSpec.from_jsonable(
-            json.loads(json.dumps(spec.to_jsonable()))
-        ) == spec
+        cell = spec.cell()
+        assert (cell.spec_name, cell.cell_id, cell.seed) == (
+            spec.service, spec.session_id, spec.seed
+        )
+        assert (cell.protocol, cell.execution, cell.link_model, cell.fault_plan) == (
+            "nab", "sequential", "instant", "none"
+        )
+        assert cell.faulty_nodes == spec.faulty_nodes
+        assert not cell.bounds_only
