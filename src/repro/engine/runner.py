@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cProfile
 import io
-import os
 import pstats
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -182,9 +181,7 @@ def _execute_cell(cell: Cell, _emit: object = None) -> Dict[str, object]:
     arborescence packings, relay paths, rank verdicts, instance parameters)
     is keyed on canonical graph signatures, so clearing them is about memory,
     not correctness; cells arrive grouped by topology, so the clears are rare.
-    The GF kernel operand caches (FFT spectra) are dropped on the same
-    cadence — a new topology means new coding matrices, so the old operands
-    will not recur.  A cell streams no events, hence the unused ``_emit``.
+    A cell streams no events, hence the unused ``_emit``.
     """
     global _LAST_TOPOLOGY
     if cell.topology != _LAST_TOPOLOGY:
@@ -295,14 +292,6 @@ def run_spec(
     if profile:
         workers = 1
     cells = spec.expand()
-    forced_backend = False
-    if spec.kernel_backend and not os.environ.get("REPRO_GF_BACKEND"):
-        # Spec-level backend override, propagated through the environment so
-        # spawned worker processes inherit it; an explicit REPRO_GF_BACKEND
-        # set by the operator wins over the spec value.  Restored on exit so
-        # back-to-back sweeps in one process do not leak the override.
-        os.environ["REPRO_GF_BACKEND"] = spec.kernel_backend
-        forced_backend = True
     journal = Journal(
         out_path,
         "cell_id",
@@ -328,19 +317,15 @@ def run_spec(
         if progress is not None:
             progress(row)
 
-    try:
-        with journal:
-            outcome = run_tasks(
-                [Task(cell) for cell in pending],
-                workers,
-                profiled if profile else _execute_cell,
-                on_done,
-                retries=max_cell_retries,
-                backoff=retry_backoff,
-            )
-    finally:
-        if forced_backend:
-            os.environ.pop("REPRO_GF_BACKEND", None)
+    with journal:
+        outcome = run_tasks(
+            [Task(cell) for cell in pending],
+            workers,
+            profiled if profile else _execute_cell,
+            on_done,
+            retries=max_cell_retries,
+            backoff=retry_backoff,
+        )
 
     # Quarantine rows mirror a result row's identity fields, so the file is
     # self-describing, and carry the crash evidence in place of a record.

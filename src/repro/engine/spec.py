@@ -227,13 +227,6 @@ class ExperimentSpec:
         source: The broadcasting node (the paper uses node 1).
         base_seed: Root seed all per-cell seeds are derived from.
         description: Human-readable summary for ``--list``-style output.
-        kernel_backend: Optional GF kernel backend name forced for every
-            field the spec's cells build (see :mod:`repro.gf.backends`).
-            Empty string (the default) keeps per-field auto-selection; the
-            ``REPRO_GF_BACKEND`` environment variable, when set, wins over
-            the spec value.  All backends compute identical values, so this
-            axis never appears in cell ids — results stay byte-identical
-            whichever backend executes them.
     """
 
     name: str
@@ -249,7 +242,6 @@ class ExperimentSpec:
     source: NodeId = 1
     base_seed: int = 0
     description: str = ""
-    kernel_backend: str = ""
     #: Per-strategy parameter mappings, keyed by strategy name.  Parameters
     #: are validated at expansion, serialised canonically onto each cell
     #: (``Cell.strategy_params``) and appended to the cell id as ``|sp=...``
@@ -314,15 +306,6 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"spec {self.name!r} references unknown link model {model!r}; "
                     f"available: {', '.join(sorted(known_models))}"
-                )
-        if self.kernel_backend:
-            from repro.gf.backends import available_backend_names
-
-            if self.kernel_backend not in available_backend_names():
-                raise ConfigurationError(
-                    f"spec {self.name!r} references unknown or unavailable GF "
-                    f"kernel backend {self.kernel_backend!r}; available: "
-                    f"{', '.join(available_backend_names())}"
                 )
         known_plans = set(named_fault_plans())
         for plan in self.fault_plans:

@@ -149,13 +149,14 @@ register_spec(
 register_spec(
     ExperimentSpec(
         name="huge_payloads",
-        # The megabyte-direction extension of large_payloads, unlocked by the
-        # PR 7 kernel backends (the FFT-based numpy backend auto-selects at
-        # degree >= 4096).  The capacity-rich "-hbd" fabrics keep the
-        # per-symbol degree ceil(L / rho) inside the tabulated irreducible
-        # set with no runtime polynomial search: k4-hbd has rho = 128
-        # (degrees 4096 / 16384), k5-hbd has rho = 96 (5462 / 21846).  One
-        # instance per cell: at 256 KB a single encode is the dominant cost.
+        # The megabyte-direction extension of large_payloads.  The big-field
+        # kernel (``native`` where it builds, else ``windowed``; the rows are
+        # the same on either) carries the encode cost.  The capacity-rich
+        # "-hbd" fabrics keep the per-symbol degree ceil(L / rho) inside the
+        # tabulated irreducible set with no runtime polynomial search:
+        # k4-hbd has rho = 128 (degrees 4096 / 16384), k5-hbd has rho = 96
+        # (5462 / 21846).  One instance per cell: at 256 KB a single encode
+        # is the dominant cost.
         topologies=("k4-hbd", "k5-hbd"),
         strategies=(FAULT_FREE,),
         payload_bytes=(65536, 262144),
@@ -167,7 +168,7 @@ register_spec(
             "capacity-rich pods): 64 KB and 256 KB payloads on two "
             "high-capacity complete graphs, NAB vs the capacity-oblivious "
             "baseline (8 cells).  Charts the Eq. 6 / Theorem 2 bounds at "
-            "field degrees 4096-21846, where the FFT kernel backend carries "
+            "field degrees 4096-21846, where the big-field kernel carries "
             "the encode cost."
         ),
     )

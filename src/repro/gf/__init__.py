@@ -20,29 +20,21 @@ Performance notes:
     (``tests/test_gf_matrix_regression.py``).  Degrees above 16 run on the
     big-field kernels: carry-less multiplication through a kernel backend
     (below), linear-time squaring, chunked modular reduction against a
-    per-field reduction table, and an inlined extended-Euclid inverse
-    (``tests/test_big_field_kernels.py``).  The
-    original bit-serial polynomial arithmetic is retained on every field as
-    the correctness oracle for tests.
+    per-field reduction table, and an inlined extended-Euclid inverse.  The
+    bit-serial and per-symbol loops they replaced are frozen in
+    ``tests/_oracles/gf.py``, the correctness oracles of
+    ``tests/test_big_field_kernels.py`` and ``tests/test_gf_backends.py``.
 
 Kernel backends:
-    The raw carry-less multiply behind every big-field operation is pluggable
-    through the registry in :mod:`repro.gf.backends`.  Four backends ship:
-    ``bitserial`` (the frozen oracle), ``windowed`` and ``numpy`` (the
-    pure-Python tier: window tables below degree 4096, FFT convolution from
-    it) and ``native`` (``clmul.c``, PCLMULQDQ on 64-bit limbs, compiled with
-    the system C compiler on first use, cached per user and bound with
-    ``ctypes``).  ``native`` is auto-selected for every big field where it is
-    available; a host without a compiler or without the instruction runs the
-    pure-Python tier and ``GF2m.describe()["native_unavailable"]`` says why.
-    Selection happens once per field at construction — explicit
-    ``get_field(degree, kernel_backend=...)`` argument beats the
-    ``REPRO_GF_BACKEND`` environment variable beats the automatic choice —
-    and is sticky for the cached field instance.  To add a backend, subclass
-    ``KernelBackend``, implement ``clmul`` (and optionally the vector hooks),
-    and call ``register_backend``; the conformance suite in
-    ``tests/test_gf_backends.py`` automatically pits every registered backend
-    against the bit-serial oracles.
+    One big-field kernel per host (:mod:`repro.gf.backends`): ``native``
+    (``clmul.c``, PCLMULQDQ on 64-bit limbs, compiled with the system C
+    compiler on first use, cached per user and bound with ``ctypes``) for
+    every big field where it builds, else ``windowed`` (pure-Python window
+    tables) at every degree, with ``GF2m.describe()["native_unavailable"]``
+    saying why.  Both compute identical values.  Selection happens once per
+    field at construction — explicit ``get_field(degree, kernel_backend=...)``
+    argument beats the ``REPRO_GF_BACKEND`` environment variable beats the
+    automatic choice — and is sticky for the cached field instance.
 
 Public surface:
 

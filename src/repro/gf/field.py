@@ -11,15 +11,16 @@ Performance notes:
     For degrees ``m <= 16`` (the symbol sizes all the hot equality-check and
     verification paths actually use), the field lazily builds discrete
     log / antilog tables on first multiplicative use, after which ``mul`` /
-    ``inv`` / ``div`` / ``pow`` / ``square`` / ``dot`` are plain list lookups.
+    ``inv`` / ``div`` / ``pow`` / ``square`` are plain list lookups.
     The tables are shared process-wide through a module-level cache keyed on
     ``(degree, modulus)``, so constructing many ``GF2m(8)`` instances (one per
-    NAB instance, say) pays the table build exactly once.  Larger degrees keep
-    the original polynomial arithmetic, which also remains available on every
-    field as the correctness oracle (:meth:`GF2m._mul_fallback`,
-    :meth:`GF2m._inv_fallback`).  :func:`get_field` returns a canonical cached
-    instance per ``(degree, modulus)`` for callers that construct fields in a
-    loop.
+    NAB instance, say) pays the table build exactly once.  Larger degrees run
+    their carry-less products on the kernel backend (:mod:`repro.gf.backends`:
+    ``native`` where it builds, ``windowed`` elsewhere) with chunked modular
+    reduction; the bit-serial polynomial arithmetic they replaced is frozen in
+    ``tests/_oracles/gf.py`` as their correctness oracle.  :func:`get_field`
+    returns a canonical cached instance per ``(degree, modulus)`` for callers
+    that construct fields in a loop.
 
 Example:
     >>> field = GF2m(8)
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import FieldError
 from repro.gf import backends as _backends
@@ -42,14 +43,12 @@ from repro.gf.polynomials import (
     irreducible_polynomial,
     is_irreducible,
     poly_degree,
-    poly_divmod,
     poly_mod,
     poly_mul,
     poly_reduce,
     poly_reduce_stacked,
     poly_square,
     reduction_table,
-    stack_slots,
     stack_stride,
     unstack_slots,
     window_table,
@@ -168,6 +167,9 @@ def get_field(
     """
     if degree < 1:
         raise FieldError(f"field degree must be >= 1, got {degree}")
+    if kernel_backend:
+        # Before the cache lookup, so a hit cannot skip it.
+        _backends.backend_class(kernel_backend)
     default = modulus is None
     if default:
         # Resolve the default modulus for the cache key (a cheap cached
@@ -233,7 +235,6 @@ class GF2m:
         "_swtab_bytes",
         "_kernel",
         "_clmul",
-        "_clmul_stacked",
         "_kstats",
     )
 
@@ -290,26 +291,22 @@ class GF2m:
         self._swtab: Dict[int, List[int]] = {}
         self._swtab_bytes = 0
         # Kernel backend (big fields only): resolved once, sticky for the
-        # life of the instance; the raw-product dispatchers are bound here so
-        # the hot paths pay no per-call selection logic.  The windowed
-        # machinery stays on the field itself (it is also every other
-        # backend's delegate below their crossover points).
+        # life of the instance; the raw product is bound here so the hot
+        # paths pay no per-call selection logic.  The windowed machinery
+        # stays on the field itself.
         if self._big:
             _retain_heap()
             self._kernel = _backends.create_backend(self, kernel_backend)
             if self._kernel.name == "windowed":
                 self._clmul = self._windowed_clmul
-                self._clmul_stacked = self._windowed_stacked_mul
             else:
                 self._clmul = self._kernel.clmul
-                self._clmul_stacked = self._kernel.clmul_stacked
         else:
             if kernel_backend:
                 # Validate the name even though small fields run on tables.
                 _backends.backend_class(kernel_backend)
             self._kernel = None
             self._clmul = None
-            self._clmul_stacked = None
 
     # ------------------------------------------------------------------ tables
 
@@ -356,14 +353,6 @@ class GF2m:
             raise FieldError(f"element {element} outside field of order {self.order}")
         return element
 
-    def zero(self) -> int:
-        """The additive identity."""
-        return 0
-
-    def one(self) -> int:
-        """The multiplicative identity."""
-        return 1
-
     # -------------------------------------------------------------- arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -389,23 +378,6 @@ class GF2m:
             self._ensure_tables()
             log = self._log
         return self._exp[log[a] + log[b]]  # type: ignore[index]
-
-    def _mul_fallback(self, a: int, b: int) -> int:
-        """Bit-serial polynomial multiplication: the correctness oracle.
-
-        This is the pre-windowing implementation, retained verbatim so the
-        big-field kernels (:meth:`_mul_big`, :meth:`square`, :meth:`inv`) have
-        a fixed reference to be property-tested and benchmarked against.  Hot
-        paths never call it for degree > 16 anymore — they use
-        :meth:`_mul_big`.
-        """
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        return poly_mod(poly_mul(a, b), self.modulus)
 
     # ------------------------------------------------------- big-field kernels
 
@@ -455,23 +427,12 @@ class GF2m:
             stats[0] += 1
         return table
 
-    def _raw_mul_big(self, a: int, b: int) -> int:
-        """The unreduced carry-less product behind :meth:`_mul_big`.
-
-        Dispatches to the field's kernel backend; the default windowed
-        backend binds :meth:`_windowed_clmul` here directly.  Callers that
-        combine several products linearly (XOR) can defer the modular
-        reduction and fold it once over the combination.
-        """
-        return self._clmul(a, b)
-
     def _windowed_clmul(self, a: int, b: int) -> int:
         """The windowed raw product: byte scan against a cached window table.
 
         Scans one operand byte-by-byte against the cached window table of the
         other; prefers whichever operand already has a table cached.  This is
-        the ``windowed`` backend's primitive and the delegate every other
-        backend falls back to below its own crossover point.
+        the ``windowed`` backend's primitive.
         """
         table = self._wtab.get(a)
         if table is None and b in self._wtab:
@@ -487,14 +448,14 @@ class GF2m:
         return product
 
     def _mul_big(self, a: int, b: int) -> int:
-        """Windowed multiplication + chunked reduction (degree > 16 kernel)."""
+        """Kernel-backend product + chunked reduction (degree > 16)."""
         if a == 0 or b == 0:
             return 0
         if a == 1:
             return b
         if b == 1:
             return a
-        return self._reduce(self._raw_mul_big(a, b))
+        return self._reduce(self._clmul(a, b))
 
     # ------------------------------------------------------- stacked kernels
 
@@ -524,35 +485,6 @@ class GF2m:
         else:
             stats[0] += 1
         return table
-
-    def _stacked_raw_mul(self, stacked: int, factor: int, packed_bytes: int) -> int:
-        """One fused pass multiplying a whole packed symbol batch by ``factor``.
-
-        Dispatches to the kernel backend's stacked primitive (the windowed
-        backend binds :meth:`_windowed_stacked_mul` directly); returns the
-        raw stacked product (unreduced).
-        """
-        if factor == 0 or stacked == 0:
-            return 0
-        return self._clmul_stacked(stacked, factor, packed_bytes)
-
-    def _windowed_stacked_mul(self, stacked: int, factor: int, packed_bytes: int) -> int:
-        """One windowed pass over a stacked batch: the ``windowed`` primitive.
-
-        The window table of the *stacked* operand comes from
-        :meth:`_stacked_table` — cached per field (keyed on the stacked
-        value) within the :data:`_STACK_CACHE_BYTES` budget, so operands
-        that recur across calls — a coding-matrix row scaled by each symbol
-        of many values — pay the table build once and every later call is
-        just the ``factor`` byte scan.
-        """
-        if factor == 0 or stacked == 0:
-            return 0
-        table = self._stacked_table(stacked, packed_bytes)
-        product = 0
-        for byte in factor.to_bytes((factor.bit_length() + 7) // 8, "big"):
-            product = (product << 8) ^ table[byte]
-        return product
 
     def _reduce_stacked(self, stacked_raw: int, count: int) -> List[int]:
         """Reduce a stacked raw product and split it into ``count`` elements.
@@ -626,10 +558,10 @@ class GF2m:
     def _inv_big(self, a: int) -> int:
         """Extended Euclid with inlined single-shift division steps.
 
-        Same algorithm as :meth:`_inv_fallback` but each quotient is applied
-        one aligned shift at a time, avoiding the per-quotient ``poly_divmod``
-        / ``poly_mul`` calls (whose bit-serial inner loops dominate at large
-        degrees).  The fallback remains the correctness oracle.
+        The extended Euclid of the frozen oracle (``tests/_oracles/gf.py``),
+        but each quotient is applied one aligned shift at a time, avoiding the
+        per-quotient ``poly_divmod`` / ``poly_mul`` calls (whose bit-serial
+        inner loops dominate at large degrees).
         """
         r_prev, r_curr = self.modulus, a
         s_prev, s_curr = 0, 1
@@ -647,24 +579,6 @@ class GF2m:
         # r_curr reached zero, so r_prev holds gcd == 1 and s_prev the inverse
         # of ``a`` up to one final reduction.
         return self._reduce(s_prev)
-
-    def _inv_fallback(self, a: int) -> int:
-        """Extended Euclidean inverse: the fallback and correctness oracle.
-
-        Raises:
-            FieldError: if ``a`` is zero.
-        """
-        if a == 0:
-            raise FieldError("zero has no multiplicative inverse")
-        # Extended Euclid on polynomials: maintain r = s * a + t * modulus.
-        r_prev, r_curr = self.modulus, a
-        s_prev, s_curr = 0, 1
-        while r_curr != 0:
-            quotient, remainder = poly_divmod(r_prev, r_curr)
-            r_prev, r_curr = r_curr, remainder
-            s_prev, s_curr = s_curr, s_prev ^ poly_mul(quotient, s_curr)
-        # r_prev is the gcd, necessarily 1 since the modulus is irreducible.
-        return poly_mod(s_prev, self.modulus)
 
     def div(self, a: int, b: int) -> int:
         """Field division ``a / b``.
@@ -685,7 +599,7 @@ class GF2m:
 
         Always includes the ``window`` and ``stacked`` table caches
         (hits/misses/evictions plus byte-accurate occupancy); backends add
-        their own (``fft_operands``, ``fft_matrices``, ``native_matrices``).
+        their own (``native_matrices``).
         """
         window = self._kstats["window"]
         stacked = self._kstats["stacked"]
@@ -710,18 +624,6 @@ class GF2m:
         if self._kernel is not None:
             stats.update(self._kernel.cache_stats())
         return stats
-
-    def clear_kernel_caches(self) -> None:
-        """Drop the backend's operand caches (counters are preserved).
-
-        The window/stacked table caches are left alone — they are bounded,
-        shared across topologies, and clearing them would cost warm restarts
-        for nothing; the runner calls this per topology switch to bound the
-        *new* per-backend operand caches the same way it bounds the structure
-        caches.
-        """
-        if self._kernel is not None:
-            self._kernel.clear_caches()
 
     def describe(self) -> Dict[str, object]:
         """A structured snapshot of the field's kernel configuration.
@@ -749,136 +651,6 @@ class GF2m:
             info["stack_slot_cap"] = self._slot_cap
         info["caches"] = self.kernel_cache_stats()
         return info
-
-    # ------------------------------------------------------------------ vectors
-
-    def dot(self, left: Sequence[int], right: Sequence[int]) -> int:
-        """Inner product of two equal-length vectors of field elements.
-
-        Raises:
-            FieldError: if the lengths differ.
-        """
-        if len(left) != len(right):
-            raise FieldError(f"dot product length mismatch: {len(left)} vs {len(right)}")
-        accumulator = 0
-        tables = self.tables()
-        if tables is not None:
-            exp, log, _ = tables
-            for a, b in zip(left, right):
-                if a and b:
-                    accumulator ^= exp[log[a] + log[b]]
-        else:
-            mul = self._mul_big
-            for a, b in zip(left, right):
-                if a and b:
-                    accumulator ^= mul(a, b)
-        return accumulator
-
-    def vector_add(self, left: Sequence[int], right: Sequence[int]) -> List[int]:
-        """Component-wise sum of two equal-length vectors."""
-        if len(left) != len(right):
-            raise FieldError(f"vector sum length mismatch: {len(left)} vs {len(right)}")
-        return [a ^ b for a, b in zip(left, right)]
-
-    def scalar_mul(self, scalar: int, vector: Iterable[int]) -> List[int]:
-        """Multiply every component of ``vector`` by ``scalar``.
-
-        Per-symbol loop, frozen as the correctness oracle for
-        :meth:`scale_vec`; hot paths should use the vector API.
-        """
-        mul = self.mul
-        return [mul(scalar, component) for component in vector]
-
-    def scale_vec(self, scalar: int, vector: Sequence[int]) -> List[int]:
-        """Vector-API scalar multiply: one windowed pass per symbol window.
-
-        Small-degree fields route through the log/exp tables with the
-        scalar's log hoisted out of the loop; big fields pack the vector into
-        guard-spaced slots (:func:`polynomials.stack_slots`) and multiply the
-        whole batch by ``scalar`` in a single windowed pass, then reduce all
-        slots with one masked fold sweep.  Identical values to
-        :meth:`scalar_mul` (the frozen per-symbol oracle).
-        """
-        values = list(vector)
-        if not values:
-            return []
-        if scalar == 0:
-            return [0] * len(values)
-        if scalar == 1:
-            return values
-        if not self._big:
-            self._ensure_tables()
-            exp, log = self._exp, self._log
-            log_scalar = log[scalar]  # type: ignore[index]
-            return [exp[log_scalar + log[v]] if v else 0 for v in values]  # type: ignore[index]
-        out: List[int] = []
-        stride = self._stride
-        width = stride // 8
-        cap = self._slot_cap
-        for start in range(0, len(values), cap):
-            window = values[start : start + cap]
-            stacked = stack_slots(window, stride)
-            raw = self._stacked_raw_mul(stacked, scalar, len(window) * width)
-            out.extend(self._reduce_stacked(raw, len(window)))
-        return out
-
-    def mul_vec(self, left: Sequence[int], right: Sequence[int]) -> List[int]:
-        """Component-wise product of two equal-length vectors.
-
-        Small-degree fields use the log/exp tables; big fields compute the
-        raw windowed products pairwise and amortise the modular reduction by
-        folding every raw product in one stacked sweep.
-
-        Raises:
-            FieldError: if the lengths differ.
-        """
-        if len(left) != len(right):
-            raise FieldError(f"mul_vec length mismatch: {len(left)} vs {len(right)}")
-        if not left:
-            return []
-        if not self._big:
-            self._ensure_tables()
-            exp, log = self._exp, self._log
-            return [
-                exp[log[a] + log[b]] if a and b else 0  # type: ignore[index]
-                for a, b in zip(left, right)
-            ]
-        hooked = self._kernel.mul_vec(left, right)
-        if hooked is not None:
-            return hooked
-        raw_mul = self._raw_mul_big
-        raws = [raw_mul(a, b) if a and b else 0 for a, b in zip(left, right)]
-        out: List[int] = []
-        stride = self._stride
-        cap = self._slot_cap
-        for start in range(0, len(raws), cap):
-            window = raws[start : start + cap]
-            out.extend(self._reduce_stacked(stack_slots(window, stride), len(window)))
-        return out
-
-    def dot_vec(self, left: Sequence[int], right: Sequence[int]) -> int:
-        """Vector-API inner product: raw products, one reduction at the end.
-
-        Small-degree fields match :meth:`dot` (the frozen per-symbol oracle);
-        big fields XOR the unreduced windowed products — reduction is linear
-        over XOR — and reduce the accumulator once instead of per term.
-
-        Raises:
-            FieldError: if the lengths differ.
-        """
-        if len(left) != len(right):
-            raise FieldError(f"dot_vec length mismatch: {len(left)} vs {len(right)}")
-        if not self._big:
-            return self.dot(left, right)
-        hooked = self._kernel.dot_vec(left, right)
-        if hooked is not None:
-            return hooked
-        raw_mul = self._raw_mul_big
-        accumulator = 0
-        for a, b in zip(left, right):
-            if a and b:
-                accumulator ^= raw_mul(a, b)
-        return self._reduce(accumulator) if accumulator else 0
 
     # ------------------------------------------------------------------ random
 
@@ -923,20 +695,9 @@ def kernel_cache_stats() -> Dict[str, Dict[str, Dict[str, int]]]:
     }
 
 
-def clear_kernel_caches() -> None:
-    """Drop the kernel backends' operand caches on every canonical field.
-
-    Called by the experiment runner on topology switches, alongside the
-    structure caches (min-cuts, packings, relay paths, rank verdicts): the
-    spectrum operand caches are keyed on symbol values, which never
-    recur across topologies, so this is memory hygiene, not a correctness
-    concern.  Window/stacked tables and the field instances themselves stay.
-    """
-    for field in _FIELD_CACHE.values():
-        field.clear_kernel_caches()
-
-
-# The one upward import of this layer: the kernel caches join the registry.
+# The one upward import of this layer: the kernel cache counters join the
+# registry.  Each cache is bounded by its own budget and holds nothing tied to
+# a topology, so the entry lives with the process and has nothing to clear.
 from repro.graph.flow_cache import register_cache  # noqa: E402
 
-register_cache("kernels", "topology", clear_kernel_caches, kernel_cache_stats)
+register_cache("kernels", "process", lambda: None, kernel_cache_stats)

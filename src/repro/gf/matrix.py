@@ -19,8 +19,8 @@ Performance notes:
     Results produced by internal operations are wrapped with the trusted
     constructor :meth:`GFMatrix._trusted`, which skips the per-entry
     re-validation the public constructor performs on external data.  Fields
-    too large for tables (degree > 16) transparently use the windowed
-    big-field kernels instead; both paths compute identical field values.
+    too large for tables (degree > 16) transparently use the big-field
+    kernels instead; both paths compute identical field values.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from typing import Iterable, List, Sequence
 
 from repro.exceptions import MatrixError
 from repro.gf.field import GF2m
-from repro.gf.polynomials import stack_slots, window_table
-
-
-def _scan_window_table(table: List[int], factor: int) -> int:
-    """Fold ``factor`` byte-by-byte through a prebuilt window table."""
-    product = 0
-    for byte in factor.to_bytes((factor.bit_length() + 7) // 8, "big"):
-        product = (product << 8) ^ table[byte]
-    return product
+from repro.gf.polynomials import stack_slots
 
 
 class GFMatrix:
@@ -160,11 +152,6 @@ class GFMatrix:
         )
 
     @classmethod
-    def from_rows(cls, field: GF2m, rows: Sequence[Sequence[int]]) -> "GFMatrix":
-        """Alias of the constructor, for readability at call sites."""
-        return cls(field, rows)
-
-    @classmethod
     def row_vector(cls, field: GF2m, entries: Sequence[int]) -> "GFMatrix":
         """A ``1 x n`` matrix from a sequence of entries."""
         return cls(field, [list(entries)])
@@ -261,45 +248,6 @@ class GFMatrix:
             data = [[mul(scalar, entry) for entry in row] for row in self._data]
         return GFMatrix._trusted(self.field, data)
 
-    def matmul_loop(self, other: "GFMatrix") -> "GFMatrix":
-        """Per-symbol matrix product: the frozen correctness oracle.
-
-        One field multiplication per ``(row, column, inner)`` triple, exactly
-        the pre-vectorisation kernel.  Retained verbatim so :meth:`matmul`
-        (hoisted small-field logs, stacked big-field passes) has a fixed
-        reference to be property-tested and benchmarked against.  Hot paths
-        should call :meth:`matmul`.
-        """
-        self._require_same_field(other)
-        if self.cols != other.rows:
-            raise MatrixError(f"shape mismatch for matmul: {self.shape} @ {other.shape}")
-        columns = list(zip(*other._data))
-        product: List[List[int]] = []
-        tables = self.field.tables()
-        if tables is not None:
-            exp, log, _ = tables
-            for row in self._data:
-                product_row = []
-                for col in columns:
-                    accumulator = 0
-                    for a, b in zip(row, col):
-                        if a and b:
-                            accumulator ^= exp[log[a] + log[b]]
-                    product_row.append(accumulator)
-                product.append(product_row)
-        else:
-            mul = self.field._mul_big
-            for row in self._data:
-                product_row = []
-                for col in columns:
-                    accumulator = 0
-                    for a, b in zip(row, col):
-                        if a and b:
-                            accumulator ^= mul(a, b)
-                    product_row.append(accumulator)
-                product.append(product_row)
-        return GFMatrix._trusted(self.field, product)
-
     def matmul(self, other: "GFMatrix") -> "GFMatrix":
         """Matrix product ``self @ other``.
 
@@ -309,7 +257,7 @@ class GFMatrix:
         once per row pass).  Big fields route every result row through the
         stacked :meth:`vecmat` kernel of ``other``, whose cached stacked rows
         and window tables are shared across all rows of ``self``.  Identical
-        values to :meth:`matmul_loop` (the frozen per-symbol oracle).
+        values to the per-symbol loop frozen in ``tests/_oracles/gf.py``.
 
         Raises:
             MatrixError: if the inner dimensions do not agree.
@@ -377,8 +325,7 @@ class GFMatrix:
         table, so the wide accumulator is shifted once per byte position
         (instead of once per symbol and byte position) and the raw products
         of all rows accumulate in place; the window is then reduced with a
-        single masked fold sweep.  Compare one windowed multiplication per
-        (symbol, column) pair in :meth:`vecmat_loop`.
+        single masked fold sweep.
         """
         field = self.field
         kernel = field._kernel
@@ -426,51 +373,16 @@ class GFMatrix:
                 result.extend([0] * count)
         return result
 
-    def vecmat_loop(self, vector: Sequence[int]) -> List[int]:
-        """Per-symbol ``vector @ self``: the frozen correctness oracle.
-
-        One field multiplication per (symbol, column) pair — the
-        pre-vectorisation encode kernel, retained verbatim as the reference
-        for :meth:`vecmat` and the benchmarks.  Hot paths use :meth:`vecmat`.
-
-        Raises:
-            MatrixError: if ``len(vector)`` does not equal the row count.
-        """
-        if len(vector) != self.rows:
-            raise MatrixError(
-                f"vecmat length mismatch: vector of {len(vector)} vs {self.rows} rows"
-            )
-        validate = self.field.validate
-        for value in vector:
-            validate(value)
-        result = [0] * self.cols
-        tables = self.field.tables()
-        if tables is not None:
-            exp, log, _ = tables
-            for value, row in zip(vector, self._data):
-                if value:
-                    log_value = log[value]
-                    for index, entry in enumerate(row):
-                        if entry:
-                            result[index] ^= exp[log_value + log[entry]]
-        else:
-            mul = self.field._mul_big
-            for value, row in zip(vector, self._data):
-                if value:
-                    for index, entry in enumerate(row):
-                        if entry:
-                            result[index] ^= mul(value, entry)
-        return result
-
     def vecmat(self, vector: Sequence[int]) -> List[int]:
         """Row-vector-times-matrix product ``vector @ self`` as a plain list.
 
         The workhorse of per-edge encoding (``Y_e = X_i C_e``): one output
         symbol per column, without building intermediate 1 x n matrices.
         Small-degree fields keep the log/exp loop (the scalar's log hoisted);
-        big fields run the stacked kernel — the whole column batch moves per
-        windowed pass, not per symbol.  Identical values to
-        :meth:`vecmat_loop` (the frozen per-symbol oracle).
+        big fields run the kernel backend's ``vecmat`` (``native``) or the
+        stacked pass — the whole column batch moves per windowed pass, not
+        per symbol.  Identical values to the per-symbol loop frozen in
+        ``tests/_oracles/gf.py``.
 
         Raises:
             MatrixError: if ``len(vector)`` does not equal the row count.
@@ -494,119 +406,6 @@ class GFMatrix:
                     if entry:
                         result[index] ^= exp[log_value + log[entry]]
         return result
-
-    def matvec_batch(self, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Matrix-times-vector for a whole batch: ``[self @ x for x in vectors]``.
-
-        Big fields stack the batch *across vectors*: for each matrix column
-        ``j`` the batch's ``j``-th components are packed into one guard-spaced
-        integer, its window table is built once, and every matrix entry of
-        column ``j`` is folded through it — one windowed pass per (entry,
-        batch window) instead of one multiplication per (entry, vector).
-        Small-degree fields run the hoisted log/exp loop per vector.
-
-        Raises:
-            MatrixError: if any vector's length does not equal the column
-                count.
-        """
-        batch = [list(vector) for vector in vectors]
-        validate = self.field.validate
-        for vector in batch:
-            if len(vector) != self.cols:
-                raise MatrixError(
-                    f"matvec length mismatch: vector of {len(vector)} vs {self.cols} columns"
-                )
-            for value in vector:
-                validate(value)
-        if not batch:
-            return []
-        tables = self.field.tables()
-        if tables is not None:
-            exp, log, _ = tables
-            results = []
-            for vector in batch:
-                vec_logs = [log[value] if value else -1 for value in vector]
-                output = []
-                for row in self._data:
-                    accumulator = 0
-                    for entry, log_b in zip(row, vec_logs):
-                        if entry and log_b >= 0:
-                            accumulator ^= exp[log[entry] + log_b]
-                    output.append(accumulator)
-                results.append(output)
-            return results
-        field = self.field
-        stride = field._stride
-        cap = field._slot_cap
-        results = [[] for _ in batch]
-        for start in range(0, len(batch), cap):
-            window = batch[start : start + cap]
-            count = len(window)
-            # One stacked integer (and window table) per matrix column.
-            column_tables = []
-            for col in range(self.cols):
-                stacked = stack_slots([vector[col] for vector in window], stride)
-                column_tables.append(window_table(stacked) if stacked else None)
-            reduced_rows = []
-            for row in self._data:
-                accumulator = 0
-                for entry, table in zip(row, column_tables):
-                    if entry and table is not None:
-                        accumulator ^= _scan_window_table(table, entry)
-                reduced_rows.append(field._reduce_stacked(accumulator, count))
-            for offset in range(count):
-                target = results[start + offset]
-                for reduced in reduced_rows:
-                    target.append(reduced[offset])
-        return results
-
-    def vecmat_batch(self, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Vector-times-matrix for a whole batch: ``[x @ self for x in vectors]``.
-
-        Big fields stack the batch across vectors: the ``i``-th symbols of
-        every vector pack into one guard-spaced integer whose window table is
-        shared by all columns — one windowed pass per (matrix entry, batch
-        window) instead of one multiplication per (entry, vector).
-        Small-degree fields run the log/exp loop per vector.
-
-        Raises:
-            MatrixError: if any vector's length does not equal the row count.
-        """
-        batch = [list(vector) for vector in vectors]
-        for vector in batch:
-            if len(vector) != self.rows:
-                raise MatrixError(
-                    f"vecmat length mismatch: vector of {len(vector)} vs {self.rows} rows"
-                )
-        if not batch:
-            return []
-        if self.field.tables() is not None:
-            return [self.vecmat(vector) for vector in batch]
-        validate = self.field.validate
-        for vector in batch:
-            for value in vector:
-                validate(value)
-        field = self.field
-        stride = field._stride
-        cap = field._slot_cap
-        results = [[] for _ in batch]
-        for start in range(0, len(batch), cap):
-            window = batch[start : start + cap]
-            count = len(window)
-            row_tables = []
-            for row_index in range(self.rows):
-                stacked = stack_slots([vector[row_index] for vector in window], stride)
-                row_tables.append(window_table(stacked) if stacked else None)
-            for col in range(self.cols):
-                accumulator = 0
-                for row, table in zip(self._data, row_tables):
-                    entry = row[col]
-                    if entry and table is not None:
-                        accumulator ^= _scan_window_table(table, entry)
-                reduced = field._reduce_stacked(accumulator, count)
-                for offset in range(count):
-                    results[start + offset].append(reduced[offset])
-        return results
 
     def transpose(self) -> "GFMatrix":
         """The transposed matrix."""

@@ -212,26 +212,6 @@ def unstack_slots(stacked: int, stride_bits: int, count: int) -> List[int]:
     ]
 
 
-def poly_mul_stacked(values: List[int], factor: int, stride_bits: int) -> List[int]:
-    """Multiply every value by a shared ``factor`` in one windowed pass.
-
-    The SIMD-within-a-bigint trick: carry-less multiplication distributes
-    over concatenation, so ``k`` operands packed at ``stride_bits`` spacing
-    (wide enough for each product, per :func:`stack_stride`) times ``factor``
-    is a *single* :func:`poly_mul_windowed` call whose result splits back
-    into the ``k`` raw (unreduced) products.  Equivalent to
-    ``[poly_mul(v, factor) for v in values]``, against which it is
-    property-tested; callers reduce the raw products afterwards (usually via
-    :func:`poly_reduce_stacked` to amortise the fold pass too).
-    """
-    if not values:
-        return []
-    if factor == 0:
-        return [0] * len(values)
-    stacked = stack_slots(values, stride_bits)
-    return unstack_slots(poly_mul_windowed(stacked, factor), stride_bits, len(values))
-
-
 #: (degree, stride_bits, count) -> (low mask, high mask) for the stacked fold.
 _STACK_MASK_CACHE: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
 

@@ -4,16 +4,18 @@ The flat-row, table-bound kernels must return exactly the results the
 straightforward per-element implementation produces: same echelon forms,
 same pivots, same inverses, same solutions.  The reference implementations
 below mirror the pre-optimisation algorithms using the polynomial-arithmetic
-oracle of :class:`repro.gf.field.GF2m`.
+oracle of ``tests/_oracles/gf.py``.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Tuple
 
 import pytest
 
+from _oracles.gf import inv_fallback, mul_fallback
 from repro.gf.field import GF2m
 from repro.gf.matrix import GFMatrix
 
@@ -22,7 +24,7 @@ SIZES = [1, 2, 3, 5, 7]
 
 
 def _reference_matmul(field: GF2m, left: List[List[int]], right: List[List[int]]):
-    mul = field._mul_fallback
+    mul = partial(mul_fallback, field)
     rows, inner, cols = len(left), len(right), len(right[0])
     product = [[0] * cols for _ in range(rows)]
     for r in range(rows):
@@ -39,7 +41,7 @@ def _reference_eliminated(
 ) -> Tuple[List[List[int]], List[int], int]:
     work = [list(row) for row in data]
     rows, cols = len(work), len(work[0])
-    mul, inv = field._mul_fallback, field._inv_fallback
+    mul, inv = partial(mul_fallback, field), partial(inv_fallback, field)
     pivot_cols: List[int] = []
     swaps = 0
     pivot_row = 0
@@ -73,7 +75,7 @@ def _reference_eliminated(
 def _reference_determinant(field: GF2m, data: List[List[int]]) -> int:
     work = [list(row) for row in data]
     size = len(work)
-    mul, inv = field._mul_fallback, field._inv_fallback
+    mul, inv = partial(mul_fallback, field), partial(inv_fallback, field)
     det = 1
     for col in range(size):
         pivot = None

@@ -1,7 +1,7 @@
 """The ``native`` kernel backend: limb boundaries, build, cache and fallback.
 
-``tests/test_gf_backends.py`` conformance-tests every registered backend by
-name; this file covers what only ``native`` has: 64-bit limb boundaries, the
+``tests/test_gf_backends.py`` conformance-tests both backends by name; this
+file covers what only ``native`` has: 64-bit limb boundaries, the
 block and Karatsuba-level boundaries of the raw product routine, the lazily
 compiled and cached library (cold, warm, corrupted, raced, no compiler), and
 the packaging that lets an installed copy find ``clmul.c``.  What a *drawn*
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles.gf import dot, vecmat_loop
 from repro.exceptions import FieldError
 from repro.gf import backends
 from repro.gf.field import GF2m
@@ -57,14 +58,13 @@ def _edge_symbols(degree: int, rng: random.Random):
 class TestLimbBoundaries:
     """``native`` against the per-symbol loops of a pure-Python field.
 
-    The loops (``vecmat_loop`` / ``dot`` / ``scalar_mul``) multiply through
-    their own field's scalar kernel, so the oracle field is pinned to a
-    backend that shares no code with ``native``.
+    The loops (``vecmat_loop`` / ``dot``) multiply through their own field's
+    scalar kernel, so the oracle field is pinned to ``windowed``, which shares
+    no code with ``native``.
     """
 
     def _fields(self, degree):
-        oracle = "bitserial" if degree <= 129 else "windowed"
-        return GF2m(degree, kernel_backend="native"), GF2m(degree, kernel_backend=oracle)
+        return GF2m(degree, kernel_backend="native"), GF2m(degree, kernel_backend="windowed")
 
     def test_vecmat_shapes_and_edge_symbols(self, degree):
         field, oracle = self._fields(degree)
@@ -75,20 +75,30 @@ class TestLimbBoundaries:
             entries[-1] = [0] * cols  # a zero row
             matrix, reference = GFMatrix(field, entries), GFMatrix(oracle, entries)
             for vector in ([rng.choice(symbols) for _ in range(rows)], [0] * rows, symbols[:1] * rows):
-                assert matrix.vecmat(vector) == reference.vecmat_loop(vector), (rows, cols)
+                assert matrix.vecmat(vector) == vecmat_loop(reference, vector), (rows, cols)
 
-    def test_dot_vec_and_mul_vec(self, degree):
+    def test_scalar_products_and_edge_symbols(self, degree):
         field, oracle = self._fields(degree)
-        rng = random.Random(1000 + degree)
-        left = _edge_symbols(degree, rng)
+        symbols = _edge_symbols(degree, random.Random(1000 + degree))
+        for a in symbols:
+            for b in symbols:
+                assert field.mul(a, b) == oracle.mul(a, b), (a, b)
+
+    def test_one_column_vecmat_is_a_dot_product(self, degree):
+        field, oracle = self._fields(degree)
+        left = _edge_symbols(degree, random.Random(3000 + degree))
         for right in (left, left[::-1], [left[0]] * len(left), [0] * len(left)):
-            assert field.dot_vec(left, right) == oracle.dot(left, right)
-            assert field.mul_vec(left, right) == [
-                oracle.scalar_mul(a, [b])[0] for a, b in zip(left, right)
-            ]
-        assert field.dot_vec(left[:1], left[:1]) == oracle.mul(left[0], left[0])
-        assert field.dot_vec([], []) == 0
-        assert field.mul_vec([], []) == []
+            assert GFMatrix.column_vector(field, right).vecmat(left) == [dot(oracle, left, right)]
+        assert GFMatrix.column_vector(field, left[:1]).vecmat(left[:1]) == [oracle.mul(left[0], left[0])]
+
+    def test_pow_and_div_at_edge_symbols(self, degree):
+        field, oracle = self._fields(degree)
+        symbols = [a for a in _edge_symbols(degree, random.Random(2000 + degree)) if a]
+        for a in symbols:
+            for exponent in (0, 1, 2, 5, -1, -3):
+                assert field.pow(a, exponent) == oracle.pow(a, exponent), (a, exponent)
+            for b in symbols:
+                assert field.div(b, a) == oracle.div(b, a), (a, b)
 
 
 #: Limb counts around every boundary of the product routine: odd counts end
@@ -104,9 +114,9 @@ LIMB_COUNTS = (
 @needs_native
 @pytest.mark.parametrize("words", LIMB_COUNTS)
 def test_raw_products_match_poly_mul_at_every_block_and_level_boundary(words):
-    """One routine behind both entry points: ``clmul_pairs`` is ``mul_vec`` and
-    scalar ``clmul``; ``clmul_vecmat`` is ``vecmat`` and, with one column,
-    ``dot_vec``."""
+    """One routine behind both entry points: ``clmul_pairs`` is scalar
+    ``clmul`` (here also at several pairs a call), ``clmul_vecmat`` is
+    ``vecmat``."""
     library, width = backends._native_library()[0], 8 * words
     unit = library.clmul_scratch(words)
     rng = random.Random(words)
@@ -169,10 +179,6 @@ class TestNativeBackend:
         matrix = GFMatrix.random(field, 3, 2, random.Random(1))
         with pytest.raises(FieldError):
             kernel.vecmat(matrix, [1, 2])
-        with pytest.raises(FieldError):
-            kernel.dot_vec([1, 2], [1])
-        with pytest.raises(FieldError):
-            kernel.mul_vec([1], [1, 2])
 
     def test_a_hand_built_matrix_packs_once_and_a_drawn_one_never(self):
         field = GF2m(2185, kernel_backend="native")
@@ -189,7 +195,7 @@ class TestNativeBackend:
         assert stats() == {"hits": 0, "misses": 0, "bytes_built": 0}
         built = GFMatrix(field, drawn.to_lists())
         assert built.vecmat(vector) == first == built.vecmat(vector)
-        assert built.vecmat(sparse) == drawn.vecmat(sparse) == built.vecmat_loop(sparse)
+        assert built.vecmat(sparse) == drawn.vecmat(sparse) == vecmat_loop(built, sparse)
         assert built._limbs is None and bytes(built._kctx) == bytes(drawn._limbs)
         assert stats() == {"hits": 2, "misses": 1, "bytes_built": 4 * 6 * 35 * 8}
 
@@ -214,8 +220,8 @@ class TestNativeBackend:
 
 # ------------------------------------------------- fresh-interpreter scenarios
 
-#: Run in a child: counts compiler launches, builds one big field, multiplies,
-#: and prints what the field says about itself.
+#: Run in a child: counts compiler launches, builds big fields at three
+#: degrees, multiplies on each, and prints what the fields say about themselves.
 _PROBE = """
 import json, random, subprocess, sys
 launches = []
@@ -224,22 +230,23 @@ def counting(self, args, *a, **k):
     launches.append(args)
     return real(self, args, *a, **k)
 subprocess.Popen.__init__ = counting
-from repro.gf import backends
 from repro.gf.field import GF2m
 from repro.gf.matrix import GFMatrix
-from repro.gf.polynomials import poly_mul
-field = GF2m(2185)
+fields = [GF2m(degree) for degree in (256, 2185, 4096)]
+field = fields[1]
 rng = random.Random(7)
 matrix = GFMatrix.random(field, 3, 4, rng)
 info = field.describe()
+values = [hex(value) for value in matrix.vecmat(field.random_vector(3, rng))]
+values += [hex(big.mul(big.random_element(rng), big.random_element(rng))) for big in fields]
 print(json.dumps({
     "launches": len(launches),
-    "auto": [backends.auto_backend_name(degree) for degree in (256, 2185, 4096)],
+    "auto": [big.kernel_backend_name() for big in fields],
     "backend": info["kernel_backend"],
     "build": info["crossover"].get("build"),
     "library": info["crossover"].get("library"),
     "unavailable": info.get("native_unavailable"),
-    "values": [hex(value) for value in matrix.vecmat(field.random_vector(3, rng))],
+    "values": values,
 }))
 """
 
@@ -299,12 +306,12 @@ class TestBuildAndCache:
         assert (rebuilt["backend"], rebuilt["build"], rebuilt["launches"]) == ("native", "built", 1)
         assert [path.read_bytes() for path in _libraries(tmp_path)] == [whole]
 
-        # Corrupted again and no compiler to rebuild with: the pure-Python
-        # tier takes over with the parent's policy, says why, same values.
+        # Corrupted again and no compiler to rebuild with: ``windowed`` takes
+        # over at every degree, says why, same values.
         library.write_bytes(b"")
         fallback = _finish(_child(_PROBE, tmp_path, compiler=False))
         assert fallback["backend"] == "windowed"
-        assert fallback["auto"] == ["windowed", "windowed", "numpy"]
+        assert fallback["auto"] == ["windowed"] * 3
         assert "compiler" in fallback["unavailable"]
         assert fallback["launches"] == 0
         assert _libraries(tmp_path) == []
