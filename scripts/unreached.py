@@ -5,7 +5,7 @@ Two stages run in fresh interpreters under a ``sys.setprofile`` hook that
 records every function entry: the tier-1 suite (``pytest -q``), and the runs
 — one cell of every shape (protocol, execution, link model, fault plan,
 strategy; smallest payload) of every registered spec, then one small service
-batch on two forked workers.  Forked workers are followed too: each child
+batch (two-instance sessions, so each checkpoints once) on two forked workers.  Forked workers are followed too: each child
 hands its entries back through a file when it exits.  Every function defined
 under ``src/repro`` is then one of:
 
@@ -41,6 +41,7 @@ def hook(frame, event, _arg):
 
 
 def dump(stage: str, spool: str) -> None:
+    sys.setprofile(None)  # else the comprehension below grows the set it reads
     found = {(code.co_filename, code.co_firstlineno, code.co_qualname) for code in entered}
     with open(os.path.join(spool, f"{stage}-{os.getpid()}.pickle"), "wb") as handle:
         pickle.dump(found, handle)
@@ -75,22 +76,26 @@ def runs_stage(spool: str) -> None:
     service_main(
         ["--out", os.path.join(spool, "sessions.jsonl"), "--sessions", "12", "--workers", "2"]
         + ["--strategies", "fault-free,equality-garbage", "--max-faults", "1"]
+        + ["--instances", "2"]  # a one-instance session never checkpoints to the WAL
     )
 
 
 def traced(stage: str, spool: str) -> None:
-    def follow_fork():  # a forked worker leaves through multiprocessing, not atexit
-        import multiprocessing.util
+    import multiprocessing.util
 
+    def follow_fork(_hook):
+        # A forked worker leaves through multiprocessing, not atexit, and its
+        # bootstrap clears the finalizer registry before it runs these
+        # callbacks: a finalizer registered any earlier (os.register_at_fork)
+        # is gone by the time the worker exits.
         multiprocessing.util.Finalize(None, dump, args=(stage, spool), exitpriority=0)
 
-    os.register_at_fork(after_in_child=follow_fork)
+    multiprocessing.util.register_after_fork(hook, follow_fork)
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
         {"tests": tests_stage, "runs": runs_stage}[stage](spool)
     finally:
-        sys.setprofile(None)
         dump(stage, spool)
 
 

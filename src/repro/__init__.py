@@ -17,14 +17,14 @@ Quickstart::
     result = nab.run_instance(b"hello world!")
     print(hex(result.agreed_value()), result.elapsed)
 
-See ``examples/`` for adversarial scenarios and the capacity analysis, and
-``benchmarks/`` for the harnesses that regenerate the paper's figures and
-theorem-level claims.
+See ``examples/`` for adversarial scenarios and the capacity analysis;
+``tests/test_paper_claims.py`` pins the paper's figures and theorem-level
+claims as exact rationals.
 """
 
 from repro.capacity.bounds import CapacityAnalysis, analyse_network
 from repro.core.instance import InstanceResult
-from repro.core.nab import NABRunResult, NetworkAwareBroadcast
+from repro.core.nab import NetworkAwareBroadcast
 from repro.exceptions import ReproError
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import ByzantineStrategy, FaultModel
@@ -34,7 +34,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "NetworkAwareBroadcast",
-    "NABRunResult",
     "InstanceResult",
     "RunRecord",
     "NetworkGraph",

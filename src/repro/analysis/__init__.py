@@ -1,13 +1,13 @@
-"""Measurement and reporting utilities used by the examples and benchmarks.
+"""Reporting and accountability utilities over protocol runs.
 
-* :mod:`repro.analysis.throughput` — empirical throughput of protocol runs,
-  amortisation curves over the number of instances ``Q``, and comparison of
-  measured throughput against the analytical bounds.
-* :mod:`repro.analysis.reporting` — plain-text tables in the style of the
-  figures/claims the benchmarks regenerate (also used by EXPERIMENTS.md).
+* :mod:`repro.analysis.reporting` — plain-text tables, as the examples and
+  the engine's comparison report print them.
 * :mod:`repro.analysis.forensics` — pod-style accountability: per-node
   evidence of misbehaviour extracted from the transport ledger and dispute
   records, with zero false accusations of honest nodes.
+
+A run's throughput is :attr:`repro.types.RunRecord.throughput`; its
+analytical bounds are :func:`repro.capacity.bounds.analyse_network`.
 """
 
 from repro.analysis.forensics import (
@@ -17,26 +17,8 @@ from repro.analysis.forensics import (
     audit_rows,
 )
 from repro.analysis.reporting import format_table
-from repro.analysis.throughput import (
-    PipelineGap,
-    ThroughputMeasurement,
-    amortization_curve,
-    check_record_spec,
-    measure_nab_throughput,
-    measurement_from_record,
-    pipeline_gap_from_record,
-    verify_agreement_and_validity,
-)
 
 __all__ = [
-    "ThroughputMeasurement",
-    "PipelineGap",
-    "pipeline_gap_from_record",
-    "measure_nab_throughput",
-    "measurement_from_record",
-    "check_record_spec",
-    "amortization_curve",
-    "verify_agreement_and_validity",
     "format_table",
     "ForensicRecorder",
     "ForensicReport",

@@ -1,9 +1,9 @@
-"""Plain-text table rendering for benchmark output and EXPERIMENTS.md.
+"""Plain-text table rendering for the examples and the engine's report.
 
-The benchmarks print the rows/series the paper's analysis implies (there are
-no numeric tables in the paper itself — it is a theory paper); a fixed-width
-text table keeps that output readable both on a terminal and when pasted into
-Markdown documents.
+They print the rows/series the paper's analysis implies (there are no numeric
+tables in the paper itself — it is a theory paper); a fixed-width text table
+keeps that output readable both on a terminal and when pasted into Markdown
+documents.
 """
 
 from __future__ import annotations

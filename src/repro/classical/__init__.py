@@ -18,18 +18,20 @@ This package provides:
   rounds, correct for ``n >= 3f + 1``) running on top of the relay.
 * :class:`repro.classical.broadcast_default.BroadcastDefault` — the facade NAB
   phases call.
-* :func:`repro.classical.flooding.classical_full_value_broadcast` — the
-  capacity-oblivious baseline that broadcasts the entire ``L``-bit input with
-  the classical algorithm, used by the NAB-vs-classical benchmark.
+* :func:`repro.classical.flooding.classical_flooding_run` /
+  :func:`~repro.classical.flooding.eig_chunked_run` — the capacity-oblivious
+  baselines (the entire ``L``-bit input, or its chunks, broadcast with the
+  classical algorithm) the engine registers as ``classical-flooding`` and
+  ``eig`` beside NAB.
 """
 
 from repro.classical.broadcast_default import BroadcastDefault
 from repro.classical.eig import EIGBroadcast
 from repro.classical.flooding import (
     classical_chunked_broadcast,
-    classical_flooding_run_record,
+    classical_flooding_run,
     classical_full_value_broadcast,
-    eig_chunked_run_record,
+    eig_chunked_run,
 )
 from repro.classical.relay import (
     DisjointPathRelay,
@@ -45,6 +47,6 @@ __all__ = [
     "BroadcastDefault",
     "classical_full_value_broadcast",
     "classical_chunked_broadcast",
-    "classical_flooding_run_record",
-    "eig_chunked_run_record",
+    "classical_flooding_run",
+    "eig_chunked_run",
 ]

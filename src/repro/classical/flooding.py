@@ -13,21 +13,13 @@ avoids.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.classical.broadcast_default import BroadcastDefault
 from repro.transport.faults import FaultModel
 from repro.transport.network import NetworkFactory, SynchronousNetwork
 from repro.graph.network_graph import NetworkGraph
-from repro.types import (
-    BroadcastResult,
-    Edge,
-    NodeId,
-    RunRecord,
-    accumulate_link_bits,
-    broadcast_spec_flags,
-)
+from repro.types import NodeId, RunRecord, fold_instances
 
 
 def classical_full_value_broadcast(
@@ -36,9 +28,8 @@ def classical_full_value_broadcast(
     value: bytes,
     max_faults: int,
     fault_model: FaultModel | None = None,
-    participants: Sequence[NodeId] | None = None,
     network_factory: NetworkFactory | None = None,
-) -> BroadcastResult:
+) -> Tuple[Dict[NodeId, object], Dict[str, object]]:
     """Broadcast an ``L``-bit value using only the classical (capacity-oblivious) BB.
 
     Args:
@@ -47,29 +38,24 @@ def classical_full_value_broadcast(
         value: The input as a byte string (``L = 8 * len(value)`` bits).
         max_faults: The resilience parameter ``f``.
         fault_model: Byzantine behaviour; defaults to no faults.
-        participants: Nodes taking part; defaults to all nodes of the graph.
         network_factory: Transport constructor; defaults to the zero-delay
             :class:`SynchronousNetwork` (pass a scheduled factory to measure
             delivery on the discrete-event clock).
 
     Returns:
-        A :class:`repro.types.BroadcastResult` with the fault-free outputs,
-        total elapsed time and bits sent.
+        ``(outputs, accounting)``: the decision of every fault-free node, and
+        the network's ``result_accounting()`` (``elapsed``, ``bits_sent``,
+        ``phase_timings``, ``link_bits``) — one instance of
+        :func:`repro.types.fold_instances`.
     """
     fault_model = fault_model if fault_model is not None else FaultModel()
     factory = network_factory if network_factory is not None else SynchronousNetwork
     network = factory(graph, fault_model)
-    nodes = sorted(participants) if participants is not None else graph.nodes()
-    broadcaster = BroadcastDefault(network, nodes, max_faults)
-    bit_size = max(1, 8 * len(value))
-    decided: Dict[NodeId, bytes] = broadcaster.broadcast(
-        source, value, bit_size, phase="classical_broadcast", context="flooding"
+    broadcaster = BroadcastDefault(network, graph.nodes(), max_faults)
+    decided: Dict[NodeId, object] = broadcaster.broadcast(
+        source, value, max(1, 8 * len(value)), phase="classical_broadcast", context="flooding"
     )
-    return BroadcastResult(
-        outputs=decided,
-        metadata={"algorithm": "classical_eig_flooding", "L_bits": bit_size},
-        **network.result_accounting(),
-    )
+    return decided, network.result_accounting()
 
 
 def classical_chunked_broadcast(
@@ -81,7 +67,7 @@ def classical_chunked_broadcast(
     chunk_bytes: int = 1,
     instance: int = 0,
     network_factory: NetworkFactory | None = None,
-) -> BroadcastResult:
+) -> Tuple[Dict[NodeId, object], Dict[str, object]]:
     """Broadcast a value chunk by chunk with direct EIG runs (no NAB machinery).
 
     The value is split into ``chunk_bytes``-sized pieces and every piece is
@@ -91,6 +77,7 @@ def classical_chunked_broadcast(
     "stream the payload through the classical primitive" shape of a naive
     replicated-log deployment; like the full-value baseline it is capacity
     oblivious, so its cost profile is dominated by the slowest links.
+    Returns ``(outputs, accounting)`` as :func:`classical_full_value_broadcast`.
     """
     fault_model = fault_model if fault_model is not None else FaultModel()
     factory = network_factory if network_factory is not None else SynchronousNetwork
@@ -112,46 +99,10 @@ def classical_chunked_broadcast(
             # A Byzantine source injected non-byte garbage; keep the raw
             # per-chunk decisions so spec checking can still compare them.
             outputs[node] = tuple(pieces)
-    return BroadcastResult(
-        outputs=outputs,
-        metadata={
-            "algorithm": "classical_eig_chunked",
-            "L_bits": max(1, 8 * len(value)),
-            "chunks": len(chunks),
-        },
-        **network.result_accounting(),
-    )
+    return outputs, network.result_accounting()
 
 
-def _aggregate_run_record(
-    protocol: str,
-    results: Sequence[BroadcastResult],
-    inputs: Sequence[bytes],
-    source_faulty: bool,
-    metadata: Dict[str, object],
-) -> RunRecord:
-    """Fold per-instance :class:`BroadcastResult`s into one :class:`RunRecord`."""
-    link_totals: Dict[Edge, int] = {}
-    for result in results:
-        accumulate_link_bits(link_totals, result.link_bits)
-    outputs = tuple(dict(result.outputs) for result in results)
-    agreement_ok, validity_ok = broadcast_spec_flags(outputs, inputs, source_faulty)
-    return RunRecord(
-        protocol=protocol,
-        instances=len(results),
-        payload_bits=sum(8 * len(value) for value in inputs),
-        outputs=outputs,
-        elapsed=sum((result.elapsed for result in results), Fraction(0)),
-        bits_sent=sum(result.bits_sent for result in results),
-        link_bits=link_totals,
-        dispute_control_executions=0,
-        agreement_ok=agreement_ok,
-        validity_ok=validity_ok,
-        metadata=metadata,
-    )
-
-
-def classical_flooding_run_record(
+def classical_flooding_run(
     graph: NetworkGraph,
     source: NodeId,
     inputs: Sequence[bytes],
@@ -159,25 +110,24 @@ def classical_flooding_run_record(
     fault_model: FaultModel | None = None,
     network_factory: NetworkFactory | None = None,
 ) -> RunRecord:
-    """Run the full-value baseline once per input and aggregate into a :class:`RunRecord`."""
+    """Run the full-value baseline once per input and fold the run."""
     fault_model = fault_model if fault_model is not None else FaultModel()
-    results = [
+    instances = [
         classical_full_value_broadcast(
-            graph, source, value, max_faults, fault_model,
-            network_factory=network_factory,
+            graph, source, value, max_faults, fault_model, network_factory=network_factory
         )
         for value in inputs
     ]
-    return _aggregate_run_record(
+    return fold_instances(
         "classical-flooding",
-        results,
         inputs,
         fault_model.is_faulty(source),
-        {"algorithm": "classical_eig_flooding"},
+        instances,
+        metadata={"algorithm": "classical_eig_flooding"},
     )
 
 
-def eig_chunked_run_record(
+def eig_chunked_run(
     graph: NetworkGraph,
     source: NodeId,
     inputs: Sequence[bytes],
@@ -186,9 +136,9 @@ def eig_chunked_run_record(
     chunk_bytes: int = 1,
     network_factory: NetworkFactory | None = None,
 ) -> RunRecord:
-    """Run the chunked EIG baseline once per input and aggregate into a :class:`RunRecord`."""
+    """Run the chunked EIG baseline once per input and fold the run."""
     fault_model = fault_model if fault_model is not None else FaultModel()
-    results = [
+    instances = [
         classical_chunked_broadcast(
             graph, source, value, max_faults, fault_model,
             chunk_bytes=chunk_bytes, instance=index,
@@ -196,10 +146,10 @@ def eig_chunked_run_record(
         )
         for index, value in enumerate(inputs)
     ]
-    return _aggregate_run_record(
+    return fold_instances(
         "eig",
-        results,
         inputs,
         fault_model.is_faulty(source),
-        {"algorithm": "classical_eig_chunked", "chunk_bytes": chunk_bytes},
+        instances,
+        metadata={"algorithm": "classical_eig_chunked", "chunk_bytes": chunk_bytes},
     )

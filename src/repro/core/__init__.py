@@ -17,18 +17,16 @@ convention) to every other node in three phases:
    dispute/fault knowledge (:mod:`repro.core.dispute_state`) shrinks the graph
    used by later instances.
 
-:class:`repro.core.nab.NetworkAwareBroadcast` is the public entry point that
-runs a sequence of instances and reports per-instance results, timings and
-achieved throughput; :meth:`~repro.core.nab.NetworkAwareBroadcast.run_pipelined`
-overlaps the instances per the Figure 3 pipeline on the discrete-event kernel
-(:mod:`repro.core.pipeline`).
+:class:`repro.core.nab.NetworkAwareBroadcast` is the public entry point: it
+runs one instance (an :class:`InstanceResult`) or a sequence of instances
+folded into a :class:`repro.types.RunRecord`, sequentially or overlapped per
+the Figure 3 pipeline on the discrete-event kernel (:mod:`repro.core.pipeline`).
 """
 
 from repro.core.dispute_state import DisputeState
 from repro.core.instance import InstanceResult, NABInstance
-from repro.core.nab import NABRunResult, NetworkAwareBroadcast
+from repro.core.nab import NetworkAwareBroadcast
 from repro.core.parameters import InstanceParameters, compute_instance_parameters
-from repro.core.pipeline import PipelinedNABResult, StageTiming, run_pipelined
 
 __all__ = [
     "DisputeState",
@@ -37,8 +35,4 @@ __all__ = [
     "NABInstance",
     "InstanceResult",
     "NetworkAwareBroadcast",
-    "NABRunResult",
-    "PipelinedNABResult",
-    "StageTiming",
-    "run_pipelined",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.coding.coding_matrix import generate_coding_scheme
 from repro.core.dispute_state import DisputeState
@@ -32,7 +32,7 @@ from repro.gf.symbols import symbol_size_for
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import FaultModel
 from repro.transport.network import NetworkFactory, SynchronousNetwork
-from repro.types import NodeId, PhaseTiming, accumulate_link_bits
+from repro.types import NodeId, PhaseTiming
 
 
 @dataclass(frozen=True)
@@ -177,45 +177,6 @@ def instance_result_from_jsonable(data: Dict[str, object]) -> InstanceResult:
         },
         phase1_depth=data["phase1_depth"],
     )
-
-
-def summarize_instances(
-    results: "Sequence[InstanceResult]", inputs: "Sequence[bytes]"
-) -> Tuple[
-    Tuple[Dict[NodeId, bytes], ...],
-    Dict[tuple, int],
-    list,
-    list,
-]:
-    """Aggregate per-instance results into the shared ``RunRecord`` ingredients.
-
-    The single definition used by both the sequential (``NABRunResult``) and
-    pipelined (``PipelinedNABResult``) record builders, so the two execution
-    paths can never disagree on output canonicalisation or dispute
-    aggregation.
-
-    Returns:
-        ``(outputs, link_totals, disputes, identified)`` where ``outputs``
-        renders each instance's integer outputs as byte strings of the
-        instance's payload length — the canonical form is length-preserving
-        (an output of 7 on a 2-byte payload is ``b"\\x00\\x07"``, distinct
-        from a 1-byte payload's ``b"\\x07"``).
-    """
-    link_totals: Dict[tuple, int] = {}
-    disputes: list = []
-    identified: list = []
-    for result in results:
-        accumulate_link_bits(link_totals, result.link_bits)
-        disputes.extend(sorted(pair) for pair in result.new_disputes)
-        identified.extend(result.newly_identified_faulty)
-    outputs = tuple(
-        {
-            node: value.to_bytes(len(payload), "big")
-            for node, value in result.outputs.items()
-        }
-        for payload, result in zip(inputs, results)
-    )
-    return outputs, link_totals, disputes, identified
 
 
 class NABInstance:

@@ -3,90 +3,28 @@
 :class:`NetworkAwareBroadcast` runs a sequence of NAB instances on one
 network, carrying the dispute state from instance to instance exactly as the
 paper prescribes.  It accepts inputs as byte strings (the natural application
-interface) and reports per-instance results plus aggregate throughput,
-measured in bits per time unit under the link-capacity model.
+interface) and reports one instance's :class:`InstanceResult`, or a whole
+run folded into a :class:`repro.types.RunRecord` whose throughput is measured
+in bits per time unit under the link-capacity model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dispute_state import DisputeState
-from repro.core.instance import (
-    InstanceResult,
-    NABInstance,
-    instance_result_from_jsonable,
-    summarize_instances,
-)
-from repro.core.pipeline import PipelinedNABResult, run_pipelined
+from repro.core.instance import InstanceResult, NABInstance, instance_result_from_jsonable
+from repro.core.pipeline import pipelined_timing
 from repro.transport.network import NetworkFactory
 from repro.exceptions import ProtocolError
 from repro.graph.connectivity import resilience_violation
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import FaultModel
-from repro.types import NodeId, RunRecord, broadcast_spec_flags
+from repro.types import NodeId, RunRecord, fold_instances
 
 #: The per-instance hook of :meth:`NetworkAwareBroadcast.run`.
 Checkpoint = Callable[[Dict[str, object]], None]
-
-
-@dataclass(frozen=True)
-class NABRunResult:
-    """Aggregate result of running ``Q`` NAB instances.
-
-    Attributes:
-        instances: Per-instance results, in execution order.
-        total_elapsed: Sum of per-instance elapsed times.
-        total_bits: Sum of bits sent on all links across all instances.
-        throughput: ``(Q * L) / total_elapsed`` in bits per time unit
-            (``None`` if no time elapsed).
-        dispute_control_executions: How many instances ran Phase 3.
-    """
-
-    instances: Tuple[InstanceResult, ...]
-    total_elapsed: Fraction
-    total_bits: int
-    throughput: Fraction | None
-    dispute_control_executions: int
-
-    def outputs_per_instance(self) -> List[Dict[NodeId, int]]:
-        """The fault-free outputs of every instance, in order."""
-        return [dict(result.outputs) for result in self.instances]
-
-    def as_run_record(self, inputs: Sequence[bytes], source_faulty: bool) -> RunRecord:
-        """Convert this run into the shared :class:`repro.types.RunRecord` shape.
-
-        Args:
-            inputs: The byte-string input of each instance, in execution order.
-            source_faulty: Whether the broadcasting source is Byzantine
-                (validity is unconstrained then).
-        """
-        outputs, link_totals, disputes, identified = summarize_instances(
-            self.instances, inputs
-        )
-        agreement_ok, validity_ok = broadcast_spec_flags(outputs, inputs, source_faulty)
-        return RunRecord(
-            protocol="nab",
-            instances=len(self.instances),
-            payload_bits=sum(8 * len(value) for value in inputs),
-            outputs=outputs,
-            elapsed=self.total_elapsed,
-            bits_sent=self.total_bits,
-            link_bits=link_totals,
-            dispute_control_executions=self.dispute_control_executions,
-            agreement_ok=agreement_ok,
-            validity_ok=validity_ok,
-            metadata={
-                "algorithm": "nab",
-                "disputes": sorted(disputes),
-                "identified_faulty": sorted(identified),
-                "mismatch_instances": sum(
-                    1 for result in self.instances if result.mismatch_announced
-                ),
-            },
-        )
 
 
 class NetworkAwareBroadcast:
@@ -170,10 +108,9 @@ class NetworkAwareBroadcast:
         values: Sequence[bytes],
         snapshot: Optional[Mapping[str, object]] = None,
         checkpoint: Optional[Checkpoint] = None,
-    ) -> NABRunResult:
-        """Run one instance per value and aggregate timings and throughput.
+    ) -> RunRecord:
+        """Run one instance per value, fresh or resumed, and fold the run.
 
-        The one instance loop and aggregation of NAB, fresh or resumed.
         ``checkpoint`` is called after every instance but the last with the
         JSON-safe ``state`` (:meth:`snapshot_state`), completed ``results``
         and hex ``pending_inputs``; passed back as ``snapshot`` with the same
@@ -183,6 +120,29 @@ class NetworkAwareBroadcast:
             ProtocolError: if no values are given, or ``snapshot`` is
                 malformed or inconsistent with its state or ``values``.
         """
+        return self._fold(values, self._run_instances(values, snapshot, checkpoint))
+
+    def run_pipelined(self, values: Sequence[bytes]) -> RunRecord:
+        """Run one instance per value with Figure 3 pipelined timing.
+
+        Instance semantics (outputs, bits, dispute-state evolution) are
+        identical to :meth:`run`; ``elapsed`` is the makespan of the pipeline
+        dependency structure simulated on the discrete-event kernel, and the
+        measured timeline lands in ``metadata`` (see :mod:`repro.core.pipeline`).
+
+        Raises:
+            ProtocolError: if no values are given.
+        """
+        results = self._run_instances(values)
+        return self._fold(values, results, *pipelined_timing(results, values))
+
+    def _run_instances(
+        self,
+        values: Sequence[bytes],
+        snapshot: Optional[Mapping[str, object]] = None,
+        checkpoint: Optional[Checkpoint] = None,
+    ) -> List[InstanceResult]:
+        """The one instance loop of NAB, with its restore and checkpoint hook."""
         if not values:
             raise ProtocolError("at least one value is required")
         results: List[InstanceResult] = []
@@ -200,52 +160,44 @@ class NetworkAwareBroadcast:
                         "pending_inputs": [pending.hex() for pending in values[len(results):]],
                     }
                 )
-        total_elapsed = sum((result.elapsed for result in results), Fraction(0))
-        total_bits = sum(result.bits_sent for result in results)
-        if total_elapsed > 0:
-            payload_bits = sum(8 * len(value) for value in values)
-            throughput: Fraction | None = Fraction(payload_bits) / total_elapsed
-        else:
-            throughput = None
-        return NABRunResult(
-            instances=tuple(results),
-            total_elapsed=total_elapsed,
-            total_bits=total_bits,
-            throughput=throughput,
-            dispute_control_executions=sum(
-                1 for result in results if result.dispute_control_ran
-            ),
-        )
+        return results
 
-    def run_record(
+    def _fold(
         self,
         values: Sequence[bytes],
-        snapshot: Optional[Mapping[str, object]] = None,
-        checkpoint: Optional[Checkpoint] = None,
+        results: Sequence[InstanceResult],
+        elapsed: Optional[Fraction] = None,
+        timing: Optional[Dict[str, object]] = None,
     ) -> RunRecord:
-        """:meth:`run`, returned as the shared :class:`RunRecord`.
-
-        This is the entry point the experiment engine's protocol registry
-        calls; :meth:`run` remains available when per-instance detail
-        (:class:`InstanceResult`) is needed.
-        """
-        run = self.run(values, snapshot, checkpoint)
-        return run.as_run_record(values, self.fault_model.is_faulty(self.source))
-
-    def run_pipelined(self, values: Sequence[bytes]) -> PipelinedNABResult:
-        """Run one instance per value with Figure 3 pipelined timing.
-
-        Instance semantics (outputs, bits, dispute-state evolution) are
-        identical to :meth:`run`; completion time comes from simulating the
-        pipeline dependency structure on the discrete-event kernel.  See
-        :mod:`repro.core.pipeline`.
-        """
-        return run_pipelined(self, values)
-
-    def run_pipelined_record(self, values: Sequence[bytes]) -> RunRecord:
-        """Pipelined counterpart of :meth:`run_record` (measured timeline in metadata)."""
-        run = self.run_pipelined(values)
-        return run.as_run_record(values, self.fault_model.is_faulty(self.source))
+        """The run's :class:`RunRecord`: integer outputs become byte strings of
+        their payload's length (``7`` on a 2-byte payload is ``b"\\x00\\x07"``),
+        and ``timing`` is the pipelined metadata of :func:`pipelined_timing`."""
+        instances = [
+            (
+                {node: value.to_bytes(len(payload), "big") for node, value in result.outputs.items()},
+                vars(result),  # an InstanceResult carries its result_accounting() fields
+            )
+            for payload, result in zip(values, results)
+        ]
+        return fold_instances(
+            "nab",
+            values,
+            self.fault_model.is_faulty(self.source),
+            instances,
+            dispute_control_executions=sum(1 for result in results if result.dispute_control_ran),
+            elapsed=elapsed,
+            metadata={
+                "algorithm": "nab",
+                "disputes": sorted(
+                    sorted(pair) for result in results for pair in result.new_disputes
+                ),
+                "identified_faulty": sorted(
+                    node for result in results for node in result.newly_identified_faulty
+                ),
+                "mismatch_instances": sum(1 for result in results if result.mismatch_announced),
+                **(timing or {}),
+            },
+        )
 
     # ------------------------------------------------------------------ state
 

@@ -8,11 +8,12 @@ rounds of ``L/gamma + L/rho + overhead`` and lets instance ``q + 1`` enter the
 network while instance ``q`` is still propagating — after a fill-in latency of
 ``D - 1`` rounds one instance completes per round.
 
-:func:`run_pipelined` turns that picture into a measured execution.  Each
-instance still runs through the real three-phase machinery (so outputs, bits,
-dispute-state evolution and spec flags are identical to the sequential path),
-and the *timing* is obtained by simulating the Figure 3 dependency structure
-with :func:`repro.sched.simulate_tasks`:
+:meth:`repro.core.nab.NetworkAwareBroadcast.run_pipelined` turns that
+picture into a measured execution.  Each instance still runs through the real
+three-phase machinery (so outputs, bits, dispute-state evolution and spec
+flags are identical to the sequential path), and :func:`pipelined_timing`
+obtains the *timing* by simulating the Figure 3 dependency structure with
+:func:`repro.sched.simulate_tasks`:
 
 * stage task ``(q, h)`` — instance ``q``'s round at hop depth ``h`` — lasts
   one full round of that instance (its measured Phase 1 time plus its measured
@@ -38,24 +39,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.capacity.pipelining import PipelineSchedule, pipelined_schedule
-from repro.core.instance import InstanceResult, summarize_instances
+from repro.core.instance import InstanceResult
 from repro.exceptions import ProtocolError
 from repro.sched.kernel import Task, TaskTimeline, simulate_tasks
-from repro.types import NodeId, RunRecord, broadcast_spec_flags
 
 #: Accounting phase names whose durations form the two pipeline stages.
 _PHASE1 = "phase1_broadcast"
 _PHASE3 = "phase3_dispute_control"
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """Measured extent of one pipeline stage (instance ``q`` at hop ``h``)."""
-
-    instance: int
-    hop: int
-    start: Fraction
-    end: Fraction
 
 
 @dataclass(frozen=True)
@@ -70,114 +60,6 @@ class _InstanceStages:
     @property
     def round_length(self) -> Fraction:
         return self.phase1 + self.remainder
-
-
-@dataclass(frozen=True)
-class PipelinedNABResult:
-    """Aggregate result of running ``Q`` NAB instances pipelined.
-
-    Attributes:
-        instances: Per-instance results (identical to the sequential path).
-        total_elapsed: Measured pipelined completion time (event-simulated).
-        sequential_elapsed: Measured completion of the unpipelined execution
-            under the same per-hop propagation model (the comparator).
-        total_bits: Bits sent on all links (pipelining reorders, never adds).
-        throughput: ``Q * L / total_elapsed`` in bits per time unit.
-        dispute_control_executions: How many instances ran Phase 3.
-        depth: Steady-state broadcast depth ``D`` (last instance's packing).
-        round_length: Steady-state round duration (last instance's round).
-        round_overhead: ``round_length - L/gamma - L/rho`` of the steady
-            state — the per-round cost beyond the two ideal terms (flag
-            broadcasts, ceil rounding, capacity shares); ``None`` when the
-            run never reached a homogeneous steady state.
-        analytic: The Figure 3 closed form evaluated at the steady-state
-            parameters (``None`` when the run was not homogeneous); in a
-            fault-free run ``analytic.total_time == total_elapsed`` exactly.
-        stage_timeline: Measured ``(instance, hop, start, end)`` stages in
-            completion order — the event timeline experiments persist.
-    """
-
-    instances: Tuple[InstanceResult, ...]
-    total_elapsed: Fraction
-    sequential_elapsed: Fraction
-    total_bits: int
-    throughput: Optional[Fraction]
-    dispute_control_executions: int
-    depth: int
-    round_length: Fraction
-    round_overhead: Optional[Fraction]
-    analytic: Optional[PipelineSchedule]
-    stage_timeline: Tuple[StageTiming, ...]
-
-    @property
-    def speedup(self) -> Optional[Fraction]:
-        """Measured sequential / pipelined completion ratio (``None`` if degenerate)."""
-        if self.total_elapsed <= 0:
-            return None
-        return self.sequential_elapsed / self.total_elapsed
-
-    def outputs_per_instance(self) -> List[Dict[NodeId, int]]:
-        """The fault-free outputs of every instance, in order."""
-        return [dict(result.outputs) for result in self.instances]
-
-    def as_run_record(self, inputs: Sequence[bytes], source_faulty: bool) -> RunRecord:
-        """Summarise the pipelined run in the shared :class:`RunRecord` shape.
-
-        ``elapsed`` is the pipelined completion time; the measured event
-        timeline, the sequential comparator and the analytic schedule land in
-        ``metadata`` (JSON-safe, rationals as ``"p/q"`` strings).
-        """
-        outputs, link_totals, disputes, identified = summarize_instances(
-            self.instances, inputs
-        )
-        agreement_ok, validity_ok = broadcast_spec_flags(outputs, inputs, source_faulty)
-        speedup = self.speedup
-        metadata: Dict[str, object] = {
-            "algorithm": "nab",
-            "execution": "pipelined",
-            "disputes": sorted(disputes),
-            "identified_faulty": sorted(identified),
-            "mismatch_instances": sum(
-                1 for result in self.instances if result.mismatch_announced
-            ),
-            "pipeline_depth": self.depth,
-            "round_length": str(self.round_length),
-            "round_overhead": (
-                None if self.round_overhead is None else str(self.round_overhead)
-            ),
-            "sequential_elapsed": str(self.sequential_elapsed),
-            "speedup": None if speedup is None else str(speedup),
-            "analytic_total": (
-                None if self.analytic is None else str(self.analytic.total_time)
-            ),
-            "matches_analytic": (
-                None
-                if self.analytic is None
-                else self.analytic.total_time == self.total_elapsed
-            ),
-            "stage_timeline": [
-                {
-                    "instance": stage.instance,
-                    "hop": stage.hop,
-                    "start": str(stage.start),
-                    "end": str(stage.end),
-                }
-                for stage in self.stage_timeline
-            ],
-        }
-        return RunRecord(
-            protocol="nab",
-            instances=len(self.instances),
-            payload_bits=sum(8 * len(value) for value in inputs),
-            outputs=outputs,
-            elapsed=self.total_elapsed,
-            bits_sent=self.total_bits,
-            link_bits=link_totals,
-            dispute_control_executions=self.dispute_control_executions,
-            agreement_ok=agreement_ok,
-            validity_ok=validity_ok,
-            metadata=metadata,
-        )
 
 
 def _stages_of(result: InstanceResult) -> _InstanceStages:
@@ -317,48 +199,48 @@ def _steady_state(
     return overhead, schedule
 
 
-def run_pipelined(nab, values: Sequence[bytes]) -> PipelinedNABResult:
-    """Run one NAB instance per value with Figure 3 pipelined timing.
+def pipelined_timing(
+    results: Sequence[InstanceResult], inputs: Sequence[bytes]
+) -> Tuple[Fraction, Dict[str, object]]:
+    """The Figure 3 pipelined completion time of executed instances.
 
     Args:
-        nab: A :class:`repro.core.nab.NetworkAwareBroadcast` (any state —
-            dispute carry-over across calls works exactly as for ``run``).
-        values: One byte-string input per instance.
+        results: The instances, in execution order (at least one).
+        inputs: One byte-string input per instance.
 
-    Raises:
-        ProtocolError: if no values are given.
+    Returns:
+        ``(makespan, metadata)``: the event-simulated pipelined completion
+        time, and the JSON-safe record metadata (rationals as ``"p/q"``
+        strings) — the steady-state ``pipeline_depth`` / ``round_length`` /
+        ``round_overhead`` (the per-round cost beyond ``L/gamma + L/rho``), the
+        unpipelined comparator ``sequential_elapsed`` and the ``speedup`` over
+        it, the Figure 3 closed form ``analytic_total`` and whether the makespan
+        ``matches_analytic`` (both ``None`` unless the run is a homogeneous
+        steady state), and the measured ``stage_timeline``.
     """
-    run = nab.run(values)
-    results = run.instances
     stages = [_stages_of(result) for result in results]
     dispute_ran = [result.dispute_control_ran for result in results]
-
     pipeline_timeline: TaskTimeline = simulate_tasks(_pipeline_tasks(stages, dispute_ran))
-    sequential_timeline: TaskTimeline = simulate_tasks(
-        _sequential_tasks(stages, dispute_ran)
-    )
-    total_elapsed = pipeline_timeline.makespan
-    sequential_elapsed = sequential_timeline.makespan
-
-    stage_timeline = tuple(
-        StageTiming(instance=name[1], hop=name[2], start=timing.start, end=timing.end)
-        for timing in pipeline_timeline.timings()
-        for name in (timing.name,)
-        if name[0] == "stage"
-    )
-    payload_bits = sum(8 * len(value) for value in values)
-    throughput = Fraction(payload_bits) / total_elapsed if total_elapsed > 0 else None
-    round_overhead, analytic = _steady_state(results, stages, values)
-    return PipelinedNABResult(
-        instances=results,
-        total_elapsed=total_elapsed,
-        sequential_elapsed=sequential_elapsed,
-        total_bits=run.total_bits,
-        throughput=throughput,
-        dispute_control_executions=run.dispute_control_executions,
-        depth=stages[-1].depth,
-        round_length=stages[-1].round_length,
-        round_overhead=round_overhead,
-        analytic=analytic,
-        stage_timeline=stage_timeline,
-    )
+    makespan = pipeline_timeline.makespan
+    sequential = simulate_tasks(_sequential_tasks(stages, dispute_ran)).makespan
+    round_overhead, analytic = _steady_state(results, stages, inputs)
+    return makespan, {
+        "execution": "pipelined",
+        "pipeline_depth": stages[-1].depth,
+        "round_length": str(stages[-1].round_length),
+        "round_overhead": None if round_overhead is None else str(round_overhead),
+        "sequential_elapsed": str(sequential),
+        "speedup": str(sequential / makespan) if makespan > 0 else None,
+        "analytic_total": None if analytic is None else str(analytic.total_time),
+        "matches_analytic": None if analytic is None else analytic.total_time == makespan,
+        "stage_timeline": [
+            {
+                "instance": timing.name[1],
+                "hop": timing.name[2],
+                "start": str(timing.start),
+                "end": str(timing.end),
+            }
+            for timing in pipeline_timeline.timings()
+            if timing.name[0] == "stage"
+        ],
+    }

@@ -17,10 +17,7 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.classical.flooding import (
-    classical_flooding_run_record,
-    eig_chunked_run_record,
-)
+from repro.classical.flooding import classical_flooding_run, eig_chunked_run
 from repro.core.nab import NetworkAwareBroadcast
 from repro.exceptions import ConfigurationError
 from repro.graph.network_graph import NetworkGraph
@@ -184,11 +181,9 @@ class NABProtocol(Protocol):
             network_factory=factory,
         )
         if pipelined:
-            record = nab.run_pipelined_record(list(inputs))
+            record = nab.run_pipelined(list(inputs))
         else:
-            record = nab.run_record(
-                list(inputs), params.get("snapshot"), params.get("checkpoint")
-            )
+            record = nab.run(list(inputs), params.get("snapshot"), params.get("checkpoint"))
         return attach_reliability_stats(record, factory)
 
 
@@ -200,7 +195,7 @@ class ClassicalFloodingProtocol(Protocol):
     def run(self, graph, source, inputs, fault_model, params):
         _check_execution(params, self)
         factory = network_factory_from_params(params)
-        record = classical_flooding_run_record(
+        record = classical_flooding_run(
             graph,
             source,
             list(inputs),
@@ -219,7 +214,7 @@ class EIGChunkedProtocol(Protocol):
     def run(self, graph, source, inputs, fault_model, params):
         _check_execution(params, self)
         factory = network_factory_from_params(params)
-        record = eig_chunked_run_record(
+        record = eig_chunked_run(
             graph,
             source,
             list(inputs),

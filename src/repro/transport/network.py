@@ -177,11 +177,12 @@ class SynchronousNetwork:
         return self.accountant.total_bits()
 
     def result_accounting(self) -> Dict[str, object]:
-        """The ``elapsed`` / ``bits_sent`` / ``phase_timings`` / ``link_bits`` of a result record.
+        """The ``elapsed`` / ``bits_sent`` / ``phase_timings`` / ``link_bits`` of one instance.
 
-        Keyword arguments for :class:`repro.types.BroadcastResult` and
-        ``InstanceResult``.  The totals are summed from the per-phase
-        timings, so each phase's ``max_e b_e / z_e`` is computed once.
+        Keyword arguments for ``InstanceResult``, and the per-instance
+        accounting :func:`repro.types.fold_instances` sums.  The totals are
+        summed from the per-phase timings, so each phase's ``max_e b_e / z_e``
+        is computed once.
         """
         timings = self.accountant.phase_timings()
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 #: A node identifier.  The paper numbers nodes ``1 .. n`` with node 1 as the
 #: source; the library follows the same convention but does not require
@@ -61,43 +61,6 @@ class PhaseTiming:
     bits_sent: int = 0
 
 
-@dataclass(frozen=True)
-class BroadcastResult:
-    """Outcome of one Byzantine-broadcast instance.
-
-    Attributes:
-        outputs: Mapping from fault-free node id to the value that node
-            decided.  Faulty nodes are intentionally absent: the BB
-            specification constrains only fault-free outputs.
-        elapsed: Total elapsed time in abstract time units.
-        bits_sent: Total bits sent on all links.
-        phase_timings: Per-phase timing breakdown, in execution order.
-        metadata: Free-form per-protocol diagnostic information (e.g. whether
-            dispute control ran, which disputes were discovered).
-        link_bits: Bits sent per directed link over the whole instance.
-    """
-
-    outputs: Dict[NodeId, bytes]
-    elapsed: Fraction
-    bits_sent: int = 0
-    phase_timings: Tuple[PhaseTiming, ...] = ()
-    metadata: Dict[str, object] = field(default_factory=dict)
-    link_bits: Dict[Edge, int] = field(default_factory=dict)
-
-    def agreed_value(self) -> bytes:
-        """Return the common output if all fault-free nodes agree.
-
-        Raises:
-            ValueError: if the outputs are empty or not all identical.
-        """
-        values = set(self.outputs.values())
-        if not values:
-            raise ValueError("broadcast result has no fault-free outputs")
-        if len(values) != 1:
-            raise ValueError(f"fault-free nodes disagree: {len(values)} distinct outputs")
-        return next(iter(values))
-
-
 def accumulate_link_bits(totals: Dict[Edge, int], link_bits: Dict[Edge, int]) -> None:
     """Fold one per-link bit ledger into ``totals`` in place.
 
@@ -118,9 +81,9 @@ def canonical_output(value: object) -> str:
     strings canonicalise losslessly (``0x`` + full hex digits), so values that
     differ only in leading zero bytes — or in length — stay distinct.
     Integer outputs must be converted to byte strings of the payload length by
-    their adapter before canonicalisation (NAB does this in
-    ``NABRunResult.as_run_record``); a bare integer canonicalises as ``hex``
-    and never equals a byte string's form.
+    their protocol before canonicalisation (NAB does this before it calls
+    :func:`fold_instances`); a bare integer canonicalises as ``hex`` and never
+    equals a byte string's form.
     """
     if isinstance(value, bool):
         return repr(value)
@@ -167,11 +130,11 @@ def broadcast_spec_flags(
 
 @dataclass(frozen=True)
 class RunRecord:
-    """The shared result shape every protocol adapter produces.
+    """The one result shape every protocol run produces (see :func:`fold_instances`).
 
     One :class:`RunRecord` summarises a whole protocol run — ``instances``
     repeated broadcasts of the given inputs on one network — in a form that the
-    experiment engine, the throughput analysis and the reporting layer can all
+    experiment engine, the session service and the reporting layer can all
     consume without knowing which protocol produced it.
 
     Attributes:
@@ -247,3 +210,53 @@ class RunRecord:
             "validity_ok": self.validity_ok,
             "metadata": dict(self.metadata),
         }
+
+
+def fold_instances(
+    protocol: str,
+    inputs: Sequence[bytes],
+    source_faulty: bool,
+    instances: Sequence[Tuple[Dict[NodeId, object], Mapping[str, object]]],
+    dispute_control_executions: int = 0,
+    elapsed: Optional[Fraction] = None,
+    metadata: Optional[Dict[str, object]] = None,
+) -> RunRecord:
+    """Fold a run's instances into its :class:`RunRecord`.
+
+    The one place a record is built, so every protocol sums bits, times and
+    per-link usage and judges agreement and validity the same way.
+
+    Args:
+        protocol: Registry name stamped on the record.
+        inputs: The byte-string input of each instance, in execution order.
+        source_faulty: Whether the source is Byzantine (validity is then
+            unconstrained).
+        instances: Per instance, the fault-free outputs (byte strings of the
+            payload length, or whatever a Byzantine source made nodes decide)
+            and a mapping with the ``elapsed``, ``bits_sent`` and
+            ``link_bits`` of the network's ``result_accounting()``.
+        dispute_control_executions: How many instances ran Phase 3.
+        elapsed: The run's completion time when it is not the sum of the
+            instances' times (a pipelined makespan).
+        metadata: JSON-safe per-protocol diagnostics.
+    """
+    outputs = tuple(instance_outputs for instance_outputs, _accounting in instances)
+    link_bits: Dict[Edge, int] = {}
+    for _outputs, accounting in instances:
+        accumulate_link_bits(link_bits, accounting["link_bits"])
+    if elapsed is None:
+        elapsed = sum((accounting["elapsed"] for _, accounting in instances), Fraction(0))
+    agreement_ok, validity_ok = broadcast_spec_flags(outputs, inputs, source_faulty)
+    return RunRecord(
+        protocol=protocol,
+        instances=len(instances),
+        payload_bits=sum(8 * len(value) for value in inputs),
+        outputs=outputs,
+        elapsed=elapsed,
+        bits_sent=sum(accounting["bits_sent"] for _, accounting in instances),
+        link_bits=link_bits,
+        dispute_control_executions=dispute_control_executions,
+        agreement_ok=agreement_ok,
+        validity_ok=validity_ok,
+        metadata={} if metadata is None else metadata,
+    )

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import repro
 from repro.analysis.reporting import format_table
-from repro.analysis.throughput import (
-    amortization_curve,
-    measure_nab_throughput,
-    verify_agreement_and_validity,
-)
+from repro.capacity.bounds import analyse_network
 from repro.adversary.strategies import EqualityGarbageStrategy
 from repro.engine.spec import FAULT_FREE, Cell
-from repro.exceptions import AgreementViolationError, ConfigurationError
+from repro.exceptions import ConfigurationError
 from repro.graph.generators import complete_graph
 from repro.transport.faults import FaultModel
+from repro.types import fold_instances
 from repro.workloads.scenarios import input_stream
 from repro.workloads.topologies import named_topologies, topology
 
@@ -52,57 +50,66 @@ class TestReporting:
         assert "1.5" in format_table(["x"], [[1.5]])
 
 
+def _fold_one(result, inputs, source_faulty):
+    """``result``'s outputs as bytes of the payload length, folded against ``inputs``."""
+    outputs = {node: value.to_bytes(len(inputs[0]), "big") for node, value in result.outputs.items()}
+    return fold_instances("nab", inputs, source_faulty, [(outputs, vars(result))])
+
+
 class TestThroughputMeasurement:
     def test_measurement_reports_bounds(self):
         graph = complete_graph(4, capacity=2)
         inputs = [bytes([i] * 8) for i in range(3)]
-        measurement = measure_nab_throughput(graph, 1, 1, inputs)
-        assert measurement.instances == 3
-        assert measurement.payload_bits == 3 * 64
-        assert measurement.throughput > 0
-        assert measurement.fraction_of_upper_bound() <= 1
-        assert measurement.analysis.capacity_upper_bound >= measurement.analysis.nab_lower_bound
+        record = repro.NetworkAwareBroadcast(graph, 1, 1).run(inputs)
+        analysis = analyse_network(graph, 1, 1)
+        assert record.spec_ok
+        assert record.instances == 3
+        assert record.payload_bits == 3 * 64
+        assert record.throughput > 0
+        assert record.throughput / analysis.capacity_upper_bound <= 1
+        assert analysis.capacity_upper_bound >= analysis.nab_lower_bound
 
     def test_measurement_with_adversary_counts_dispute_control(self):
         graph = complete_graph(4, capacity=2)
         inputs = [bytes([i] * 4) for i in range(6)]
         fault_model = FaultModel([3], EqualityGarbageStrategy())
-        measurement = measure_nab_throughput(graph, 1, 1, inputs, fault_model=fault_model)
-        assert measurement.dispute_control_executions >= 1
-        assert measurement.dispute_control_executions <= 2
+        record = repro.NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model).run(inputs)
+        assert record.spec_ok
+        assert record.dispute_control_executions >= 1
+        assert record.dispute_control_executions <= 2
 
     def test_amortization_curve_improves_with_q(self):
         graph = complete_graph(4, capacity=2)
         fault_model = FaultModel([3], EqualityGarbageStrategy())
-        curve = amortization_curve(
-            graph, 1, 1, instance_counts=[1, 6], value_length=4, fault_model=fault_model
-        )
-        assert len(curve) == 2
-        assert curve[1].throughput > curve[0].throughput
+        curve = []
+        for count in (1, 6):
+            inputs = [
+                bytes(((17 * index + offset) % 256) for offset in range(4))
+                for index in range(count)
+            ]
+            record = repro.NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model).run(inputs)
+            assert record.spec_ok
+            curve.append(record.throughput)
+        assert curve[1] > curve[0]
 
     def test_verify_agreement_detects_disagreement(self):
         graph = complete_graph(4, capacity=2)
-        nab = repro.NetworkAwareBroadcast(graph, 1, 1)
-        run = nab.run([b"\x01\x02"])
+        result = repro.NetworkAwareBroadcast(graph, 1, 1).run_instance(b"\x01\x02")
         # Tamper with the result to simulate a disagreement.
-        tampered_outputs = dict(run.instances[0].outputs)
+        tampered_outputs = dict(result.outputs)
         first = next(iter(tampered_outputs))
         tampered_outputs[first] ^= 1
-        from dataclasses import replace
-
-        tampered_instance = replace(run.instances[0], outputs=tampered_outputs)
-        tampered_run = replace(run, instances=(tampered_instance,))
-        with pytest.raises(AgreementViolationError):
-            verify_agreement_and_validity(tampered_run, [b"\x01\x02"], source_faulty=False)
+        record = _fold_one(replace(result, outputs=tampered_outputs), [b"\x01\x02"], False)
+        assert not record.agreement_ok and not record.spec_ok
 
     def test_verify_validity_detects_wrong_value(self):
         graph = complete_graph(4, capacity=2)
-        nab = repro.NetworkAwareBroadcast(graph, 1, 1)
-        run = nab.run([b"\x01\x02"])
-        with pytest.raises(AgreementViolationError):
-            verify_agreement_and_validity(run, [b"\xff\xff"], source_faulty=False)
-        # With a faulty source validity is not required, so no exception.
-        verify_agreement_and_validity(run, [b"\xff\xff"], source_faulty=True)
+        result = repro.NetworkAwareBroadcast(graph, 1, 1).run_instance(b"\x01\x02")
+        record = _fold_one(result, [b"\xff\xff"], source_faulty=False)
+        assert record.agreement_ok and record.validity_ok is False and not record.spec_ok
+        # With a faulty source validity is not required.
+        record = _fold_one(result, [b"\xff\xff"], source_faulty=True)
+        assert record.validity_ok is None and record.spec_ok
 
 
 def _scenario(strategy, faulty_nodes=(), instances=5, payload_bytes=8, seed=0):
@@ -170,6 +177,5 @@ class TestWorkloads:
         nab = repro.NetworkAwareBroadcast(
             scenario.graph, scenario.source, scenario.max_faults, fault_model=scenario.fault_model
         )
-        run = nab.run(list(scenario.inputs))
-        for value, result in zip(scenario.inputs, run.instances):
-            assert result.agreed_value() == int.from_bytes(value, "big")
+        for value in scenario.inputs:
+            assert nab.run_instance(value).agreed_value() == int.from_bytes(value, "big")

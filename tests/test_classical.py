@@ -10,6 +10,7 @@ from repro.classical.broadcast_default import BroadcastDefault
 from repro.classical.eig import EIGBroadcast, broadcast_bit_cost
 from repro.classical.flooding import (
     classical_chunked_broadcast,
+    classical_flooding_run,
     classical_full_value_broadcast,
 )
 from repro.classical.relay import DisjointPathRelay, majority_value
@@ -468,50 +469,63 @@ class TestBroadcastDefault:
 class TestClassicalFloodingBaseline:
     def test_result_structure_and_validity(self):
         graph = complete_graph(4, capacity=4)
-        result = classical_full_value_broadcast(graph, 1, b"payload-bytes", 1)
-        assert result.agreed_value() == b"payload-bytes"
-        assert result.elapsed > 0
-        assert result.bits_sent > 0
-        assert result.metadata["algorithm"] == "classical_eig_flooding"
+        outputs, accounting = classical_full_value_broadcast(graph, 1, b"payload-bytes", 1)
+        assert set(outputs.values()) == {b"payload-bytes"}
+        assert accounting["elapsed"] > 0
+        assert accounting["bits_sent"] > 0
+        record = classical_flooding_run(graph, 1, [b"payload-bytes"], 1)
+        assert record.metadata["algorithm"] == "classical_eig_flooding"
+        assert (record.elapsed, record.bits_sent) == (accounting["elapsed"], accounting["bits_sent"])
+        assert record.spec_ok
 
     def test_slow_link_throttles_elapsed_time(self):
         value = b"x" * 64
         fast = heterogeneous_bottleneck(4, fast_capacity=8, slow_capacity=8)
         slow = heterogeneous_bottleneck(4, fast_capacity=8, slow_capacity=1)
-        fast_result = classical_full_value_broadcast(fast, 1, value, 1)
-        slow_result = classical_full_value_broadcast(slow, 1, value, 1)
-        assert slow_result.elapsed > fast_result.elapsed
+        _, fast_accounting = classical_full_value_broadcast(fast, 1, value, 1)
+        _, slow_accounting = classical_full_value_broadcast(slow, 1, value, 1)
+        assert slow_accounting["elapsed"] > fast_accounting["elapsed"]
 
     def test_with_faulty_node_still_agrees(self):
         graph = complete_graph(4, capacity=2)
         fault_model = FaultModel([3], LyingRelayerStrategy())
-        result = classical_full_value_broadcast(graph, 1, b"abc", 1, fault_model)
-        assert sorted(result.outputs) == [1, 2, 4]
-        assert result.agreed_value() == b"abc"
+        outputs, _ = classical_full_value_broadcast(graph, 1, b"abc", 1, fault_model)
+        assert sorted(outputs) == [1, 2, 4]
+        assert set(outputs.values()) == {b"abc"}
 
     @pytest.mark.parametrize("payload_bytes", [8, 32])
     @pytest.mark.parametrize("max_faults, faulty", [(1, ()), (2, ()), (2, (1, 4)), (2, (3, 5))])
     def test_chunked_baseline_sends_the_messages_of_one_full_value_broadcast(
-        self, payload_bytes, max_faults, faulty
+        self, payload_bytes, max_faults, faulty, monkeypatch
     ):
         graph = topology("k7-unit")
         value = bytes(range(payload_bytes))
         networks = []
+        streams = []
 
         def factory(graph, fault_model):
             networks.append(SynchronousNetwork(graph, fault_model))
             return networks[-1]
 
+        broadcast_many = BroadcastDefault.broadcast_many
+
+        def counting_broadcast_many(self, source, values, *args, **kwargs):
+            streams.append(len(values))
+            return broadcast_many(self, source, values, *args, **kwargs)
+
+        monkeypatch.setattr(BroadcastDefault, "broadcast_many", counting_broadcast_many)
+
         def run(broadcast):
             fault_model = FaultModel(faulty, make_strategy("chaos", seed=3))
             return broadcast(graph, 1, value, max_faults, fault_model, network_factory=factory)
 
-        chunked, full = run(classical_chunked_broadcast), run(classical_full_value_broadcast)
-        assert chunked.metadata["chunks"] == payload_bytes
+        chunked, chunked_accounting = run(classical_chunked_broadcast)
+        full, full_accounting = run(classical_full_value_broadcast)
+        assert streams == [payload_bytes]
         counts = [len(network.delivered_messages()) for network in networks]
         assert counts[0] == counts[1] > 0
         # One bit ledger: the chunks' sizes add up to the full value's.
-        assert chunked.link_bits == full.link_bits
-        assert chunked.phase_timings == full.phase_timings
+        assert chunked_accounting["link_bits"] == full_accounting["link_bits"]
+        assert chunked_accounting["phase_timings"] == full_accounting["phase_timings"]
         if 1 not in faulty:
-            assert chunked.agreed_value() == full.agreed_value() == value
+            assert set(chunked.values()) == set(full.values()) == {value}

@@ -74,18 +74,17 @@ class TestFaultFreeRuns:
 
     def test_multiple_instances_throughput_reported(self):
         nab = NetworkAwareBroadcast(complete_graph(4, capacity=2), 1, 1)
-        run = nab.run(_values(5))
-        assert run.throughput is not None and run.throughput > 0
-        assert run.dispute_control_executions == 0
-        assert len(run.instances) == 5
+        record = nab.run(_values(5))
+        assert record.throughput is not None and record.throughput > 0
+        assert record.dispute_control_executions == 0
+        assert record.instances == len(record.outputs) == 5
         assert nab.instances_run == 5
 
     def test_outputs_match_inputs_per_instance(self):
         values = _values(4, seed=3)
         nab = NetworkAwareBroadcast(complete_graph(5, capacity=3), 1, 1)
-        run = nab.run(values)
-        for value, result in zip(values, run.instances):
-            assert result.agreed_value() == int.from_bytes(value, "big")
+        for value in values:
+            assert nab.run_instance(value).agreed_value() == int.from_bytes(value, "big")
 
     def test_instance_graph_unchanged_without_faults(self):
         nab = NetworkAwareBroadcast(complete_graph(4), 1, 1)
@@ -109,11 +108,9 @@ class TestAdversarialRuns:
         graph = complete_graph(4, capacity=2)
         fault_model = FaultModel([3], strategy)
         nab = NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model)
-        values = _values(4, seed=11)
-        run = nab.run(values)
-        for value, result in zip(values, run.instances):
+        for value in _values(4, seed=11):
             # Source (node 1) is fault-free: validity must hold every instance.
-            assert result.agreed_value() == int.from_bytes(value, "big")
+            assert nab.run_instance(value).agreed_value() == int.from_bytes(value, "big")
 
     @pytest.mark.parametrize("name,strategy", ATTACKS, ids=[name for name, _ in ATTACKS])
     def test_agreement_with_faulty_source(self, name, strategy):
@@ -149,18 +146,19 @@ class TestAdversarialRuns:
         graph = complete_graph(4, capacity=2)
         fault_model = FaultModel([3], EqualityGarbageStrategy())
         nab = NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model)
-        run = nab.run(_values(10, seed=23))
-        assert run.dispute_control_executions <= 1 * (1 + 1)
+        record = nab.run(_values(10, seed=23))
+        assert record.dispute_control_executions <= 1 * (1 + 1)
 
     def test_misbehaving_node_eventually_neutralised(self):
         """After enough evidence the faulty node is cut out and later instances are clean."""
         graph = complete_graph(4, capacity=2)
         fault_model = FaultModel([3], EqualityGarbageStrategy())
         nab = NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model)
-        run = nab.run(_values(12, seed=29))
-        later = run.instances[-3:]
+        values = _values(12, seed=29)
+        results = [nab.run_instance(value) for value in values]
+        later = results[-3:]
         assert all(not result.dispute_control_ran for result in later)
-        for result, value in zip(run.instances, _values(12, seed=29)):
+        for result, value in zip(results, values):
             assert result.agreed_value() == int.from_bytes(value, "big")
 
     def test_crashed_source_leads_to_default_or_agreed_output(self):
@@ -175,20 +173,18 @@ class TestAdversarialRuns:
         fault_model = FaultModel([3, 6], EqualityGarbageStrategy())
         nab = NetworkAwareBroadcast(graph, 1, 2, fault_model=fault_model)
         values = _values(3, length=2, seed=37)
-        run = nab.run(values)
-        for value, result in zip(values, run.instances):
+        results = [nab.run_instance(value) for value in values]
+        for value, result in zip(values, results):
             assert result.agreed_value() == int.from_bytes(value, "big")
-        assert run.dispute_control_executions <= 2 * 3
+        assert sum(result.dispute_control_ran for result in results) <= 2 * 3
 
     def test_random_topology_with_random_adversary(self):
         rng = random.Random(5)
         graph = random_connected_network(6, 3, rng, max_capacity=3)
         fault_model = FaultModel([4], RandomizedChaosStrategy(seed=2))
         nab = NetworkAwareBroadcast(graph, 1, 1, fault_model=fault_model)
-        values = _values(4, length=2, seed=41)
-        run = nab.run(values)
-        for value, result in zip(values, run.instances):
-            assert result.agreed_value() == int.from_bytes(value, "big")
+        for value in _values(4, length=2, seed=41):
+            assert nab.run_instance(value).agreed_value() == int.from_bytes(value, "big")
 
 
 class TestThroughputBehaviour:
@@ -199,7 +195,7 @@ class TestThroughputBehaviour:
         values = _values(3, length=8, seed=43)
         slow_run = NetworkAwareBroadcast(slow, 1, 1).run(values)
         fast_run = NetworkAwareBroadcast(fast, 1, 1).run(values)
-        assert fast_run.total_elapsed < slow_run.total_elapsed
+        assert fast_run.elapsed < slow_run.elapsed
 
     def test_heterogeneous_network_no_worse_than_uniform_slow(self):
         """Extra capacity on non-bottleneck links never hurts NAB."""
@@ -208,7 +204,7 @@ class TestThroughputBehaviour:
         values = _values(2, length=8, seed=47)
         slow_run = NetworkAwareBroadcast(slow, 1, 1).run(values)
         fast_run = NetworkAwareBroadcast(fast, 1, 1).run(values)
-        assert fast_run.total_elapsed <= slow_run.total_elapsed
+        assert fast_run.elapsed <= slow_run.elapsed
 
     def test_larger_inputs_increase_elapsed_linearly_ish(self):
         graph = complete_graph(4, capacity=2)

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.nab import NetworkAwareBroadcast
 from repro.engine import (
     ExperimentSpec,
     FAULT_FREE,
@@ -358,7 +359,15 @@ class TestOneRunPath:
             run_cell_record(replace(nab, topology="figure1a"))
 
     def test_one_aggregation_one_precondition_gate(self):
-        assert _files_matching(r"NABRunResult\(") == {os.path.join("core", "nab.py"): 1}
+        assert _files_matching(r"RunRecord\(") == {"types.py": 1}
+        deleted = (
+            "NABRunResult", "PipelinedNABResult", "BroadcastResult", "summarize_instances",
+            "_aggregate_run_record", "run_record", "run_pipelined_record", "check_record_spec",
+            "ThroughputMeasurement", "PipelineGap",
+        )
+        assert _files_matching("|".join(deleted)) == {}
+        runs = {name for name in vars(NetworkAwareBroadcast) if name.startswith("run")}
+        assert runs == {"run_instance", "run", "run_pipelined"}
         assert _files_matching(r"validate_connectivity") == {}
         assert set(_files_matching(r"meets_connectivity_requirement\(")) == {
             os.path.join("graph", "connectivity.py")

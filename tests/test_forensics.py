@@ -54,7 +54,7 @@ def _run_with_recorder(strategy_name, faulty, params=None, instances=3):
         coding_seed=scenario.seed,
         recorder=recorder,
     )
-    record = protocol.run_record(list(scenario.inputs))
+    record = protocol.run(list(scenario.inputs))
     return recorder, record
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from repro.adversary.strategies import EqualityGarbageStrategy
-from repro.analysis.throughput import measure_nab_throughput
 from repro.capacity.bounds import analyse_network, nab_throughput_lower_bound
 from repro.capacity.gamma_star import gamma_of_full_graph
 from repro.capacity.pipelining import pipelined_schedule, unpipelined_schedule
@@ -171,17 +170,15 @@ def _amortisation_inputs(count):
 def test_dispute_control_runs_once_and_amortises_over_q():
     """K4 (capacity 2), f = 1, node 3 garbling the equality check, Q = 1 .. 16."""
     graph = complete_graph(4, capacity=2)
-    reference = measure_nab_throughput(graph, 1, 1, _amortisation_inputs(16))
+    reference = NetworkAwareBroadcast(graph, 1, 1).run(_amortisation_inputs(16))
+    assert reference.spec_ok
     assert reference.throughput == Fraction(64, 37)
     throughputs = {}
     for count in (1, 2, 4, 8, 16):
-        attacked = measure_nab_throughput(
-            graph,
-            1,
-            1,
-            _amortisation_inputs(count),
-            fault_model=FaultModel([3], EqualityGarbageStrategy()),
-        )
+        attacked = NetworkAwareBroadcast(
+            graph, 1, 1, fault_model=FaultModel([3], EqualityGarbageStrategy())
+        ).run(_amortisation_inputs(count))
+        assert attacked.spec_ok
         assert attacked.dispute_control_executions == 1  # <= f(f+1) = 2
         throughputs[count] = attacked.throughput
     assert throughputs == {

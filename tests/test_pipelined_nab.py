@@ -7,10 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis import pipeline_gap_from_record
 from repro.capacity.pipelining import pipelined_schedule
 from repro.core.nab import NetworkAwareBroadcast
-from repro.core.pipeline import run_pipelined
 from repro.engine import dump_row, get_spec, run_cell, run_spec
 from repro.engine.spec import FAULT_FREE, Cell, ExperimentSpec
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -41,27 +39,37 @@ def _scenario(topology_name, strategy, faulty_nodes, instances, seed):
     ).scenario()
 
 
+def _timing(record):
+    """A pipelined record's metadata, its ``"p/q"`` rationals parsed back."""
+    timing = dict(record.metadata)
+    for key in ("round_length", "round_overhead", "sequential_elapsed", "speedup", "analytic_total"):
+        if timing[key] is not None:
+            timing[key] = Fraction(timing[key])
+    return timing
+
+
 class TestFaultFreeSteadyState:
     @pytest.mark.parametrize("topology_name", TOPOLOGIES)
     def test_measured_time_equals_pipelined_schedule_exactly(self, topology_name):
         nab = NetworkAwareBroadcast(topology(topology_name), 1, 1)
-        result = nab.run_pipelined(_inputs(8))
-        assert result.analytic is not None
-        assert result.round_overhead is not None
+        record = nab.run_pipelined(_inputs(8))
+        timing = _timing(record)
+        assert timing["analytic_total"] is not None
+        assert timing["round_overhead"] is not None
         # The event-simulated makespan equals the Figure 3 closed form as
         # exact rationals — no tolerance.
-        assert result.total_elapsed == result.analytic.total_time
+        assert record.elapsed == timing["analytic_total"]
         # And the closed form is reproducible from first principles.
-        parameters = result.instances[0].parameters
+        first = NetworkAwareBroadcast(topology(topology_name), 1, 1).run_instance(_inputs(1)[0])
         rebuilt = pipelined_schedule(
             64,
-            parameters.gamma,
-            parameters.rho,
-            result.depth,
+            first.parameters.gamma,
+            first.parameters.rho,
+            timing["pipeline_depth"],
             8,
-            flag_overhead=result.round_overhead,
+            flag_overhead=timing["round_overhead"],
         )
-        assert rebuilt.total_time == result.total_elapsed
+        assert rebuilt.total_time == record.elapsed
 
     @pytest.mark.parametrize("topology_name", TOPOLOGIES)
     def test_semantics_identical_to_sequential_run(self, topology_name):
@@ -70,22 +78,24 @@ class TestFaultFreeSteadyState:
         pipelined = NetworkAwareBroadcast(topology(topology_name), 1, 1).run_pipelined(
             inputs
         )
-        assert pipelined.outputs_per_instance() == sequential.outputs_per_instance()
-        assert pipelined.total_bits == sequential.total_bits
+        assert pipelined.outputs == sequential.outputs
+        assert pipelined.bits_sent == sequential.bits_sent
         assert pipelined.dispute_control_executions == 0
 
     def test_stage_timeline_matches_round_recurrence(self):
         instances = 6
         nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
-        result = nab.run_pipelined(_inputs(instances))
-        depth, round_length = result.depth, result.round_length
+        record = nab.run_pipelined(_inputs(instances))
+        timing = _timing(record)
+        depth, round_length = timing["pipeline_depth"], timing["round_length"]
         assert depth == 3
-        stages = {(stage.instance, stage.hop): stage for stage in result.stage_timeline}
+        stages = {(stage["instance"], stage["hop"]): stage for stage in timing["stage_timeline"]}
         assert len(stages) == instances * depth
         for (q, h), stage in stages.items():
-            assert stage.end == (q + h) * round_length
-            assert stage.end - stage.start == round_length
-        assert result.total_elapsed == (instances + depth - 1) * round_length
+            start, end = Fraction(stage["start"]), Fraction(stage["end"])
+            assert end == (q + h) * round_length
+            assert end - start == round_length
+        assert record.elapsed == (instances + depth - 1) * round_length
 
     def test_pipelining_beats_sequential_on_deep_topology(self):
         # 64-byte payloads on the depth-3 pipeline: the measured speedup is
@@ -93,9 +103,10 @@ class TestFaultFreeSteadyState:
         # instances (the >= 1.5x claim is pinned on the depth-4 pipeline
         # below).
         nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
-        result = nab.run_pipelined(_inputs(8, length=64))
-        assert result.sequential_elapsed > result.total_elapsed
-        assert result.speedup >= Fraction(13, 10)
+        record = nab.run_pipelined(_inputs(8, length=64))
+        timing = _timing(record)
+        assert timing["sequential_elapsed"] > record.elapsed
+        assert timing["speedup"] >= Fraction(13, 10)
 
     def test_deep_pipeline_speedup_is_exact(self):
         # Q = 16 instances of 128 B on the depth-4 pipeline, both runs on the
@@ -104,24 +115,26 @@ class TestFaultFreeSteadyState:
             bytes(((7 * index + offset) % 255) + 1 for offset in range(128))
             for index in range(16)
         ]
-        result = NetworkAwareBroadcast(topology("pipeline-4x3"), 1, 1).run_pipelined(inputs)
-        assert result.total_elapsed == result.analytic.total_time
-        assert result.speedup == Fraction(17536, 11077)
+        record = NetworkAwareBroadcast(topology("pipeline-4x3"), 1, 1).run_pipelined(inputs)
+        timing = _timing(record)
+        assert record.elapsed == timing["analytic_total"]
+        assert timing["speedup"] == Fraction(17536, 11077)
 
     def test_speedup_grows_with_instances(self):
         speedups = []
         for count in (2, 8, 16):
             nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
-            speedups.append(nab.run_pipelined(_inputs(count)).speedup)
+            speedups.append(_timing(nab.run_pipelined(_inputs(count)))["speedup"])
         assert speedups == sorted(speedups)
 
     def test_shallow_topology_gains_nothing(self):
         # Depth-1 broadcast (complete graph): (Q + 0) rounds — no overlap to
         # exploit, pipelined equals sequential exactly.
         nab = NetworkAwareBroadcast(topology("k4-fast"), 1, 1)
-        result = nab.run_pipelined(_inputs(4))
-        if result.depth == 1:
-            assert result.total_elapsed == result.sequential_elapsed
+        record = nab.run_pipelined(_inputs(4))
+        timing = _timing(record)
+        if timing["pipeline_depth"] == 1:
+            assert record.elapsed == timing["sequential_elapsed"]
 
     def test_empty_values_rejected(self):
         nab = NetworkAwareBroadcast(topology("k4-fast"), 1, 1)
@@ -132,19 +145,23 @@ class TestFaultFreeSteadyState:
 class TestAdversarialPipeline:
     def test_dispute_control_stalls_but_preserves_agreement(self):
         scenario = _scenario("ring7-chords", "equality-garbage", (7,), instances=5, seed=3)
-        nab = NetworkAwareBroadcast(
-            scenario.graph, scenario.source, scenario.max_faults,
-            fault_model=scenario.fault_model,
-        )
-        result = nab.run_pipelined(list(scenario.inputs))
-        assert result.dispute_control_executions >= 1
+
+        def nab():
+            return NetworkAwareBroadcast(
+                scenario.graph, scenario.source, scenario.max_faults,
+                fault_model=scenario.fault_model,
+            )
+
+        record = nab().run_pipelined(list(scenario.inputs))
+        assert record.dispute_control_executions >= 1
         # Heterogeneous rounds: no homogeneous closed form applies.
-        assert result.analytic is None
-        record = result.as_run_record(list(scenario.inputs), source_faulty=False)
+        assert record.metadata["analytic_total"] is None
         assert record.agreement_ok and record.validity_ok
         # The dispute stall is charged: the pipeline cannot be faster than
         # the widest single instance.
-        assert result.total_elapsed >= max(r.elapsed for r in result.instances)
+        sequential = nab()
+        widest = max(sequential.run_instance(value).elapsed for value in scenario.inputs)
+        assert record.elapsed >= widest
 
     def test_outputs_match_sequential_under_attack(self):
         scenario = _scenario("k4-fast", "phase1-relay", (4,), instances=4, seed=9)
@@ -156,7 +173,7 @@ class TestAdversarialPipeline:
             scenario.graph, scenario.source, scenario.max_faults,
             fault_model=scenario.fault_model,
         ).run_pipelined(list(scenario.inputs))
-        assert pipelined.outputs_per_instance() == sequential.outputs_per_instance()
+        assert pipelined.outputs == sequential.outputs
         assert (
             pipelined.dispute_control_executions
             == sequential.dispute_control_executions
@@ -164,10 +181,10 @@ class TestAdversarialPipeline:
 
 
 class TestPipelineRecordsAndAnalysis:
-    def test_run_record_metadata_carries_event_timeline(self):
+    def test_record_metadata_carries_event_timeline(self):
         nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
         inputs = _inputs(4)
-        record = nab.run_pipelined_record(inputs)
+        record = nab.run_pipelined(inputs)
         metadata = record.metadata
         assert metadata["execution"] == "pipelined"
         assert metadata["matches_analytic"] is True
@@ -178,17 +195,17 @@ class TestPipelineRecordsAndAnalysis:
             "stage_timeline"
         ]
 
-    def test_pipeline_gap_from_record(self):
+    def test_record_carries_the_measured_vs_analytic_gap(self):
         nab = NetworkAwareBroadcast(topology("pipeline-3x3"), 1, 1)
-        record = nab.run_pipelined_record(_inputs(6))
-        gap = pipeline_gap_from_record(record)
-        assert gap.exact is True
-        assert gap.gap == 0
-        assert gap.speedup == gap.sequential / gap.measured
-        with pytest.raises(ProtocolError):
-            pipeline_gap_from_record(
-                NetworkAwareBroadcast(topology("k4-fast"), 1, 1).run_record(_inputs(1))
-            )
+        record = nab.run_pipelined(_inputs(6))
+        timing = _timing(record)
+        assert timing["matches_analytic"] is True
+        assert record.elapsed - timing["analytic_total"] == 0
+        assert timing["speedup"] == timing["sequential_elapsed"] / record.elapsed
+        # A sequential record carries no pipeline timing at all.
+        sequential = NetworkAwareBroadcast(topology("k4-fast"), 1, 1).run(_inputs(1))
+        assert "execution" not in sequential.metadata
+        assert "analytic_total" not in sequential.metadata
 
 
 class TestEngineIntegration:

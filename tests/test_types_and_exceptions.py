@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from repro import exceptions
-from repro.types import BroadcastResult, PhaseTiming, node_pair
+from repro.types import PhaseTiming, fold_instances, node_pair
 
 
 class TestNodePair:
@@ -33,24 +33,41 @@ class TestPhaseTiming:
             timing.name = "other"  # type: ignore[misc]
 
 
-class TestBroadcastResult:
-    def test_agreed_value_when_unanimous(self):
-        result = BroadcastResult(outputs={2: b"x", 3: b"x"}, elapsed=Fraction(5))
-        assert result.agreed_value() == b"x"
+def _accounting(elapsed, bits_sent=0, link_bits=None):
+    return {"elapsed": Fraction(elapsed), "bits_sent": bits_sent, "link_bits": link_bits or {}}
 
-    def test_agreed_value_rejects_disagreement(self):
-        result = BroadcastResult(outputs={2: b"x", 3: b"y"}, elapsed=Fraction(5))
-        with pytest.raises(ValueError):
-            result.agreed_value()
 
-    def test_agreed_value_rejects_empty(self):
-        result = BroadcastResult(outputs={}, elapsed=Fraction(0))
-        with pytest.raises(ValueError):
-            result.agreed_value()
+class TestFoldInstances:
+    def test_agreement_when_unanimous(self):
+        record = fold_instances("p", [b"x"], False, [({2: b"x", 3: b"x"}, _accounting(5))])
+        assert record.agreement_ok and record.validity_ok is True
+
+    def test_disagreement_fails_agreement(self):
+        record = fold_instances("p", [b"x"], False, [({2: b"x", 3: b"y"}, _accounting(5))])
+        assert not record.agreement_ok and record.validity_ok is False
+
+    def test_no_fault_free_output_fails_agreement(self):
+        record = fold_instances("p", [b"x"], True, [({}, _accounting(0))])
+        assert not record.agreement_ok and record.validity_ok is None
 
     def test_metadata_defaults_to_empty_dict(self):
-        result = BroadcastResult(outputs={1: b"a"}, elapsed=Fraction(1))
-        assert result.metadata == {}
+        record = fold_instances("p", [b"a"], False, [({1: b"a"}, _accounting(1))])
+        assert record.metadata == {}
+
+    def test_sums_instances_unless_elapsed_is_given(self):
+        instances = [
+            ({1: b"a"}, _accounting(1, 8, {(1, 2): 8})),
+            ({1: b"b"}, _accounting(Fraction(1, 2), 4, {(1, 2): 2, (2, 1): 2})),
+        ]
+        record = fold_instances("p", [b"a", b"b"], False, instances, dispute_control_executions=1)
+        assert (record.instances, record.payload_bits, record.elapsed, record.bits_sent) == (
+            2, 16, Fraction(3, 2), 12
+        )
+        assert record.link_bits == {(1, 2): 10, (2, 1): 2}
+        assert record.dispute_control_executions == 1
+        assert record.throughput == Fraction(32, 3)
+        makespan = fold_instances("p", [b"a", b"b"], False, instances, elapsed=Fraction(1))
+        assert makespan.throughput == 16 and makespan.bits_sent == 12
 
 
 class TestExceptionHierarchy:
