@@ -3,11 +3,13 @@
 
 Two stages run in fresh interpreters under a ``sys.setprofile`` hook that
 records every function entry: the tier-1 suite (``pytest -q``), and the runs
-— one cell of every shape (protocol, execution, link model, fault plan,
-strategy; smallest payload) of every registered spec, then one small service
-batch (two-instance sessions, so each checkpoints once) on two forked workers.  Forked workers are followed too: each child
-hands its entries back through a file when it exits.  Every function defined
-under ``src/repro`` is then one of:
+— one cell of every shape (topology, protocol, execution, link model, fault
+plan, strategy; smallest payload) of every registered spec, one ``run_spec``
+of ``protocol_matrix`` on two workers (the sweep path: supervisor, cache
+clears, compaction), then one small service batch (two-instance sessions, so
+each checkpoints once) on two forked workers.  Forked workers are followed
+too: each child hands its entries back through a file when it exits.  Every
+function defined under ``src/repro`` is then one of:
 
 * ``never entered`` by either stage;
 * ``tests only``: entered while tier-1 ran, never by the runs;
@@ -15,9 +17,16 @@ under ``src/repro`` is then one of:
 
 Lambdas and comprehensions are not listed.  Arguments are path prefixes that
 filter the listing (default: all of ``src/``); stage output goes to stderr.
+The listing ends with one count per top-level directory of ``src/repro``.
+
+With ``--expect FILE`` the script also compares the listed ``(path,
+qualified name)`` pairs with the entries of ``FILE`` — one ``path qualname``
+per line, ``#`` starting a comment (the entry's keep-reason) — and exits 1 on
+any difference.  Line numbers and labels are left out of the comparison:
+only the runs stage is deterministic.
 
 Usage:
-    PYTHONPATH=src python scripts/unreached.py [src/repro/gf/ ...]
+    PYTHONPATH=src python scripts/unreached.py [--expect FILE] [src/repro/gf/ ...]
 """
 
 from __future__ import annotations
@@ -62,17 +71,27 @@ def tests_stage(_spool: str) -> None:
 
 
 def runs_stage(spool: str) -> None:
-    from repro.engine.runner import run_cell
+    from repro.engine.runner import run_cell, run_spec
     from repro.engine.specs import get_spec, named_specs
     from repro.service.__main__ import main as service_main
 
     for name in named_specs():
         shapes = {}
         for cell in sorted(get_spec(name).expand(), key=lambda cell: cell.payload_bytes):
-            shape = (cell.protocol, cell.execution, cell.link_model, cell.fault_plan, cell.strategy)
+            shape = (
+                cell.topology,
+                cell.protocol,
+                cell.execution,
+                cell.link_model,
+                cell.fault_plan,
+                cell.strategy,
+            )
             shapes.setdefault(shape, cell)
         errors = [row["error"] for row in map(run_cell, shapes.values()) if row["error"]]
         print(f"{name}: {len(shapes)} cells, errors: {errors}")
+    summary = run_spec(get_spec("protocol_matrix"), os.path.join(spool, "matrix.jsonl"), workers=2)
+    errors = [row["error"] for row in summary.rows if row["error"]]
+    print(f"protocol_matrix via run_spec, 2 workers: {summary.computed_cells} cells, errors: {errors}")
     service_main(
         ["--out", os.path.join(spool, "sessions.jsonl"), "--sessions", "12", "--workers", "2"]
         + ["--strategies", "fault-free,equality-garbage", "--max-faults", "1"]
@@ -112,7 +131,23 @@ def defined():
                     yield code.co_filename, code.co_firstlineno, code.co_qualname
 
 
-def main(prefixes) -> None:
+def top_level(path: str) -> str:
+    """``src/repro/<package>/`` for a file in a package, else ``src/repro/``."""
+    parts = os.path.relpath(path, SRC).split(os.sep)
+    return os.path.join(os.path.relpath(SRC, ROOT), *parts[:-1][:1], "")
+
+
+def expected_entries(path: str):
+    """``{(path, qualified name)}`` of an expectation file; ``#`` starts a comment."""
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.split("#", 1)[0].split() for line in handle]
+    return {tuple(fields) for fields in lines if fields}
+
+
+def main(argv) -> int:
+    expect = None
+    if argv[:1] == ["--expect"]:
+        expect, argv = argv[1], argv[2:]
     spool = tempfile.mkdtemp(prefix="unreached-")
     try:
         for stage in ("tests", "runs"):
@@ -125,15 +160,31 @@ def main(prefixes) -> None:
                     reached[name.split("-")[0]] |= pickle.load(handle)
     finally:
         shutil.rmtree(spool, ignore_errors=True)
-    prefixes = [os.path.abspath(prefix) for prefix in prefixes] or [SRC]
+    prefixes = [os.path.abspath(prefix) for prefix in argv] or [SRC]
+    listed, counts = set(), {}
     for function in sorted(set(defined())):
         if function not in reached["runs"] and any(map(function[0].startswith, prefixes)):
             label = "tests only" if function in reached["tests"] else "never entered"
-            print(f"{label:14} {os.path.relpath(function[0], ROOT)}:{function[1]} {function[2]}")
+            path = os.path.relpath(function[0], ROOT)
+            print(f"{label:14} {path}:{function[1]} {function[2]}")
+            listed.add((path, function[2]))
+            folder = top_level(function[0])
+            counts[folder] = counts.get(folder, 0) + 1
+    for folder, count in sorted(counts.items()):
+        print(f"{count:5} {folder}")
+    print(f"{len(listed):5} listed")
+    if expect is None:
+        return 0
+    wanted = expected_entries(expect)
+    for path, name in sorted(listed - wanted):
+        print(f"unexpected: {path} {name}  (reached by no run; not in {expect})")
+    for path, name in sorted(wanted - listed):
+        print(f"stale: {path} {name}  (in {expect}, but not listed)")
+    return int(listed != wanted)
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--stage"]:
         traced(sys.argv[2], sys.argv[3])
     else:
-        main(sys.argv[1:])
+        sys.exit(main(sys.argv[1:]))

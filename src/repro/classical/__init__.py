@@ -33,15 +33,10 @@ from repro.classical.flooding import (
     classical_full_value_broadcast,
     eig_chunked_run,
 )
-from repro.classical.relay import (
-    DisjointPathRelay,
-    clear_relay_path_cache,
-    relay_path_cache_stats,
-)
+from repro.classical.relay import DisjointPathRelay, relay_path_cache_stats
 
 __all__ = [
     "DisjointPathRelay",
-    "clear_relay_path_cache",
     "relay_path_cache_stats",
     "EIGBroadcast",
     "BroadcastDefault",

@@ -15,17 +15,17 @@ polynomial-in-``n`` overhead the paper attributes to ``Broadcast_Default`` is
 measured rather than assumed.
 
 Performance notes:
-    Deriving the disjoint paths is a max-flow decomposition per ordered node
-    pair.  Every :class:`DisjointPathRelay` used to recompute them from
+    Deriving the disjoint paths is one node-split max-flow, decomposed, per
+    ordered node pair; the same solve decides whether ``2f + 1`` paths exist
+    at all.  Every :class:`DisjointPathRelay` used to recompute them from
     scratch because its cache died with the object (NAB builds a fresh relay
     per instance).  The paths are a pure function of the graph, so they are
     now memoised process-wide in an LRU keyed on ``(graph_signature, sender,
     receiver, path_count)`` — the canonical-signature contract of
-    :mod:`repro.graph.flow_cache`.  Each relay keeps a small per-object
-    first-level dict so hot pairs skip even the signature hashing.
-    :func:`clear_relay_path_cache` resets the shared cache (the engine runner
-    calls it between topologies); :func:`relay_path_cache_stats` exposes its
-    counters.
+    :mod:`repro.graph.flow_cache`, registered as ``relay_paths`` (the engine
+    runner clears it between topologies through ``clear_scope``).  Each relay
+    keeps a small per-object first-level dict so hot pairs skip even the
+    signature hashing.  :func:`relay_path_cache_stats` exposes its counters.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import Any, Dict, List, Tuple
 
-from repro.exceptions import ProtocolError
-from repro.graph.connectivity import local_connectivity, vertex_disjoint_paths
+from repro.exceptions import InfeasibleError, ProtocolError
+from repro.graph.connectivity import vertex_disjoint_paths
 from repro.graph.flow_cache import GraphSignature, MinCutCache, graph_signature
 from repro.graph.network_graph import NetworkGraph
 from repro.transport.network import SynchronousNetwork
@@ -58,15 +58,10 @@ _PATH_CACHE = MinCutCache(max_entries=4096, name="relay_paths")
 def relay_path_cache_stats() -> Dict[str, object]:
     """Hit/miss counters of the shared path cache (``MinCutCache.stats`` shape).
 
-    The ``lifetime_*`` counters survive :func:`clear_relay_path_cache`, so a
-    sweep that clears between topologies can still report whole-run efficacy.
+    The ``lifetime_*`` counters survive clears, so a sweep that clears
+    between topologies can still report whole-run efficacy.
     """
     return _PATH_CACHE.stats()
-
-
-def clear_relay_path_cache() -> None:
-    """Reset the process-wide relay path cache."""
-    _PATH_CACHE.clear()
 
 
 class DisjointPathRelay:
@@ -117,12 +112,13 @@ class DisjointPathRelay:
             )
             cached = _PATH_CACHE.lookup(shared_key)
             if cached is None:
-                if local_connectivity(graph, sender, receiver) < self.path_count:
+                try:
+                    fresh = vertex_disjoint_paths(graph, sender, receiver, self.path_count)
+                except InfeasibleError:
                     raise ProtocolError(
                         f"network connectivity between {sender} and {receiver} is below "
                         f"2f + 1 = {self.path_count}; reliable relay impossible"
-                    )
-                fresh = vertex_disjoint_paths(graph, sender, receiver, self.path_count)
+                    ) from None
                 cached = tuple(tuple(path) for path in fresh)
                 _PATH_CACHE.store(shared_key, cached)
             paths = [list(path) for path in cached]

@@ -45,16 +45,6 @@ def verification_cache_stats() -> Dict[str, object]:
     return _RANK_CACHE.stats()
 
 
-def clear_verification_cache() -> None:
-    """Reset the process-wide rank-verdict cache.
-
-    The engine runner calls this on topology switches next to the other
-    structure caches; the ``lifetime_*`` counters survive, so sweeps can
-    still report whole-run efficacy.
-    """
-    _RANK_CACHE.clear()
-
-
 def build_check_matrix(
     graph: NetworkGraph,
     subgraph_nodes: Sequence[NodeId],

@@ -135,11 +135,6 @@ def topology_context_stats() -> Dict[str, object]:
     return _TOPOLOGY_CONTEXTS.stats()
 
 
-def clear_topology_contexts() -> None:
-    """Drop every warm context (memory hygiene / test isolation)."""
-    _TOPOLOGY_CONTEXTS.clear()
-
-
 @dataclass(frozen=True)
 class Cell:
     """One concrete grid point of an experiment sweep.

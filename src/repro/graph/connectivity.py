@@ -1,28 +1,31 @@
-"""Vertex connectivity and vertex-disjoint paths.
+"""The ``2f + 1`` connectivity threshold and vertex-disjoint paths.
 
 Two requirements of the paper are checked / exercised here:
 
 * a correct BB algorithm exists only if ``n >= 3f + 1`` and the network
   connectivity is at least ``2f + 1`` (Fischer–Lynch–Merritt):
-  :func:`resilience_violation`, its connectivity half memoised per graph;
+  :func:`resilience_violation`, its connectivity half a capped threshold
+  check (:func:`has_vertex_connectivity_at_least`) memoised per graph;
 * reliable end-to-end communication between fault-free nodes is emulated by
   sending the same data along ``2f + 1`` vertex-disjoint paths and taking a
   majority at the receiver (Appendix D); :func:`vertex_disjoint_paths`
-  extracts those paths.
+  extracts those paths, and its ``InfeasibleError`` when fewer exist is the
+  relay's one connectivity check.
 
-Vertex connectivity is computed with the standard node-splitting reduction to
-max-flow: each vertex ``v`` becomes ``v_in -> v_out`` with unit capacity, so a
-max-flow between ``u_out`` and ``w_in`` counts internally-vertex-disjoint
-paths.  Paths themselves are recovered by decomposing the integral max-flow,
-which (unlike greedy shortest-path peeling) always recovers the promised
-number of disjoint paths.
+Both run on the standard node-splitting reduction to max-flow: each vertex
+``v`` becomes ``v_in -> v_out`` with unit capacity, so a max-flow between
+``u_out`` and ``w_in`` counts internally-vertex-disjoint paths.  Paths are
+recovered by decomposing the integral max-flow, which (unlike greedy
+shortest-path peeling) always recovers the promised number of disjoint paths.
+The exact all-pairs vertex connectivity the threshold check is tested against
+is ``tests/_oracles/graph.py``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, InfeasibleError
 from repro.graph.flow_cache import MinCutCache, graph_signature
 from repro.graph.maxflow import _DinicSolver
 from repro.graph.network_graph import NetworkGraph
@@ -56,41 +59,6 @@ def _node_split_solver(
     return solver, names
 
 
-def local_connectivity(graph: NetworkGraph, source: NodeId, target: NodeId) -> int:
-    """Maximum number of internally-vertex-disjoint directed paths from source to target.
-
-    A direct edge ``source -> target`` contributes one path (it has no internal
-    vertices, so removing other vertices can never block it); it is counted
-    separately and excluded from the flow computation.
-    """
-    if not graph.has_node(source) or not graph.has_node(target):
-        raise GraphError("both endpoints must be nodes of the graph")
-    if source == target:
-        raise GraphError("local connectivity requires two distinct nodes")
-    direct = 1 if graph.has_edge(source, target) else 0
-    working = graph.remove_edges([(source, target)]) if direct else graph
-    solver, names = _node_split_solver(working)
-    flow = solver.max_flow(names[source][1], names[target][0])
-    return flow + direct
-
-
-def vertex_connectivity(graph: NetworkGraph) -> int:
-    """Directed vertex connectivity: ``min_{u != v} local_connectivity(u, v)``.
-
-    For graphs with fewer than two nodes the connectivity is defined as the
-    node count (0 or 1) for convenience.
-    """
-    nodes = graph.nodes()
-    if len(nodes) < 2:
-        return len(nodes)
-    return min(
-        local_connectivity(graph, u, v)
-        for u in nodes
-        for v in nodes
-        if u != v
-    )
-
-
 def _strongly_connected(graph: NetworkGraph) -> bool:
     """Whether every node reaches every other (two BFS passes, O(V + E))."""
     nodes = graph.nodes()
@@ -113,17 +81,16 @@ def _strongly_connected(graph: NetworkGraph) -> bool:
 def has_vertex_connectivity_at_least(graph: NetworkGraph, k: int) -> bool:
     """Whether the directed vertex connectivity is at least ``k``.
 
-    :func:`vertex_connectivity` solves all ``n (n - 1)`` ordered pairs exactly
-    — prohibitive on datacenter-scale fabrics, where feasibility filtering
-    only ever asks the *threshold* question ``kappa >= 2 f + 1``.  This
-    decides it with at most ``2 k n`` flows, each capped at ``k`` augmenting
-    paths:
+    The exact connectivity solves all ``n (n - 1)`` ordered pairs —
+    prohibitive on datacenter-scale fabrics, where feasibility filtering only
+    ever asks the *threshold* question ``kappa >= 2 f + 1``.  This decides it
+    with at most ``2 k n`` flows, each capped at ``k`` augmenting paths:
 
     * ``k <= 0`` is vacuous and ``k == 1`` is strong connectivity (two BFS);
     * any node of in- or out-degree below ``k`` bounds the connectivity below
       ``k`` (each disjoint path consumes a distinct incident edge);
-    * otherwise fix the first ``k`` nodes as anchors and require
-      ``local_connectivity >= k`` between every anchor and every other node,
+    * otherwise fix the first ``k`` nodes as anchors and require local
+      connectivity ``>= k`` between every anchor and every other node,
       in both directions.  Sound: local connectivity never undershoots
       ``kappa``.  Complete: a vertex cut of size ``< k`` misses at least one
       anchor ``a``; disconnection leaves some ``x, y`` with no ``x -> y``
@@ -166,9 +133,9 @@ def meets_connectivity_requirement(graph: NetworkGraph, max_faults: int) -> bool
 
     Decided with the capped threshold check
     (:func:`has_vertex_connectivity_at_least`) rather than the exact
-    :func:`vertex_connectivity` — identical answers, but usable as a
-    feasibility filter on 1000-node fabrics.  Memoised: spec expansion, warm
-    graphs and NAB's constructor ask it of the same structures.
+    all-pairs connectivity — identical answers, but usable as a feasibility
+    filter on 1000-node fabrics.  Memoised: spec expansion, warm graphs and
+    NAB's constructor ask it of the same structures.
     """
     if max_faults < 0:
         raise GraphError(f"max_faults must be non-negative, got {max_faults}")
@@ -201,7 +168,9 @@ def vertex_disjoint_paths(
     of disjoint paths is always produced when it exists.
 
     Raises:
-        GraphError: if fewer than ``count`` disjoint paths exist.
+        GraphError: if ``count`` is below 1 or the endpoints are not two
+            distinct nodes of the graph.
+        InfeasibleError: if fewer than ``count`` disjoint paths exist.
     """
     if count < 1:
         raise GraphError(f"count must be >= 1, got {count}")
@@ -220,7 +189,7 @@ def vertex_disjoint_paths(
     solver, names = _node_split_solver(working)
     flow_value = solver.max_flow(names[source][1], names[target][0])
     if flow_value + len(paths) < count:
-        raise GraphError(
+        raise InfeasibleError(
             f"only {flow_value + len(paths)} vertex-disjoint paths exist from "
             f"{source} to {target}, need {count}"
         )

@@ -13,16 +13,23 @@ dictionary lookup.
 The cache is bounded (LRU eviction) and purely value-based: ``NetworkGraph``
 instances are never retained, only their signatures, so caching cannot leak
 graphs or observe mutation.  ``clear_mincut_cache`` resets it (useful in
-tests and long-lived processes switching workloads).
+long-lived processes switching workloads).
+
+Every process-wide cache of the library registers here
+(:func:`register_cache`): :func:`clear_scope` is how a sweep worker drops
+the topology-scoped ones between topologies, and :func:`all_cache_stats` is
+the one stats surface, read as ``all_cache_stats()[name]``.  The few
+``*_cache_stats`` / ``clear_*`` functions left beside it are the ones the
+reference benchmark resolves by name.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.maxflow import all_max_flow_values, max_flow_value, max_flow_with_cut
+from repro.graph.maxflow import all_max_flow_values, max_flow_value
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
@@ -140,8 +147,8 @@ class MinCutCache:
         self.misses = 0
 
     def stats(self) -> Dict[str, object]:
-        """Counters plus derived hit rates, the shape every cache's
-        ``*_cache_stats`` helper reports.
+        """Counters plus derived hit rates, the shape every registered cache
+        reports through :func:`all_cache_stats`.
 
         ``hits``/``misses`` count since the last :meth:`clear`; the
         ``lifetime_*`` counters survive clears.  Hit rates are floats,
@@ -159,31 +166,13 @@ class MinCutCache:
             "lifetime_hit_rate": (self.lifetime_hits / lifetime) if lifetime else None,
         }
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 _CACHE = MinCutCache(name="mincut")
-
-
-def mincut_cache() -> MinCutCache:
-    """The process-wide flow-solution cache."""
-    return _CACHE
 
 
 def clear_mincut_cache() -> None:
     """Reset the process-wide flow-solution cache."""
     _CACHE.clear()
-
-
-def mincut_cache_stats() -> Dict[str, int]:
-    """Current ``{"entries", "hits", "misses"}`` counters of the cache.
-
-    The minimal epoch-scoped counters (reset by :func:`clear_mincut_cache`).
-    :func:`cache_stats` builds on this and adds derived rates plus the
-    clear-surviving lifetime counters — prefer it for reporting.
-    """
-    return {"entries": len(_CACHE), "hits": _CACHE.hits, "misses": _CACHE.misses}
 
 
 def cache_stats() -> Dict[str, object]:
@@ -234,46 +223,6 @@ def cached_st_mincut(
     return value
 
 
-def cached_max_flow_with_cut(
-    graph: NetworkGraph,
-    source: NodeId,
-    sink: NodeId,
-    signature: GraphSignature | None = None,
-) -> Tuple[int, Set[NodeId]]:
-    """Max-flow value *and* the source side of a minimum cut, through the cache.
-
-    The cut set is stored as an immutable ``frozenset`` so cached entries can
-    never be mutated through the returned value; callers receive a fresh
-    mutable copy.  On a miss, an *already cached* Gomory–Hu tree answers a
-    tree-adjacent pair from the cut side it stores for that edge; otherwise
-    the pair is solved.  Either way the flow value is also seeded under the
-    plain ``st`` key, so a later :func:`cached_st_mincut` on the same
-    endpoints is a hit without re-solving.
-
-    Raises:
-        GraphError: if either endpoint is missing or they coincide.
-    """
-    if not graph.has_node(source) or not graph.has_node(sink):
-        raise GraphError("source or sink not present in the graph")
-    if source == sink:
-        raise GraphError("source and sink must differ")
-    if signature is None:
-        signature = graph_signature(graph)
-    key = ("st-cut", signature, source, sink)
-    cached = _CACHE.lookup(key)
-    if cached is None:
-        from repro.graph.gomory_hu import tree_if_cached
-
-        tree = tree_if_cached(signature)
-        cached = tree.adjacent_cut(source, sink) if tree is not None else None
-        if cached is None:
-            value, cut = max_flow_with_cut(graph, source, sink)
-            cached = (value, frozenset(cut))
-        _CACHE.store(key, cached)
-        _CACHE.store(("st", signature, source, sink), cached[0])
-    return cached[0], set(cached[1])
-
-
 def cached_all_target_mincuts(
     graph: NetworkGraph,
     source: NodeId,
@@ -282,8 +231,11 @@ def cached_all_target_mincuts(
     """``MINCUT(G, source, j)`` for every ``j != source``, through the cache.
 
     A single residual-graph build is shared across all targets on a miss
-    (see :func:`repro.graph.maxflow.all_max_flow_values`).  The returned dict
-    is a fresh copy the caller may mutate freely.
+    (see :func:`repro.graph.maxflow.all_max_flow_values`).  Its callers are
+    the directed cases: :func:`repro.graph.mincut.broadcast_mincut` asks it
+    only of asymmetric graphs (a symmetric one is a Gomory-Hu global min),
+    and the packing's feasibility probes of residual capacities.  The
+    returned dict is a fresh copy the caller may mutate freely.
 
     Raises:
         GraphError: if the source is not in the graph.
@@ -295,15 +247,7 @@ def cached_all_target_mincuts(
     key = ("all-targets", signature, source)
     cached = _CACHE.lookup(key)
     if cached is None:
-        from repro.graph.gomory_hu import cached_gomory_hu
-
-        tree = cached_gomory_hu(graph, signature=signature)
-        if tree is not None and tree.node_count() > 1:
-            # Undirected-equivalent graph: n - 1 solves build the tree once,
-            # then every source is a single tree walk.
-            cached = tree.all_target_mincuts(source)
-        else:
-            targets = [node for node in graph.nodes() if node != source]
-            cached = all_max_flow_values(graph, source, targets)
+        targets = [node for node in graph.nodes() if node != source]
+        cached = all_max_flow_values(graph, source, targets)
         _CACHE.store(key, cached)
     return dict(cached)

@@ -24,12 +24,12 @@ and layered topologies) are used by the workloads and benchmark sweeps.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.exceptions import GraphError
 from repro.graph.connectivity import has_vertex_connectivity_at_least
 from repro.graph.network_graph import NetworkGraph
-from repro.types import Edge, NodeId
+from repro.types import NodeId
 
 
 def figure1a() -> NetworkGraph:
@@ -229,16 +229,6 @@ def random_connected_network(
         graph.add_edge(b, a, backward)
     if not has_vertex_connectivity_at_least(graph, min_connectivity):  # pragma: no cover - construction guard
         raise GraphError("random network construction failed to reach the requested connectivity")
-    return graph
-
-
-def uniform_random_capacities(
-    edges: Sequence[Edge], rng: random.Random, max_capacity: int = 4
-) -> NetworkGraph:
-    """Build a graph from the given directed edges with independent random capacities."""
-    graph = NetworkGraph()
-    for tail, head in edges:
-        graph.add_edge(tail, head, rng.randint(1, max_capacity))
     return graph
 
 

@@ -7,17 +7,20 @@ On an *undirected-equivalent* graph — a directed graph in which every edge
 spanning tree (Gomory & Hu 1961): the min-cut between any two nodes is the
 minimum edge weight on the tree path between them.  This module builds that
 tree with Gusfield's simplification (no node contraction; ``n - 1`` Dinic
-solves sharing one residual-graph build) and serves three quantities that
+solves sharing one residual-graph build) and serves two quantities that
 previously cost ``O(n)`` to ``O(n^2)`` independent solves each:
 
-* ``all_target_mincuts(source)`` — one tree walk instead of ``n - 1`` flows;
 * the *global* undirected min-cut (= ``broadcast_mincut`` on symmetric
   graphs, and the inner minimum of ``U_k``) — the smallest tree edge;
-* arbitrary ``st`` queries — a tree path minimum.
+* ``st`` queries on a graph whose tree is already cached — a tree path
+  minimum (:func:`repro.graph.flow_cache.cached_st_mincut`).
 
 Trees are memoised process-wide in a dedicated
-:class:`~repro.graph.flow_cache.MinCutCache`, following the structure-cache
-contract (``clear_gomory_hu_cache`` / ``gomory_hu_cache_stats``).
+:class:`~repro.graph.flow_cache.MinCutCache`, registered by hand as
+``gomory_hu`` (:func:`clear_gomory_hu_cache` also resets the epoch repair
+counters; ``all_cache_stats()["gomory_hu"]`` reports it).  The uncached
+Gusfield build the cached and repaired trees are tested against is the
+frozen ``gomory_hu_tree`` of ``tests/_oracles/graph.py``.
 
 **Unit-form cache key.**  Multiplying every capacity by ``g`` multiplies every
 cut value by exactly ``g`` and changes nothing else, so the cache is keyed on
@@ -29,9 +32,8 @@ on the way in and multiplies back by ``g`` on the way out.  A symmetric ``H``
 and its undirected view ``2 * H`` therefore share one tree: ``gamma*`` builds
 it and ``rho*`` finds it.
 
-A build stores nothing in the main flow cache: ``cached_st_mincut`` and
-``cached_max_flow_with_cut`` ask :func:`tree_if_cached` on a miss, so an
-existing tree answers them on demand.
+A build stores nothing in the main flow cache: ``cached_st_mincut`` asks
+:func:`tree_if_cached` on a miss, so an existing tree answers it on demand.
 
 **Oracle freeze.**  ``src/`` has one flow solver,
 :class:`repro.graph.maxflow._DinicSolver`; directed / asymmetric graphs never
@@ -62,8 +64,8 @@ new graph is exact (any spanning tree with exact adjacent-pair values has the
 global min-cut as its smallest edge: every cut separates some tree-adjacent
 pair).  Arbitrary path-min queries are **not** guaranteed on repaired trees —
 they are flagged ``flow_equivalent=False`` and only serve global-min /
-tree-edge queries; ``st`` and per-target queries on such graphs fall back to
-per-pair solves.
+tree-edge queries; ``st`` queries on such graphs fall back to per-pair
+solves.
 """
 
 from __future__ import annotations
@@ -112,11 +114,6 @@ def _count_repair(key: str, amount: int = 1) -> None:
     _repair_lifetime[key] += amount
 
 
-def gomory_hu_cache() -> MinCutCache:
-    """The process-wide Gomory–Hu tree cache."""
-    return _GH_CACHE
-
-
 def clear_gomory_hu_cache() -> None:
     """Reset the Gomory–Hu cache and the epoch repair counters."""
     _GH_CACHE.clear()
@@ -124,13 +121,8 @@ def clear_gomory_hu_cache() -> None:
         _repair_epoch[key] = 0
 
 
-def gomory_hu_cache_stats() -> Dict[str, object]:
-    """Hit/miss counters plus derived rates (the structure-cache stats shape)."""
-    return _GH_CACHE.stats()
-
-
 # Registered by hand: clearing must also reset the epoch repair counters.
-register_cache("gomory_hu", "topology", clear_gomory_hu_cache, gomory_hu_cache_stats)
+register_cache("gomory_hu", "topology", clear_gomory_hu_cache, _GH_CACHE.stats)
 
 
 def incremental_repair_stats() -> Dict[str, int]:
@@ -198,9 +190,6 @@ class GomoryHuTree:
         """All nodes, sorted (the graph's node order)."""
         return self._nodes
 
-    def node_count(self) -> int:
-        return len(self._nodes)
-
     def tree_edges(self) -> List[Tuple[NodeId, NodeId, int]]:
         """The ``n - 1`` tree edges as ``(child, parent, exact min-cut value)``."""
         return [
@@ -218,20 +207,6 @@ class GomoryHuTree:
         if node not in self._side:
             raise GraphError(f"node {node} has no parent edge in the cut tree")
         return self._side[node]
-
-    def adjacent_cut(
-        self, source: NodeId, sink: NodeId
-    ) -> Optional[Tuple[int, FrozenSet[NodeId]]]:
-        """``(min-cut value, source side)`` if the two nodes share a tree edge, else ``None``.
-
-        The stored side of edge ``(child, parent)`` is the child's; seen from
-        the parent the same cut is its complement (the graph is symmetric).
-        """
-        if self._parent.get(source) == sink:
-            return self._weight[source], self._side[source]
-        if self._parent.get(sink) == source:
-            return self._weight[sink], frozenset(self._nodes) - self._side[sink]
-        return None
 
     def min_weight(self) -> int:
         """The global undirected min-cut: the smallest tree edge weight.
@@ -263,9 +238,10 @@ class GomoryHuTree:
             )
         if u == v:
             raise GraphError("pairwise min-cut requires two distinct nodes")
-        if u not in self._weight and u != self._root():
+        root = self._nodes[0]
+        if u not in self._weight and u != root:
             raise GraphError(f"node {u} is not in the cut tree")
-        if v not in self._weight and v != self._root():
+        if v not in self._weight and v != root:
             raise GraphError(f"node {v} is not in the cut tree")
         ancestors: Dict[NodeId, int] = {}
         minimum = None
@@ -288,49 +264,6 @@ class GomoryHuTree:
         if minimum is None:  # pragma: no cover - u == v is rejected above
             raise GraphError("empty tree path")
         return minimum
-
-    def all_target_mincuts(self, source: NodeId) -> Dict[NodeId, int]:
-        """``mincut(source, j)`` for every other node, in one tree walk.
-
-        Raises:
-            GraphError: if the source is unknown or the tree is repaired.
-        """
-        if not self.flow_equivalent:
-            raise GraphError(
-                "repaired cut trees only answer global-min / tree-edge queries"
-            )
-        if source not in self._weight and source != self._root():
-            raise GraphError(f"source {source} is not in the cut tree")
-        children: Dict[NodeId, List[NodeId]] = {node: [] for node in self._nodes}
-        for node, parent in self._parent.items():
-            children[parent].append(node)
-        values: Dict[NodeId, int] = {}
-        # DFS from the source through the *undirected* tree, carrying the
-        # running path minimum.
-        stack: List[Tuple[NodeId, Optional[int]]] = [(source, None)]
-        seen = {source}
-        while stack:
-            node, running = stack.pop()
-            neighbors: List[Tuple[NodeId, int]] = [
-                (child, self._weight[child]) for child in children[node]
-            ]
-            if node in self._parent:
-                neighbors.append((self._parent[node], self._weight[node]))
-            for neighbor, edge_weight in neighbors:
-                if neighbor in seen:
-                    continue
-                seen.add(neighbor)
-                path_min = edge_weight if running is None else min(running, edge_weight)
-                values[neighbor] = path_min
-                stack.append((neighbor, path_min))
-        return values
-
-    def _root(self) -> NodeId:
-        return self._nodes[0]
-
-    def __repr__(self) -> str:
-        kind = "flow-equivalent" if self.flow_equivalent else "repaired"
-        return f"GomoryHuTree(nodes={len(self._nodes)}, {kind})"
 
 
 def _rescaled(
@@ -386,27 +319,6 @@ def _gusfield(signature: GraphSignature) -> GomoryHuTree:
     )
 
 
-def gomory_hu_tree(
-    graph: NetworkGraph, signature: GraphSignature | None = None
-) -> GomoryHuTree:
-    """Build the cut tree of an undirected-equivalent graph (Gusfield's method).
-
-    Always a fresh build (``n - 1`` solves) that touches no cache; the solves
-    run on the unit form and the weights are scaled back.
-
-    Raises:
-        GraphError: if the graph is not symmetric or has no nodes.
-    """
-    if signature is None:
-        signature = graph_signature(graph)
-    if not is_symmetric(graph):
-        raise GraphError("Gomory-Hu trees require an undirected-equivalent graph")
-    if not signature[0]:
-        raise GraphError("cannot build a cut tree of an empty graph")
-    unit, scale = _unit_form(signature)
-    return _rescaled(_gusfield(unit), signature, multiply=scale)
-
-
 def cached_gomory_hu(
     graph: NetworkGraph, signature: GraphSignature | None = None
 ) -> Optional[GomoryHuTree]:
@@ -435,8 +347,7 @@ def cached_gomory_hu(
 def tree_if_cached(signature: GraphSignature) -> Optional[GomoryHuTree]:
     """A cached *flow-equivalent* tree for this signature, without building one.
 
-    Used by :func:`repro.graph.flow_cache.cached_st_mincut` and
-    :func:`~repro.graph.flow_cache.cached_max_flow_with_cut`: a single ``st``
+    Used by :func:`repro.graph.flow_cache.cached_st_mincut`: a single ``st``
     query never justifies ``n - 1`` solves, but an existing tree answers it
     for free.  Does not touch hit/miss counters (peek, not lookup).
     """

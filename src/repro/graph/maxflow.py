@@ -5,8 +5,9 @@ The paper's throughput analysis is built almost entirely on min-cut values:
 ``U_k`` bound Phase 2.  By the max-flow/min-cut theorem those quantities are
 computed here as maximum flows.  Dinic's algorithm is exact for integer
 capacities, and :class:`_DinicSolver` is the *only* flow kernel in ``src/``:
-Gomory–Hu builds and repairs, the node-split connectivity flows, relay-route
-extraction and the public per-pair functions below all run on it.  One
+Gomory–Hu builds and repairs, the node-split threshold flows, relay routes
+(one solve per ordered pair both decides that ``2f + 1`` paths exist and
+yields them) and the two per-pair functions below all run on it.  One
 residual build is reused across many queries (``snapshot`` / ``reset``), and
 the kernel is sized for the datacenter fabrics of the graph layer — hundreds
 of nodes, thousands of solves per analysis.
@@ -257,14 +258,3 @@ def all_max_flow_values(
         solver.reset()
         values[sink] = solver.max_flow(source, sink)
     return values
-
-
-def max_flow_with_cut(
-    graph: NetworkGraph, source: NodeId, sink: NodeId
-) -> Tuple[int, Set[NodeId]]:
-    """Maximum flow value together with the source side of a minimum cut."""
-    if not graph.has_node(source) or not graph.has_node(sink):
-        raise GraphError("source or sink not present in the graph")
-    solver = _build_solver(graph.nodes(), graph.edges())
-    value = solver.max_flow(source, sink)
-    return value, solver.min_cut_reachable(source)

@@ -1,44 +1,20 @@
-"""Min-cut quantities used throughout the paper's analysis.
+"""The broadcast min-cut ``gamma_k``, the quantity Phase 1 runs at.
 
-Three quantities appear repeatedly:
-
-* ``MINCUT(G, i, j)`` — the directed ``i``-``j`` min-cut of the instance graph,
-  equal to the ``i``-``j`` max-flow (:func:`st_mincut`);
-* ``gamma_k = min_j MINCUT(G_k, 1, j)`` — the broadcast min-cut from the
-  source, which is the highest rate at which Phase 1 can deliver the input to
-  every node (:func:`broadcast_mincut`);
-* ``min_{i,j} MINCUT(\\bar H, i, j)`` — the smallest pairwise min-cut of an
-  undirected view, the inner minimum of ``U_k``
-  (:func:`min_pairwise_undirected_mincut`).
+``MINCUT(G, i, j)`` — the directed ``i``-``j`` min-cut, equal to the ``i``-``j``
+max-flow — enters the paper's analysis through its minimum over targets:
+``gamma_k = min_j MINCUT(G_k, 1, j)``, the highest rate at which Phase 1 can
+deliver the input to every node (:func:`broadcast_mincut`).  The per-target
+values are :func:`repro.graph.flow_cache.cached_all_target_mincuts`; the
+undirected pairwise minimum inside ``U_k`` is
+:meth:`repro.graph.undirected.UndirectedView.min_pairwise_mincut`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.exceptions import GraphError
-from repro.graph.flow_cache import cached_all_target_mincuts, cached_st_mincut
+from repro.graph.flow_cache import cached_all_target_mincuts
 from repro.graph.network_graph import NetworkGraph
-from repro.graph.undirected import UndirectedView
 from repro.types import NodeId
-
-
-def st_mincut(graph: NetworkGraph, source: NodeId, sink: NodeId) -> int:
-    """``MINCUT(G, source, sink)`` — the directed min-cut / max-flow value.
-
-    Memoised on the graph's canonical signature, so repeated queries on
-    structurally identical graphs are dictionary lookups.
-    """
-    return cached_st_mincut(graph, source, sink)
-
-
-def all_target_mincuts(graph: NetworkGraph, source: NodeId) -> Dict[NodeId, int]:
-    """``MINCUT(G, source, j)`` for every other node ``j`` of the graph.
-
-    Memoised as a whole; on a miss all targets share one residual-graph
-    build instead of reconstructing the solver per target.
-    """
-    return cached_all_target_mincuts(graph, source)
 
 
 def broadcast_mincut(graph: NetworkGraph, source: NodeId) -> int:
@@ -65,10 +41,5 @@ def broadcast_mincut(graph: NetworkGraph, source: NodeId) -> int:
     value = cached_global_mincut(graph)
     if value is not None:
         return value
-    cuts = all_target_mincuts(graph, source)
+    cuts = cached_all_target_mincuts(graph, source)
     return min(cuts.values())
-
-
-def min_pairwise_undirected_mincut(graph: NetworkGraph) -> int:
-    """Smallest pairwise min-cut of the undirected, capacity-summed view of ``graph``."""
-    return UndirectedView(graph).min_pairwise_mincut()

@@ -108,10 +108,6 @@ class NetworkGraph:
         """Number of nodes."""
         return len(self._successors)
 
-    def edge_count(self) -> int:
-        """Number of directed edges."""
-        return sum(len(targets) for targets in self._successors.values())
-
     def has_node(self, node: NodeId) -> bool:
         """Whether the node exists in the graph."""
         return node in self._successors
@@ -137,10 +133,6 @@ class NetworkGraph:
             for head in sorted(self._successors[tail]):
                 yield tail, head, self._successors[tail][head]
 
-    def edge_set(self) -> Set[Edge]:
-        """The set of directed edges as ``(tail, head)`` pairs."""
-        return {(tail, head) for tail, head, _ in self.edges()}
-
     def successors(self, node: NodeId) -> List[NodeId]:
         """Heads of edges leaving ``node`` in sorted order."""
         self._require_node(node)
@@ -160,25 +152,6 @@ class NetworkGraph:
         """Incoming ``(tail, head, capacity)`` triples of ``node`` in sorted order."""
         self._require_node(node)
         return [(tail, node, cap) for tail, cap in sorted(self._predecessors[node].items())]
-
-    def out_capacity(self, node: NodeId) -> int:
-        """Total capacity leaving ``node``."""
-        self._require_node(node)
-        return sum(self._successors[node].values())
-
-    def in_capacity(self, node: NodeId) -> int:
-        """Total capacity entering ``node``."""
-        self._require_node(node)
-        return sum(self._predecessors[node].values())
-
-    def total_capacity(self) -> int:
-        """Sum of the capacities of all directed edges."""
-        return sum(capacity for _, _, capacity in self.edges())
-
-    def neighbors(self, node: NodeId) -> List[NodeId]:
-        """Nodes adjacent to ``node`` by an edge in either direction (sorted)."""
-        self._require_node(node)
-        return sorted(set(self._successors[node]) | set(self._predecessors[node]))
 
     def _require_node(self, node: NodeId) -> None:
         if node not in self._successors:
@@ -237,57 +210,3 @@ class NetworkGraph:
             if node_pair(tail, head) in pair_set:
                 drop.add((tail, head))
         return self.remove_edges(drop)
-
-    # ------------------------------------------------------------- traversals
-
-    def reachable_from(self, source: NodeId) -> Set[NodeId]:
-        """All nodes reachable from ``source`` along directed edges (including itself)."""
-        self._require_node(source)
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            node = frontier.pop()
-            for successor in self._successors[node]:
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return seen
-
-    def is_spanning_from(self, source: NodeId) -> bool:
-        """Whether every node is reachable from ``source``."""
-        return len(self.reachable_from(source)) == self.node_count()
-
-    def is_weakly_connected(self) -> bool:
-        """Whether the underlying undirected graph is connected."""
-        nodes = self.nodes()
-        if not nodes:
-            return True
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in self.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(nodes)
-
-    # ------------------------------------------------------------------ dunder
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._successors
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NetworkGraph):
-            return NotImplemented
-        return (
-            set(self.nodes()) == set(other.nodes())
-            and dict(((t, h), c) for t, h, c in self.edges())
-            == dict(((t, h), c) for t, h, c in other.edges())
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.nodes()), tuple(self.edges())))
-
-    def __repr__(self) -> str:
-        return f"NetworkGraph(nodes={self.node_count()}, edges={self.edge_count()})"

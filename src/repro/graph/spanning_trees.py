@@ -23,9 +23,11 @@ Performance notes:
     an LRU keyed on ``(graph_signature, root, count)`` — the same canonical-
     signature contract as :mod:`repro.graph.flow_cache` — and the feasibility
     probes themselves run through the min-cut cache, so even a cold packing
-    shares solves with every other analysis of the same graph.
-    :func:`clear_pack_cache` resets the packing cache (the engine runner calls
-    it between topologies) and :func:`pack_cache_stats` exposes its counters.
+    shares solves with every other analysis of the same graph.  The cache is
+    registered as ``arborescence_packs`` (the engine runner clears it between
+    topologies through ``clear_scope``; ``all_cache_stats`` reports it), and
+    :func:`clear_pack_cache` resets it on its own.  The packing validator
+    every packing is tested against is ``tests/_oracles/graph.py``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class Arborescence:
         """Directed tree edges as ``(parent, child)`` pairs, sorted by child."""
         return [(parent, child) for child, parent in sorted(self.parents.items())]
 
-    def nodes(self) -> List[NodeId]:
-        """All vertices spanned by the arborescence (root included), sorted."""
-        return sorted(set(self.parents) | {self.root})
-
     def children_of(self, node: NodeId) -> List[NodeId]:
         """Children of ``node`` in the arborescence, sorted."""
         return sorted(child for child, parent in self.parents.items() if parent == node)
@@ -73,21 +71,11 @@ class Arborescence:
                 raise GraphError("arborescence parent map contains a cycle")
         return depth
 
-    def path_from_root(self, node: NodeId) -> List[NodeId]:
-        """The node sequence from the root to ``node`` (inclusive)."""
-        path = [node]
-        while path[-1] != self.root:
-            path.append(self.parents[path[-1]])
-        return list(reversed(path))
-
     def depth(self) -> int:
         """Maximum depth over all spanned vertices (0 for a single-node tree)."""
         if not self.parents:
             return 0
         return max(self.depth_of(node) for node in self.parents)
-
-    def __repr__(self) -> str:
-        return f"Arborescence(root={self.root}, nodes={len(self.parents) + 1})"
 
 
 def _residual_copy(graph: NetworkGraph) -> Dict[Edge, int]:
@@ -167,15 +155,6 @@ def _peel_one_arborescence(
 _PACK_CACHE = MinCutCache(max_entries=256, name="arborescence_packs")
 
 
-def pack_cache_stats() -> Dict[str, object]:
-    """Hit/miss counters of the packing cache (``MinCutCache.stats`` shape).
-
-    The ``lifetime_*`` counters survive :func:`clear_pack_cache`, so a sweep
-    that clears between topologies can still report whole-run efficacy.
-    """
-    return _PACK_CACHE.stats()
-
-
 def clear_pack_cache() -> None:
     """Reset the process-wide arborescence-packing cache."""
     _PACK_CACHE.clear()
@@ -232,42 +211,3 @@ def pack_arborescences(
         cached = tuple(parent_maps)
         _PACK_CACHE.store(key, cached)
     return [Arborescence(root, parents) for parents in cached]
-
-
-def packing_edge_usage(trees: Sequence[Arborescence]) -> Dict[Edge, int]:
-    """Total number of arborescences using each directed edge."""
-    usage: Dict[Edge, int] = {}
-    for tree in trees:
-        for edge in tree.edges():
-            usage[edge] = usage.get(edge, 0) + 1
-    return usage
-
-
-def validate_packing(
-    graph: NetworkGraph, root: NodeId, trees: Sequence[Arborescence]
-) -> None:
-    """Validate that ``trees`` is a capacity-respecting spanning arborescence packing.
-
-    Raises:
-        GraphError: if any tree is not a spanning arborescence of ``graph``
-            rooted at ``root``, uses an edge absent from the graph, or the
-            combined usage of some edge exceeds its capacity.
-    """
-    expected_nodes = set(graph.nodes())
-    for tree in trees:
-        if tree.root != root:
-            raise GraphError(f"arborescence rooted at {tree.root}, expected {root}")
-        if set(tree.nodes()) != expected_nodes:
-            raise GraphError("arborescence does not span all graph nodes")
-        for parent, child in tree.edges():
-            if not graph.has_edge(parent, child):
-                raise GraphError(f"arborescence uses edge ({parent}, {child}) not in the graph")
-        # Reaching every node from the root also rules out cycles.
-        for node in tree.nodes():
-            tree.depth_of(node)
-    for (tail, head), used in packing_edge_usage(trees).items():
-        if used > graph.capacity(tail, head):
-            raise GraphError(
-                f"edge ({tail}, {head}) used {used} times but has capacity "
-                f"{graph.capacity(tail, head)}"
-            )

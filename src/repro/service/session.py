@@ -22,7 +22,6 @@ from repro.core.nab import parse_checkpoint
 from repro.engine.runner import run_cell_record
 from repro.engine.spec import (  # noqa: F401 - the warm contexts are re-exported
     Cell,
-    clear_topology_contexts,
     topology_context_stats,
     warm_graph,
 )

@@ -159,7 +159,7 @@ class TestCodingScheme:
     def test_edges_listing(self):
         graph = figure1a()
         scheme = generate_coding_scheme(graph, 2, 8)
-        assert list(scheme.edges()) == sorted(graph.edge_set())
+        assert list(scheme.edges()) == [(tail, head) for tail, head, _ in graph.edges()]
 
 
 class TestValueToSymbols:
@@ -247,7 +247,7 @@ class TestEqualityCheck:
         network, scheme = _equality_setup(graph, 2, 8)
         values = {node: 0xAB12 for node in graph.nodes()}
         outcome = run_equality_check(network, graph, values, 16, scheme)
-        assert set(outcome.sent_vectors) == graph.edge_set()
+        assert set(outcome.sent_vectors) == {(tail, head) for tail, head, _ in graph.edges()}
         for edge, sent in outcome.sent_vectors.items():
             assert outcome.expected_vectors[edge] == sent
 
@@ -258,7 +258,7 @@ class TestVerification:
         scheme = generate_coding_scheme(graph, 2, 16, seed=2)
         matrix = build_check_matrix(graph, [1, 2, 3, 4], scheme)
         assert matrix.rows == (4 - 1) * 2
-        assert matrix.cols == graph.total_capacity()
+        assert matrix.cols == sum(capacity for _, _, capacity in graph.edges())
 
     def test_check_matrix_requires_two_nodes(self):
         graph = figure1a()
@@ -301,8 +301,8 @@ class TestVerification:
         from repro.gf.matrix import GFMatrix
 
         zero_matrices = {
-            edge: GFMatrix.zeros(field_scheme.field, 2, graph.capacity(*edge))
-            for edge in graph.edge_set()
+            (tail, head): GFMatrix.zeros(field_scheme.field, 2, capacity)
+            for tail, head, capacity in graph.edges()
         }
         zero_scheme = CodingScheme(
             field=field_scheme.field,

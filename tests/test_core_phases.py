@@ -21,6 +21,7 @@ from repro.core.phase2_equality import run_phase2
 from repro.core.phase3_dispute import claims_bit_size, honest_claims, run_phase3
 from repro.exceptions import ProtocolError
 from repro.gf.symbols import symbol_size_for
+from repro.graph.flow_cache import graph_signature
 from repro.graph.generators import complete_graph, figure1a
 from repro.graph.mincut import broadcast_mincut
 from repro.transport.faults import FaultModel
@@ -44,7 +45,7 @@ class TestParameters:
         state = DisputeState(1)
         state.add_dispute(2, 3)
         graph = state.instance_graph(figure1a())
-        assert graph == figure1b()
+        assert graph_signature(graph) == graph_signature(figure1b())
         params = compute_instance_parameters(graph, 1, 4, 1, state)
         assert params.gamma == 2
         assert params.uk == 2

@@ -1,7 +1,8 @@
 """Datacenter topology families, connectivity thresholds, bounds-only sweeps.
 
 The generator invariants (node counts, symmetry, determinism, exact vertex
-connectivity at small sizes) pin the PR 8 families; the spec/runner tests
+connectivity at small sizes, from the frozen oracle of
+``tests/_oracles/graph.py``) pin the datacenter families; the spec/runner tests
 cover the ``datacenter_scale`` bounds-only mode end to end.
 """
 
@@ -11,6 +12,7 @@ import json
 import random
 
 import pytest
+from _oracles.graph import vertex_connectivity
 
 from repro.engine import (
     ExperimentSpec,
@@ -21,10 +23,7 @@ from repro.engine import (
     summarize_rows,
 )
 from repro.exceptions import GraphError
-from repro.graph.connectivity import (
-    has_vertex_connectivity_at_least,
-    vertex_connectivity,
-)
+from repro.graph.connectivity import has_vertex_connectivity_at_least
 from repro.graph.generators import (
     fat_tree,
     octopus_pods,

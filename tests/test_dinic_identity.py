@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from _oracles.graph import local_connectivity
 from _reference_dinic import _DinicSolver as _ReferenceSolver
 
 from repro.graph import connectivity
@@ -106,7 +107,7 @@ def test_node_split_graphs_leave_identical_residuals(seed, monkeypatch):
 def test_relay_routes_are_the_reference_routes(name, monkeypatch):
     graph = topology(name)
     pairs = [(a, b) for a in graph.nodes() for b in graph.nodes() if a != b]
-    counts = {pair: connectivity.local_connectivity(graph, *pair) for pair in pairs}
+    counts = {pair: local_connectivity(graph, *pair) for pair in pairs}
     routes = {
         pair: connectivity.vertex_disjoint_paths(graph, *pair, counts[pair]) for pair in pairs
     }

@@ -2,7 +2,8 @@
 
 The per-pair Dinic solvers in ``repro.graph.maxflow`` are the frozen
 correctness oracle: every property test here asserts the tree (or a repaired
-tree) reproduces the oracle's values exactly.
+tree) reproduces the oracle's values exactly.  A fresh, uncached Gusfield
+build is the frozen ``gomory_hu_tree`` of ``tests/_oracles/graph.py``.
 """
 
 from __future__ import annotations
@@ -10,18 +11,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from _oracles.graph import gomory_hu_tree
 
 from repro.core.dispute_state import DisputeState
 from repro.engine import runner as engine_runner
 from repro.exceptions import GraphError
 from repro.graph import gomory_hu
 from repro.graph.flow_cache import (
+    all_cache_stats,
+    cache_stats,
     cached_all_target_mincuts,
-    cached_max_flow_with_cut,
     cached_st_mincut,
     clear_mincut_cache,
     graph_signature,
-    mincut_cache,
 )
 from repro.graph.generators import figure1a, random_connected_network, torus_2d
 from repro.graph.gomory_hu import (
@@ -29,16 +31,15 @@ from repro.graph.gomory_hu import (
     cached_gomory_hu,
     clear_gomory_hu_cache,
     derive_trees_after_pair_removals,
-    gomory_hu_cache_stats,
-    gomory_hu_tree,
     incremental_repair_stats,
     is_symmetric,
     repair_tree_after_pair_removal,
     tree_if_cached,
 )
-from repro.graph.maxflow import _DinicSolver, max_flow_value, max_flow_with_cut
-from repro.graph.mincut import broadcast_mincut, min_pairwise_undirected_mincut
+from repro.graph.maxflow import _DinicSolver, max_flow_value
+from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
+from repro.graph.undirected import UndirectedView
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +65,10 @@ def _oracle_mincut(graph: NetworkGraph, a, b) -> int:
     return max_flow_value(graph, a, b)
 
 
+def gomory_hu_cache_stats():
+    return all_cache_stats()["gomory_hu"]
+
+
 class TestTreeVsOracle:
     @pytest.mark.parametrize("node_count,seed", [(4, 0), (8, 1), (16, 2), (32, 3), (64, 4)])
     def test_all_pairs_match_dinic_oracle(self, node_count, seed):
@@ -80,14 +85,13 @@ class TestTreeVsOracle:
             assert tree.mincut(a, b) == _oracle_mincut(graph, a, b)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_all_target_walk_matches_oracle(self, seed):
+    def test_every_ordered_pair_matches_oracle(self, seed):
         graph = _symmetric_random(10, seed, min_connectivity=3)
         tree = gomory_hu_tree(graph)
         for source in graph.nodes():
-            values = tree.all_target_mincuts(source)
-            assert sorted(values) == [n for n in graph.nodes() if n != source]
-            for target, value in values.items():
-                assert value == _oracle_mincut(graph, source, target)
+            for target in graph.nodes():
+                if target != source:
+                    assert tree.mincut(source, target) == _oracle_mincut(graph, source, target)
 
     def test_tree_validity(self):
         graph = _symmetric_random(12, 7)
@@ -123,7 +127,18 @@ class TestTreeVsOracle:
         # The public min-cut entry points still answer via the Dinic oracle.
         oracle = min(_oracle_mincut(graph, 1, t) for t in graph.nodes() if t != 1)
         assert broadcast_mincut(graph, 1) == oracle == 2
-        assert min_pairwise_undirected_mincut(graph) >= 1
+        assert UndirectedView(graph).min_pairwise_mincut() >= 1
+
+    def test_tree_queries_reach_the_root_and_reject_strangers(self):
+        graph = _symmetric_random(8, 17)
+        tree = gomory_hu_tree(graph)
+        root = graph.nodes()[0]
+        for other in graph.nodes()[1:]:
+            assert tree.mincut(root, other) == tree.mincut(other, root)
+            assert tree.mincut(root, other) == _oracle_mincut(graph, root, other)
+        for u, v in ((root, 99), (99, root), (root, root)):
+            with pytest.raises(GraphError):
+                tree.mincut(u, v)
 
     def test_repaired_tree_refuses_pairwise_queries(self):
         graph = _symmetric_random(8, 13)
@@ -137,8 +152,6 @@ class TestTreeVsOracle:
         assert not repaired.flow_equivalent
         with pytest.raises(GraphError):
             repaired.mincut(a, b)
-        with pytest.raises(GraphError):
-            repaired.all_target_mincuts(a)
 
 
 class TestDecrementalRepair:
@@ -258,11 +271,11 @@ class TestCaching:
         unit = torus_2d(3, 3, capacity=1)
         assert cached_gomory_hu(unit) is cached_gomory_hu(unit)
 
-    def test_cached_tree_answers_st_and_cut_queries_with_no_new_solve(self, monkeypatch):
+    def test_cached_tree_answers_st_queries_with_no_new_solve(self, monkeypatch):
         graph = torus_2d(3, 3)
         tree = cached_gomory_hu(graph)
         # A build stores nothing in the flow LRU; its queries ask the tree.
-        assert len(mincut_cache()) == 0
+        assert cache_stats()["entries"] == 0
         solves = []
         original = _DinicSolver.max_flow
 
@@ -271,25 +284,16 @@ class TestCaching:
             return original(self, source, sink, limit)
 
         monkeypatch.setattr(_DinicSolver, "max_flow", counted)
-        for child, parent, weight in tree.tree_edges():
-            for a, b in ((child, parent), (parent, child)):
-                assert cached_st_mincut(graph, a, b) == weight
-                value, cut = cached_max_flow_with_cut(graph, a, b)
-                assert value == weight
-                assert a in cut and b not in cut
-                assert sum(
-                    capacity for tail, head, capacity in graph.edges()
-                    if tail in cut and head not in cut
-                ) == weight
-        assert solves == []
-        # A pair that is not tree-adjacent has no stored cut side: one solve.
         nodes = graph.nodes()
-        far = next(
-            (a, b) for a in nodes for b in nodes
-            if a != b and tree.adjacent_cut(a, b) is None
-        )
-        assert cached_max_flow_with_cut(graph, *far) == max_flow_with_cut(graph, *far)
-        assert len(solves) == 2
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        for child, parent, weight in tree.tree_edges():
+            assert cached_st_mincut(graph, child, parent) == weight
+            assert cached_st_mincut(graph, parent, child) == weight
+        # Tree-adjacent or not, every pair is a path minimum: no solve.
+        values = {pair: cached_st_mincut(graph, *pair) for pair in pairs}
+        assert solves == []
+        monkeypatch.setattr(_DinicSolver, "max_flow", original)
+        assert values == {pair: _oracle_mincut(graph, *pair) for pair in pairs}
 
     def test_st_query_uses_existing_tree_without_building_one(self):
         graph = torus_2d(3, 3)
@@ -303,12 +307,14 @@ class TestCaching:
         clear_mincut_cache()  # drop the seeded st keys, keep the tree
         assert cached_st_mincut(graph, 2, 8) == _oracle_mincut(graph, 2, 8)
 
-    def test_all_targets_routes_through_tree_for_symmetric_graphs(self):
+    def test_all_targets_on_a_symmetric_graph_build_no_tree(self):
+        # Per-target values are asked of directed graphs (broadcast_mincut
+        # answers symmetric ones from the global min): a symmetric graph is
+        # solved per target on one residual build, and no tree is cached.
         graph = torus_2d(3, 3)
         values = cached_all_target_mincuts(graph, 1)
-        assert gomory_hu_cache_stats()["entries"] >= 1
-        for target, value in values.items():
-            assert value == _oracle_mincut(graph, 1, target)
+        assert gomory_hu_cache_stats()["entries"] == 0
+        assert values == {target: _oracle_mincut(graph, 1, target) for target in range(2, 10)}
 
     def test_clear_hook_empties_cache(self):
         cached_gomory_hu(torus_2d(3, 3))
@@ -318,7 +324,7 @@ class TestCaching:
         assert stats["entries"] == 0 and stats["hits"] == 0 and stats["misses"] == 0
 
     def test_peek_counts_nothing(self):
-        cache = gomory_hu.gomory_hu_cache()
+        cache = gomory_hu._GH_CACHE
         before = gomory_hu_cache_stats()
         assert cache.peek(("tree", ("nope",))) is None
         after = gomory_hu_cache_stats()
@@ -342,7 +348,7 @@ class TestDisputePathIntegration:
         graph = torus_2d(3, 4)
         state = DisputeState(max_faults=2)
         first = state.instance_graph(graph)
-        assert first == graph
+        assert graph_signature(first) == graph_signature(graph)
         # Analyse G_0 so its tree is cached (as gamma_k derivation would).
         assert broadcast_mincut(first, 1) == gomory_hu_tree(graph).min_weight()
         state.add_dispute(1, 2)
@@ -367,7 +373,7 @@ class TestDisputePathIntegration:
             fresh = DisputeState(max_faults=3)
             fresh.add_disputes([frozenset((x, y)) for x, y in disputes if (x, y) <= (a, b)])
             expected_graph = fresh.instance_graph(graph)
-            assert derived == expected_graph
+            assert graph_signature(derived) == graph_signature(expected_graph)
             for source in (1, 4, 8):
                 assert broadcast_mincut(derived, source) == broadcast_mincut(
                     expected_graph, source

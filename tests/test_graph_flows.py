@@ -1,4 +1,9 @@
-"""Tests for max-flow, min-cut, undirected views and connectivity."""
+"""Tests for max-flow, min-cut, undirected views and connectivity.
+
+The exact connectivity (``vertex_connectivity`` / ``local_connectivity``) is
+the frozen oracle of ``tests/_oracles/graph.py``; ``TestConnectivity`` holds
+it to networkx, so the threshold check can be held to it.
+"""
 
 from __future__ import annotations
 
@@ -6,21 +11,24 @@ import random
 
 import networkx as nx
 import pytest
+from _oracles.graph import local_connectivity, vertex_connectivity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphError
-from repro.graph.connectivity import (
-    local_connectivity,
-    meets_connectivity_requirement,
-    vertex_connectivity,
-    vertex_disjoint_paths,
-)
+from repro.exceptions import GraphError, InfeasibleError
+from repro.graph.connectivity import meets_connectivity_requirement, vertex_disjoint_paths
+from repro.graph.flow_cache import cached_all_target_mincuts, cached_st_mincut
 from repro.graph.generators import complete_graph, figure1a, figure1b, figure2a
-from repro.graph.maxflow import max_flow_value, max_flow_with_cut
-from repro.graph.mincut import all_target_mincuts, broadcast_mincut, st_mincut
+from repro.graph.maxflow import _build_solver, max_flow_value
+from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.undirected import UndirectedView
+
+
+def _value_and_cut(graph, source, sink):
+    """The flow value and the source side of a minimum cut, on the one kernel."""
+    solver = _build_solver(graph.nodes(), graph.edges())
+    return solver.max_flow(source, sink), solver.min_cut_reachable(source)
 
 
 class TestMaxFlow:
@@ -60,21 +68,21 @@ class TestMaxFlow:
 
     def test_cut_side_contains_source(self):
         graph = NetworkGraph.from_edges({(1, 2): 1, (2, 3): 5})
-        value, cut = max_flow_with_cut(graph, 1, 3)
+        value, cut = _value_and_cut(graph, 1, 3)
         assert value == 1
         assert 1 in cut and 3 not in cut
 
     def test_figure1a_mincuts_match_paper(self):
         graph = figure1a()
-        assert st_mincut(graph, 1, 2) == 2
-        assert st_mincut(graph, 1, 3) == 3
-        assert st_mincut(graph, 1, 4) == 2
+        assert cached_st_mincut(graph, 1, 2) == 2
+        assert cached_st_mincut(graph, 1, 3) == 3
+        assert cached_st_mincut(graph, 1, 4) == 2
 
     def test_figure1a_gamma_is_two(self):
         assert broadcast_mincut(figure1a(), 1) == 2
 
     def test_all_target_mincuts(self):
-        cuts = all_target_mincuts(figure1a(), 1)
+        cuts = cached_all_target_mincuts(figure1a(), 1)
         assert cuts == {2: 2, 3: 3, 4: 2}
 
     def test_broadcast_mincut_requires_other_nodes(self):
@@ -107,24 +115,12 @@ class TestUndirectedView:
     def test_capacities_sum_both_directions(self):
         graph = NetworkGraph.from_edges({(1, 2): 2, (2, 1): 3, (2, 3): 1})
         view = UndirectedView(graph)
-        assert view.capacity(1, 2) == 5
-        assert view.capacity(2, 3) == 1
-
-    def test_missing_edge_raises(self):
-        view = UndirectedView(NetworkGraph.from_edges({(1, 2): 1}))
-        with pytest.raises(GraphError):
-            view.capacity(1, 3)
+        assert list(view.edges()) == [(1, 2, 5), (2, 3, 1)]
 
     def test_edges_listing(self):
         graph = NetworkGraph.from_edges({(2, 1): 3, (1, 3): 1})
         view = UndirectedView(graph)
         assert list(view.edges()) == [(1, 2, 3), (1, 3, 1)]
-
-    def test_neighbors(self):
-        view = UndirectedView(NetworkGraph.from_edges({(1, 2): 1, (3, 1): 1}))
-        assert view.neighbors(1) == [2, 3]
-        with pytest.raises(GraphError):
-            view.neighbors(42)
 
     def test_is_connected(self):
         connected = UndirectedView(NetworkGraph.from_edges({(1, 2): 1, (3, 2): 1}))
@@ -133,10 +129,12 @@ class TestUndirectedView:
         graph.add_node(3)
         assert not UndirectedView(graph).is_connected()
 
-    def test_mincut_simple_path(self):
-        view = UndirectedView(NetworkGraph.from_edges({(1, 2): 2, (2, 3): 1}))
-        assert view.mincut(1, 3) == 1
-        assert view.mincut(1, 2) == 2
+    def test_symmetric_digraph_carries_the_summed_capacities(self):
+        view = UndirectedView(NetworkGraph.from_edges({(1, 2): 2, (2, 3): 1, (3, 2): 1}))
+        digraph = view.as_symmetric_digraph()
+        assert list(digraph.edges()) == [(1, 2, 2), (2, 1, 2), (2, 3, 2), (3, 2, 2)]
+        assert max_flow_value(digraph, 1, 3) == 2
+        assert view.min_pairwise_mincut() == 2
 
     def test_min_pairwise_mincut_requires_two_nodes(self):
         graph = NetworkGraph()
@@ -254,8 +252,20 @@ class TestVertexDisjointPaths:
 
     def test_requesting_too_many_paths_raises(self):
         graph = NetworkGraph.from_edges({(1, 2): 1, (2, 3): 1})
-        with pytest.raises(GraphError):
+        with pytest.raises(InfeasibleError):
             vertex_disjoint_paths(graph, 1, 3, 2)
+
+    def test_too_few_paths_is_infeasible_and_bad_endpoints_are_graph_errors(self):
+        # The relay turns exactly the first into its connectivity ProtocolError.
+        ring = NetworkGraph.from_edges(
+            {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1, (3, 4): 1, (4, 3): 1, (4, 1): 1, (1, 4): 1}
+        )
+        assert len(vertex_disjoint_paths(ring, 1, 3, 2)) == 2
+        with pytest.raises(InfeasibleError):
+            vertex_disjoint_paths(ring, 1, 3, 3)
+        for source, target in ((1, 1), (1, 9)):
+            with pytest.raises(GraphError):
+                vertex_disjoint_paths(ring, source, target, 1)
 
     def test_invalid_count_raises(self):
         graph = complete_graph(4)
@@ -305,14 +315,14 @@ class TestFlowProperties:
     def test_flow_bounded_by_degree_cuts(self, data):
         graph, node_count = data
         value = max_flow_value(graph, 1, node_count)
-        assert value <= graph.out_capacity(1)
-        assert value <= graph.in_capacity(node_count)
+        assert value <= sum(capacity for _, _, capacity in graph.out_edges(1))
+        assert value <= sum(capacity for _, _, capacity in graph.in_edges(node_count))
 
     @given(random_capacitated_digraphs())
     @settings(max_examples=40, deadline=None)
     def test_cut_capacity_equals_flow(self, data):
         graph, node_count = data
-        value, cut = max_flow_with_cut(graph, 1, node_count)
+        value, cut = _value_and_cut(graph, 1, node_count)
         cut_capacity = sum(
             capacity
             for tail, head, capacity in graph.edges()
@@ -325,4 +335,4 @@ class TestFlowProperties:
     def test_broadcast_mincut_is_min_of_st_cuts(self, data):
         graph, _ = data
         gamma = broadcast_mincut(graph, 1)
-        assert gamma == min(all_target_mincuts(graph, 1).values())
+        assert gamma == min(cached_all_target_mincuts(graph, 1).values())

@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from _oracles.graph import gomory_hu_tree
 from _reference_dinic import _DinicSolver as _ReferenceSolver
 
 from repro.capacity.gamma_star import gamma_star
 from repro.capacity.rho_star import u1_value
 from repro.core.dispute_state import DisputeState
-from repro.graph.flow_cache import clear_mincut_cache
+from repro.graph.flow_cache import all_cache_stats, clear_mincut_cache
 from repro.graph.generators import (
     complete_graph,
     random_connected_network,
@@ -27,8 +28,6 @@ from repro.graph.generators import (
 from repro.graph.gomory_hu import (
     cached_gomory_hu,
     clear_gomory_hu_cache,
-    gomory_hu_cache_stats,
-    gomory_hu_tree,
     incremental_repair_stats,
 )
 from repro.graph.maxflow import _DinicSolver
@@ -139,9 +138,9 @@ def test_node_relabelling_is_invisible(name, graph):
 @pytest.mark.parametrize("name,graph", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
 def test_undirected_view_of_a_symmetric_graph_hits_its_tree(name, graph, solves):
     gamma = broadcast_mincut(graph, graph.nodes()[0])
-    before, built = gomory_hu_cache_stats(), len(solves)
+    before, built = all_cache_stats()["gomory_hu"], len(solves)
     assert UndirectedView(graph).min_pairwise_mincut() == 2 * gamma
-    after = gomory_hu_cache_stats()
+    after = all_cache_stats()["gomory_hu"]
     assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
     assert len(solves) == built
 

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import GraphError
+from repro.graph.flow_cache import graph_signature
 from repro.graph.network_graph import NetworkGraph
+
+
+def _edge_set(graph):
+    return {(tail, head) for tail, head, _capacity in graph.edges()}
 
 
 @pytest.fixture()
@@ -16,7 +21,7 @@ def small_graph():
 class TestConstruction:
     def test_from_edges_mapping(self, small_graph):
         assert small_graph.node_count() == 3
-        assert small_graph.edge_count() == 4
+        assert len(list(small_graph.edges())) == 4
 
     def test_from_edges_triples(self):
         graph = NetworkGraph.from_edges([(1, 2, 5), (2, 1, 7)])
@@ -68,9 +73,9 @@ class TestConstruction:
     def test_copy_is_mutable_and_equal(self, small_graph):
         small_graph.freeze()
         clone = small_graph.copy()
-        assert clone == small_graph
+        assert graph_signature(clone) == graph_signature(small_graph)
         clone.add_edge(3, 2, 1)
-        assert clone != small_graph
+        assert graph_signature(clone) != graph_signature(small_graph)
 
 
 class TestAccessors:
@@ -89,9 +94,6 @@ class TestAccessors:
     def test_edges_sorted_iteration(self, small_graph):
         assert list(small_graph.edges()) == [(1, 2, 2), (1, 3, 3), (2, 3, 1), (3, 1, 1)]
 
-    def test_edge_set(self, small_graph):
-        assert small_graph.edge_set() == {(1, 2), (1, 3), (2, 3), (3, 1)}
-
     def test_successors_predecessors(self, small_graph):
         assert small_graph.successors(1) == [2, 3]
         assert small_graph.predecessors(3) == [1, 2]
@@ -100,36 +102,18 @@ class TestAccessors:
         assert small_graph.out_edges(1) == [(1, 2, 2), (1, 3, 3)]
         assert small_graph.in_edges(3) == [(1, 3, 3), (2, 3, 1)]
 
-    def test_out_in_capacity(self, small_graph):
-        assert small_graph.out_capacity(1) == 5
-        assert small_graph.in_capacity(3) == 4
-
-    def test_total_capacity(self, small_graph):
-        assert small_graph.total_capacity() == 7
-
-    def test_neighbors_union_of_directions(self, small_graph):
-        assert small_graph.neighbors(1) == [2, 3]
-        assert small_graph.neighbors(2) == [1, 3]
-
     def test_missing_node_queries_raise(self, small_graph):
         with pytest.raises(GraphError):
             small_graph.successors(99)
         with pytest.raises(GraphError):
             small_graph.in_edges(99)
 
-    def test_contains(self, small_graph):
-        assert 1 in small_graph
-        assert 99 not in small_graph
-
-    def test_repr(self, small_graph):
-        assert "nodes=3" in repr(small_graph)
-
 
 class TestSurgery:
     def test_induced_subgraph(self, small_graph):
         sub = small_graph.induced_subgraph([1, 3])
         assert sub.nodes() == [1, 3]
-        assert sub.edge_set() == {(1, 3), (3, 1)}
+        assert _edge_set(sub) == {(1, 3), (3, 1)}
 
     def test_induced_subgraph_missing_node(self, small_graph):
         with pytest.raises(GraphError):
@@ -142,7 +126,7 @@ class TestSurgery:
 
     def test_remove_nodes_ignores_absent(self, small_graph):
         pruned = small_graph.remove_nodes([99])
-        assert pruned == small_graph
+        assert graph_signature(pruned) == graph_signature(small_graph)
 
     def test_remove_edges(self, small_graph):
         pruned = small_graph.remove_edges([(1, 3)])
@@ -161,41 +145,22 @@ class TestSurgery:
         assert small_graph.has_node(2)
 
 
-class TestTraversal:
-    def test_reachable_from(self, small_graph):
-        assert small_graph.reachable_from(1) == {1, 2, 3}
-        assert small_graph.reachable_from(2) == {1, 2, 3}
+class TestSignatureEquality:
+    """Structural equality is ``graph_signature``: the graphs define none."""
 
-    def test_is_spanning_from(self):
-        graph = NetworkGraph.from_edges({(1, 2): 1, (3, 2): 1})
-        assert not graph.is_spanning_from(1)
-        assert graph.is_spanning_from(1) is False
-        graph2 = NetworkGraph.from_edges({(1, 2): 1, (2, 3): 1})
-        assert graph2.is_spanning_from(1)
-
-    def test_weak_connectivity(self):
-        connected = NetworkGraph.from_edges({(1, 2): 1, (3, 2): 1})
-        assert connected.is_weakly_connected()
-        disconnected = NetworkGraph()
-        disconnected.add_edge(1, 2, 1)
-        disconnected.add_node(3)
-        assert not disconnected.is_weakly_connected()
-
-    def test_empty_graph_weakly_connected(self):
-        assert NetworkGraph().is_weakly_connected()
-
-
-class TestEquality:
     def test_equal_graphs(self):
         a = NetworkGraph.from_edges({(1, 2): 1})
         b = NetworkGraph.from_edges({(1, 2): 1})
-        assert a == b
-        assert hash(a) == hash(b)
+        assert graph_signature(a) == graph_signature(b)
+        assert hash(graph_signature(a)) == hash(graph_signature(b))
 
     def test_capacity_difference_breaks_equality(self):
         a = NetworkGraph.from_edges({(1, 2): 1})
         b = NetworkGraph.from_edges({(1, 2): 2})
-        assert a != b
+        assert graph_signature(a) != graph_signature(b)
 
-    def test_not_equal_to_other_types(self):
-        assert NetworkGraph() != 5
+    def test_isolated_node_breaks_equality(self):
+        a = NetworkGraph.from_edges({(1, 2): 1})
+        b = a.copy()
+        b.add_node(3)
+        assert graph_signature(a) != graph_signature(b)

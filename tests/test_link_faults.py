@@ -276,7 +276,7 @@ class TestReliableNetworkArq:
         # lossy total is the clean total plus retransmit_bits, and at rate 0
         # the ARQ layer costs nothing at all.
         def drive(network):
-            edges = sorted(graph.edge_set())
+            edges = [(tail, head) for tail, head, _ in graph.edges()]
             for index in range(2000):
                 tail, head = edges[index % len(edges)]
                 network.send(tail, head, b"x", 1 + index % 16, f"phase-{index % 8}")

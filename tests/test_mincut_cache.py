@@ -11,15 +11,15 @@ import pytest
 from repro.capacity.gamma_star import construct_gamma_family, gamma_star
 from repro.exceptions import GraphError
 from repro.graph.flow_cache import (
-    cached_max_flow_with_cut,
+    cache_stats,
+    cached_all_target_mincuts,
     cached_st_mincut,
     clear_mincut_cache,
     graph_signature,
-    mincut_cache_stats,
 )
 from repro.graph.generators import complete_graph, random_connected_network
-from repro.graph.maxflow import all_max_flow_values, max_flow_value, max_flow_with_cut
-from repro.graph.mincut import all_target_mincuts, broadcast_mincut, st_mincut
+from repro.graph.maxflow import all_max_flow_values, max_flow_value
+from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.undirected import UndirectedView
 
@@ -37,7 +37,7 @@ def _random_graphs():
 
 
 class TestCachedValuesMatchFreshSolves:
-    def test_st_mincut_matches_max_flow(self):
+    def test_cached_st_mincut_matches_max_flow(self):
         for graph in _random_graphs():
             nodes = graph.nodes()
             for source in nodes[:2]:
@@ -45,11 +45,11 @@ class TestCachedValuesMatchFreshSolves:
                     if sink == source:
                         continue
                     expected = max_flow_value(graph, source, sink)
-                    assert st_mincut(graph, source, sink) == expected
+                    assert cached_st_mincut(graph, source, sink) == expected
                     # Second query is a cache hit with the same value.
-                    assert st_mincut(graph, source, sink) == expected
+                    assert cached_st_mincut(graph, source, sink) == expected
 
-    def test_all_target_mincuts_matches_per_target_solves(self):
+    def test_cached_all_target_mincuts_matches_per_target_solves(self):
         for graph in _random_graphs():
             source = graph.nodes()[0]
             expected = {
@@ -57,7 +57,7 @@ class TestCachedValuesMatchFreshSolves:
                 for node in graph.nodes()
                 if node != source
             }
-            assert all_target_mincuts(graph, source) == expected
+            assert cached_all_target_mincuts(graph, source) == expected
             assert broadcast_mincut(graph, source) == min(expected.values())
 
     def test_solver_reuse_matches_fresh_builds(self):
@@ -72,7 +72,7 @@ class TestCachedValuesMatchFreshSolves:
         for graph in _random_graphs():
             view = UndirectedView(graph)
             digraph = view.as_symmetric_digraph()
-            nodes = view.nodes()
+            nodes = graph.nodes()
             naive = min(
                 max_flow_value(digraph, a, b)
                 for index, a in enumerate(nodes)
@@ -84,37 +84,42 @@ class TestCachedValuesMatchFreshSolves:
 class TestCacheBehaviour:
     def test_hits_accumulate_on_identical_graphs(self):
         graph = complete_graph(4, capacity=2)
-        st_mincut(graph, 1, 2)
-        before = mincut_cache_stats()
+        cached_st_mincut(graph, 1, 2)
+        before = cache_stats()
         # A structurally identical but distinct object still hits.
         clone = graph.copy()
-        st_mincut(clone, 1, 2)
-        after = mincut_cache_stats()
+        cached_st_mincut(clone, 1, 2)
+        after = cache_stats()
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
 
     def test_returned_dict_mutation_does_not_poison_cache(self):
         graph = complete_graph(4, capacity=2)
-        first = all_target_mincuts(graph, 1)
+        first = cached_all_target_mincuts(graph, 1)
         first[2] = 999
-        assert all_target_mincuts(graph, 1)[2] != 999
+        assert cached_all_target_mincuts(graph, 1)[2] != 999
 
     def test_clear_resets_counters_and_entries(self):
         graph = complete_graph(4)
-        st_mincut(graph, 1, 2)
+        cached_st_mincut(graph, 1, 2)
         clear_mincut_cache()
-        stats = mincut_cache_stats()
-        assert stats == {"entries": 0, "hits": 0, "misses": 0}
+        stats = cache_stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
+
+    def test_rejects_bad_endpoints(self):
+        graph = complete_graph(4)
+        with pytest.raises(GraphError):
+            cached_st_mincut(graph, 1, 1)
+        with pytest.raises(GraphError):
+            cached_st_mincut(graph, 1, 99)
 
     def test_cache_stats_lifetime_counters_survive_clear(self):
-        from repro.graph.flow_cache import cache_stats
-
         graph = complete_graph(4, capacity=2)
         before = cache_stats()
-        st_mincut(graph, 1, 2)
-        st_mincut(graph.copy(), 1, 2)  # hit
+        cached_st_mincut(graph, 1, 2)
+        cached_st_mincut(graph.copy(), 1, 2)  # hit
         clear_mincut_cache()
-        st_mincut(graph, 1, 2)  # miss again after the clear
+        cached_st_mincut(graph, 1, 2)  # miss again after the clear
         after = cache_stats()
         # Epoch counters were reset by the clear...
         assert after["hits"] == 0
@@ -129,54 +134,6 @@ class TestCacheBehaviour:
         assert graph_signature(base) == graph_signature(base.copy())
         assert graph_signature(base) != graph_signature(complete_graph(4, capacity=3))
         assert graph_signature(base) != graph_signature(complete_graph(5, capacity=2))
-
-
-class TestCachedMaxFlowWithCut:
-    def test_matches_uncached_solver(self):
-        for graph in _random_graphs():
-            nodes = graph.nodes()
-            source = nodes[0]
-            for sink in nodes[1:]:
-                expected_value, expected_cut = max_flow_with_cut(graph, source, sink)
-                value, cut = cached_max_flow_with_cut(graph, source, sink)
-                assert value == expected_value
-                assert cut == expected_cut
-                # Second query is a hit and returns the same answer.
-                value_again, cut_again = cached_max_flow_with_cut(graph, source, sink)
-                assert (value_again, cut_again) == (expected_value, expected_cut)
-
-    def test_second_query_hits_cache(self):
-        graph = complete_graph(4, capacity=2)
-        cached_max_flow_with_cut(graph, 1, 3)
-        before = mincut_cache_stats()
-        cached_max_flow_with_cut(graph.copy(), 1, 3)
-        after = mincut_cache_stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_seeds_plain_st_value(self):
-        graph = complete_graph(4, capacity=2)
-        cached_max_flow_with_cut(graph, 1, 2)
-        before = mincut_cache_stats()
-        value = cached_st_mincut(graph, 1, 2)
-        after = mincut_cache_stats()
-        assert value == max_flow_value(graph, 1, 2)
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_returned_cut_mutation_does_not_poison_cache(self):
-        graph = complete_graph(4, capacity=2)
-        _value, cut = cached_max_flow_with_cut(graph, 1, 4)
-        cut.add(999)
-        _value, fresh_cut = cached_max_flow_with_cut(graph, 1, 4)
-        assert 999 not in fresh_cut
-
-    def test_rejects_bad_endpoints(self):
-        graph = complete_graph(4)
-        with pytest.raises(GraphError):
-            cached_max_flow_with_cut(graph, 1, 1)
-        with pytest.raises(GraphError):
-            cached_max_flow_with_cut(graph, 1, 99)
 
 
 class TestGammaStarWithDeduplication:
@@ -204,6 +161,6 @@ class TestGammaStarWithDeduplication:
     def test_empty_fault_set_maps_to_full_graph(self):
         graph = complete_graph(4, capacity=2)
         family = construct_gamma_family(graph, 1, 1)
-        assert family[frozenset()] == graph
+        assert graph_signature(family[frozenset()]) == graph_signature(graph)
         # The family entry is a detached copy, not the caller's object.
         assert family[frozenset()] is not graph

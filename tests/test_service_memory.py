@@ -17,7 +17,7 @@ import pytest
 
 from repro.service.metrics import ServiceMetrics, process_cache_sample, rss_bytes
 from repro.service.pool import PoolTask, run_pool
-from repro.service.session import clear_topology_contexts
+from repro.graph.flow_cache import clear_scope
 from repro.service.workload import generate_sessions
 
 #: Generous ceiling on RSS growth across the whole batch.  The budgeted
@@ -74,7 +74,7 @@ def _walk_budgets(stats, path=""):
 class TestFlatMemory:
     @pytest.fixture(scope="class")
     def batch_result(self):
-        clear_topology_contexts()
+        clear_scope("process")  # the warm topology contexts
         sessions = _mixed_batch()
         assert len(sessions) >= 1000
         rss_before = rss_bytes()

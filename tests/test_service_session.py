@@ -29,9 +29,9 @@ from repro.core.nab import NetworkAwareBroadcast, parse_checkpoint
 from repro.engine.runner import dump_row, run_cell
 from repro.engine.spec import FAULT_FREE, ExperimentSpec, cell_seed
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.graph.flow_cache import clear_scope
 from repro.service.session import (
     SessionSpec,
-    clear_topology_contexts,
     run_session,
     snapshot_belongs_to,
     topology_context_stats,
@@ -349,7 +349,7 @@ class TestNABStateHooks:
 
 class TestWarmTopologyContext:
     def test_repeat_sessions_hit_the_warm_context(self):
-        clear_topology_contexts()
+        clear_scope("process")  # the warm topology contexts
         warm_graph("k4-fast", 1, 1)
         warm_graph("k4-fast", 1, 1)
         stats = topology_context_stats()
@@ -358,13 +358,13 @@ class TestWarmTopologyContext:
         assert stats["hits"] == 1
 
     def test_infeasible_parameters_fail_on_the_miss(self):
-        clear_topology_contexts()
+        clear_scope("process")  # the warm topology contexts
         with pytest.raises(ProtocolError):
             warm_graph("k4-fast", 1, 2)  # n=4 < 3*2+1
 
     def test_warm_path_row_equals_cold_path_row(self):
         spec = _spec("ring7-chords", "equality-garbage", instances=2)
-        clear_topology_contexts()
+        clear_scope("process")  # the warm topology contexts
         cold = run_session(spec)
         warm = run_session(spec)  # context now warm: validation skipped
         assert dump_row(cold) == dump_row(warm)

@@ -11,27 +11,24 @@ Two caches ride on the canonical graph-signature contract of
 The tests pin down: re-lookups return graph-signature-correct (identical)
 results without recomputing, structurally different graphs never share
 entries, returned objects are fresh (mutating them cannot poison the cache),
-and the ``clear_*`` hooks invalidate — including through the engine runner's
-per-topology hygiene.
+and clearing the ``"topology"`` scope of the cache registry invalidates —
+including through the engine runner's per-topology hygiene.  Stats are read
+through the registry (``all_cache_stats()[name]``), the one cache surface.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.classical.relay import (
-    DisjointPathRelay,
-    clear_relay_path_cache,
-    relay_path_cache_stats,
-)
+from _oracles.graph import validate_packing
+
+from repro.classical.relay import DisjointPathRelay, relay_path_cache_stats
 from repro.engine import runner as engine_runner
+from repro.graph.connectivity import vertex_disjoint_paths
+from repro.graph.flow_cache import all_cache_stats, clear_scope
 from repro.graph.generators import complete_graph, figure2a
-from repro.graph.spanning_trees import (
-    clear_pack_cache,
-    pack_arborescences,
-    pack_cache_stats,
-    validate_packing,
-)
+from repro.graph.maxflow import _DinicSolver
+from repro.graph.spanning_trees import clear_pack_cache, pack_arborescences
 from repro.transport.faults import FaultModel
 from repro.transport.network import SynchronousNetwork
 from repro.workloads.topologies import topology
@@ -39,11 +36,13 @@ from repro.workloads.topologies import topology
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    clear_pack_cache()
-    clear_relay_path_cache()
+    clear_scope("topology")
     yield
-    clear_pack_cache()
-    clear_relay_path_cache()
+    clear_scope("topology")
+
+
+def pack_cache_stats():
+    return all_cache_stats()["arborescence_packs"]
 
 
 def _packing_shape(trees):
@@ -116,6 +115,49 @@ class TestRelayPathCache:
         for path in other.paths_between(2, 5):
             assert "vandalised" not in path
 
+    def test_cold_pair_costs_one_flow_solve(self, monkeypatch):
+        # The node-split flow that decides whether 2f + 1 paths exist is the
+        # one the routes are decomposed from: a cold pair is one solve.
+        relay = self._relay()
+        solves = []
+        original = _DinicSolver.max_flow
+
+        def counted(self, source, sink, limit=None):
+            solves.append((source, sink))
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_DinicSolver, "max_flow", counted)
+        paths = relay.paths_between(2, 5)
+        assert len(solves) == 1
+        assert len(paths) == 3
+
+    def test_routes_are_the_flow_decomposition_of_every_pair(self):
+        # One solve both decides and routes: the routes are exactly what
+        # vertex_disjoint_paths decomposes for each ordered pair.
+        graph = topology("k7-unit")
+        relay = self._relay(graph)
+        for sender in graph.nodes():
+            for receiver in graph.nodes():
+                if sender != receiver:
+                    assert relay.paths_between(sender, receiver) == vertex_disjoint_paths(
+                        graph, sender, receiver, 3
+                    )
+
+    def test_a_direct_link_is_the_whole_route_at_f0(self, monkeypatch):
+        relay = DisjointPathRelay(
+            SynchronousNetwork(topology("k7-unit"), FaultModel()), max_faults=0
+        )
+        solves = []
+        original = _DinicSolver.max_flow
+
+        def counted(self, source, sink, limit=None):
+            solves.append((source, sink))
+            return original(self, source, sink, limit)
+
+        monkeypatch.setattr(_DinicSolver, "max_flow", counted)
+        assert relay.paths_between(2, 5) == [[2, 5]]
+        assert solves == []
+
     def test_per_object_cache_skips_shared_lookup(self):
         relay = self._relay()
         relay.paths_between(2, 5)
@@ -135,7 +177,7 @@ class TestRelayPathCache:
     def test_clear_invalidates(self):
         relay = self._relay()
         relay.paths_between(2, 5)
-        clear_relay_path_cache()
+        clear_scope("topology")
         assert relay_path_cache_stats()["entries"] == 0
         self._relay().paths_between(2, 5)
         assert relay_path_cache_stats()["misses"] == 1
@@ -160,3 +202,52 @@ class TestRunnerCacheHygiene:
         engine_runner._execute_cell(_Cell())
         assert pack_cache_stats()["entries"] == 0
         assert relay_path_cache_stats()["entries"] == 0
+
+
+class TestCacheRegistry:
+    """``all_cache_stats`` / ``clear_scope`` are the one cache surface."""
+
+    #: The stats and clear functions the reference benchmark resolves by
+    #: name (``benchmarks/layers/seams.py`` and ``workloads.py``).
+    BENCHMARK_NAMES = (
+        "repro.gf.field:kernel_cache_stats",
+        "repro.coding.verification:verification_cache_stats",
+        "repro.core.parameters:instance_parameter_cache_stats",
+        "repro.classical.relay:relay_path_cache_stats",
+        "repro.graph.flow_cache:cache_stats",
+        "repro.service.session:topology_context_stats",
+        "repro.graph.gomory_hu:incremental_repair_stats",
+        "repro.graph.flow_cache:clear_mincut_cache",
+        "repro.graph.gomory_hu:clear_gomory_hu_cache",
+        "repro.graph.spanning_trees:clear_pack_cache",
+    )
+
+    def test_benchmark_names_resolve(self):
+        import importlib
+
+        for target in self.BENCHMARK_NAMES:
+            module, name = target.split(":")
+            assert callable(getattr(importlib.import_module(module), name)), target
+
+    def test_clearing_the_topology_scope_empties_every_topology_cache(self):
+        import repro.engine  # noqa: F401 - registers every cache family
+        import repro.service  # noqa: F401
+        from repro.graph import flow_cache
+
+        pack_arborescences(figure2a(), 1)
+        DisjointPathRelay(
+            SynchronousNetwork(topology("k7-unit"), FaultModel()), max_faults=1
+        ).paths_between(2, 5)
+        topology_scoped = sorted(
+            name for name, (scope, _clear, _stats) in flow_cache._REGISTRY.items()
+            if scope == "topology"
+        )
+        assert {"mincut", "gomory_hu", "arborescence_packs", "relay_paths"} <= set(
+            topology_scoped
+        )
+        assert all_cache_stats()["arborescence_packs"]["entries"] == 1
+        clear_scope("topology")
+        stats = all_cache_stats()
+        assert {name: stats[name]["entries"] for name in topology_scoped} == {
+            name: 0 for name in topology_scoped
+        }

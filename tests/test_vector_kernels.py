@@ -27,11 +27,7 @@ from repro.coding.coding_matrix import (
     generate_coding_scheme,
 )
 from repro.coding.equality_check import run_equality_check
-from repro.coding.verification import (
-    clear_verification_cache,
-    subgraph_is_constrained,
-    verification_cache_stats,
-)
+from repro.coding.verification import subgraph_is_constrained, verification_cache_stats
 from repro.exceptions import FieldError, MatrixError
 from repro.gf.field import GF2m, get_field
 from repro.gf.matrix import GFMatrix
@@ -44,6 +40,7 @@ from repro.gf.polynomials import (
     stack_stride,
     unstack_slots,
 )
+from repro.graph.flow_cache import clear_scope
 from repro.graph.generators import figure1a
 from repro.transport.network import SynchronousNetwork
 
@@ -325,7 +322,7 @@ class TestEncodeBatching:
 
 class TestVerificationRankMemo:
     def test_rank_results_are_memoised_with_stats(self):
-        clear_verification_cache()
+        clear_scope("topology")
         graph = figure1a()
         scheme = generate_coding_scheme(graph, 2, 16, seed=9)
         nodes = [1, 2, 3, 4]
@@ -337,18 +334,18 @@ class TestVerificationRankMemo:
         after_hit = verification_cache_stats()
         assert second == first
         assert after_hit["hits"] == after_miss["hits"] + 1
-        clear_verification_cache()
+        clear_scope("topology")
         assert verification_cache_stats()["entries"] == 0
 
     def test_distinct_instances_do_not_share_entries(self):
-        clear_verification_cache()
+        clear_scope("topology")
         graph = figure1a()
         nodes = [1, 2, 3, 4]
         for instance in (0, 1):
             scheme = generate_coding_scheme(graph, 2, 16, seed=9, instance=instance)
             subgraph_is_constrained(graph, nodes, scheme)
         assert verification_cache_stats()["entries"] == 2
-        clear_verification_cache()
+        clear_scope("topology")
 
     def test_capacity_mismatch_fails_loudly(self):
         """Row slice assembly must reject matrices narrower/wider than the edge."""
@@ -370,7 +367,7 @@ class TestVerificationRankMemo:
 
     def test_hand_built_schemes_bypass_the_cache(self):
         """A zero scheme must not alias a derived scheme with equal key fields."""
-        clear_verification_cache()
+        clear_scope("topology")
         graph = figure1a()
         derived = generate_coding_scheme(graph, 2, 16, seed=0)
         nodes = [1, 2, 3, 4]
@@ -380,13 +377,13 @@ class TestVerificationRankMemo:
             rho=2,
             symbol_bits=16,
             matrices={
-                edge: GFMatrix.zeros(derived.field, 2, graph.capacity(*edge))
-                for edge in graph.edge_set()
+                (tail, head): GFMatrix.zeros(derived.field, 2, capacity)
+                for tail, head, capacity in graph.edges()
             },
             seed=0,
         )
         assert not subgraph_is_constrained(graph, nodes, zero_scheme)
-        clear_verification_cache()
+        clear_scope("topology")
 
 
 class TestMajorityFastPath:
