@@ -18,12 +18,12 @@ reusable parts:
   relays, so the receiver's per-value majority has real work to do.
 
 All randomness flows through :class:`AdversaryLattice`, the sha256 lattice of
-the link-fault layer (:mod:`repro.sched.faults`): a hash of the seed and the
-decision's identity picks one of ``FAULT_STEPS`` points in ``[0, 1)``.  The
-lattice doubles as the coalition's *coordination channel* — every colluding
-node can recompute every other member's decisions from the shared seed alone,
-with no messages exchanged — and makes every zoo strategy bit-for-bit
-reproducible across processes and hook interleavings.
+the link-fault plans (:mod:`repro.transport.link_faults`): a hash of the seed
+and the decision's identity picks one of ``FAULT_STEPS`` points in
+``[0, 1)``.  The lattice doubles as the coalition's *coordination channel* —
+every colluding node can recompute every other member's decisions from the
+shared seed alone, with no messages exchanged — and makes every zoo strategy
+bit-for-bit reproducible across processes and hook interleavings.
 
 :func:`build_composed` assembles all of the above from a plain JSON-able
 parameter mapping, which is what the adversarial search driver
@@ -47,8 +47,8 @@ from repro.adversary.strategies import (
     SubBroadcastLiarStrategy,
 )
 from repro.exceptions import ConfigurationError
-from repro.sched.faults import FAULT_STEPS
 from repro.transport.faults import ByzantineStrategy
+from repro.transport.link_faults import FAULT_STEPS
 from repro.types import NodeId
 
 #: Pipeline stage identifiers used by :class:`StageTimedStrategy`: ``h = 1``

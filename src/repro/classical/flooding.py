@@ -40,7 +40,7 @@ def classical_full_value_broadcast(
         fault_model: Byzantine behaviour; defaults to no faults.
         network_factory: Transport constructor; defaults to the zero-delay
             :class:`SynchronousNetwork` (pass a scheduled factory to measure
-            delivery on the discrete-event clock).
+            delivery on its replayed link clock).
 
     Returns:
         ``(outputs, accounting)``: the decision of every fault-free node, and

@@ -20,7 +20,7 @@ convention) to every other node in three phases:
 :class:`repro.core.nab.NetworkAwareBroadcast` is the public entry point: it
 runs one instance (an :class:`InstanceResult`) or a sequence of instances
 folded into a :class:`repro.types.RunRecord`, sequentially or overlapped per
-the Figure 3 pipeline on the discrete-event kernel (:mod:`repro.core.pipeline`).
+the Figure 3 pipeline (:mod:`repro.core.pipeline`).
 """
 
 from repro.core.dispute_state import DisputeState

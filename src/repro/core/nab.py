@@ -42,7 +42,7 @@ class NetworkAwareBroadcast:
         network_factory: Builds the transport each instance runs on; defaults
             to the zero-delay :class:`repro.transport.network.SynchronousNetwork`.
             Pass a :class:`repro.transport.scheduled.ScheduledNetwork` factory
-            to measure delivery on the discrete-event clock.
+            to measure delivery on its replayed link clock.
 
     Raises:
         ProtocolError: if the preconditions on ``n``, ``f``, the source or the
@@ -126,9 +126,9 @@ class NetworkAwareBroadcast:
         """Run one instance per value with Figure 3 pipelined timing.
 
         Instance semantics (outputs, bits, dispute-state evolution) are
-        identical to :meth:`run`; ``elapsed`` is the makespan of the pipeline
-        dependency structure simulated on the discrete-event kernel, and the
-        measured timeline lands in ``metadata`` (see :mod:`repro.core.pipeline`).
+        identical to :meth:`run`; ``elapsed`` is the makespan of the Figure 3
+        pipeline over the instances' measured stage durations, and the stage
+        timeline lands in ``metadata`` (see :mod:`repro.core.pipeline`).
 
         Raises:
             ProtocolError: if no values are given.

@@ -1,4 +1,4 @@
-"""Pipelined multi-instance NAB execution on the discrete-event kernel.
+"""Pipelined multi-instance NAB execution: the Figure 3 clock as a recurrence.
 
 The paper's throughput claims rest on pipelining (Appendix D / Figure 3):
 under per-hop propagation a Phase 1 symbol cannot be forwarded before it has
@@ -12,28 +12,30 @@ network while instance ``q`` is still propagating — after a fill-in latency of
 picture into a measured execution.  Each instance still runs through the real
 three-phase machinery (so outputs, bits, dispute-state evolution and spec
 flags are identical to the sequential path), and :func:`pipelined_timing`
-obtains the *timing* by simulating the Figure 3 dependency structure with
-:func:`repro.sched.simulate_tasks`:
+obtains the *timing* from the Figure 3 dependency structure, evaluated as the
+max-plus recurrence it is:
 
-* stage task ``(q, h)`` — instance ``q``'s round at hop depth ``h`` — lasts
-  one full round of that instance (its measured Phase 1 time plus its measured
-  equality/flag time) and depends on ``(q, h - 1)`` (its own data must reach
-  hop ``h - 1`` first) and ``(q - 1, h)`` (the hop-``h`` links are busy with
-  the previous instance until then);
-* dispute control is a global barrier: when instance ``q`` runs Phase 3, a
-  stall task is inserted that every later instance must wait for, since
-  dispute control occupies the whole network.
+* stage ``(q, h)`` — instance ``q``'s round at hop depth ``h`` — lasts one
+  full round of that instance (its measured Phase 1 time plus its measured
+  equality/flag time) and starts once ``(q, h - 1)`` (its own data must reach
+  hop ``h - 1`` first) and ``(q - 1, min(h, D_{q-1}))`` (the hop-``h`` links
+  are busy with the previous instance until then) have ended;
+* dispute control is a global barrier: when instance ``q`` runs Phase 3, it
+  follows ``(q, D_q)`` and every later instance's first stage waits for it,
+  since dispute control occupies the whole network.
 
-In the fault-free steady state all rounds are equal and the simulated
-makespan collapses to exactly ``(Q + D - 1)`` rounds — the
+In the fault-free steady state all rounds are equal and the makespan
+collapses to exactly ``(Q + D - 1)`` rounds — the
 :func:`repro.capacity.pipelining.pipelined_schedule` total, Fraction-exact —
 while the sequential comparator (same propagation model, no overlap) pays
-``Q * (D * s1 + s2)``.  Both timelines come out of the same event kernel, so
-the measured speedup is an executed quantity, not a formula.
+``Q * (D * s1 + s2)``.  Stages are listed in the order an event queue would
+finish them; ``tests/_oracles/sched.py`` keeps that simulation as the
+recurrence's reference.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.capacity.pipelining import PipelineSchedule, pipelined_schedule
 from repro.core.instance import InstanceResult
 from repro.exceptions import ProtocolError
-from repro.sched.kernel import Task, TaskTimeline, simulate_tasks
 
 #: Accounting phase names whose durations form the two pipeline stages.
 _PHASE1 = "phase1_broadcast"
@@ -87,68 +88,62 @@ def _stages_of(result: InstanceResult) -> _InstanceStages:
     )
 
 
-def _pipeline_tasks(stages: Sequence[_InstanceStages], dispute_ran: Sequence[bool]) -> List[Task]:
-    """The Figure 3 dependency graph over all instances' stage tasks."""
-    tasks: List[Task] = []
-    previous_barrier = None
-    for q, stage in enumerate(stages):
-        for hop in range(1, stage.depth + 1):
-            deps: List[object] = []
-            if hop > 1:
-                deps.append(("stage", q, hop - 1))
-            if q > 0:
-                # The hop-h links are busy with the previous instance's round
-                # (clamped to its depth when packings differ across instances).
-                deps.append(("stage", q - 1, min(hop, stages[q - 1].depth)))
-            if hop == 1 and previous_barrier is not None:
-                deps.append(previous_barrier)
-            tasks.append(
-                Task(
-                    name=("stage", q, hop),
-                    duration=stage.round_length,
-                    deps=tuple(deps),
-                )
-            )
-        if dispute_ran[q]:
-            # Dispute control occupies the whole network: later instances
-            # stall until it completes, then the pipeline refills.
-            tasks.append(
-                Task(
-                    name=("dc", q),
-                    duration=stage.dispute,
-                    deps=(("stage", q, stage.depth),),
-                )
-            )
-            previous_barrier = ("dc", q)
-    return tasks
-
-
-def _sequential_tasks(
+def _pipeline_clock(
     stages: Sequence[_InstanceStages], dispute_ran: Sequence[bool]
-) -> List[Task]:
-    """The unpipelined comparator: per-hop propagation, no overlap at all."""
-    tasks: List[Task] = []
-    previous_tail = None
+) -> Tuple[Fraction, Fraction, List[Tuple[int, int, Fraction, Fraction]]]:
+    """The Figure 3 schedule by its recurrence.
+
+    Returns the makespan, the unpipelined comparator (a running sum of
+    ``D_q * phase1_q + remainder_q``, plus ``T_dc`` where dispute control ran)
+    and every stage as ``(q, h, start, end)`` in finish order.
+    """
+    # Stages and dispute-control barriers in build order; hop 0 marks a barrier.
+    names: List[Tuple[int, int]] = []
+    starts: List[Fraction] = []
+    ends: List[Fraction] = []
+    deps: List[List[int]] = []
+    where: Dict[Tuple[int, int], int] = {}
+
+    def add(name: Tuple[int, int], duration: Fraction, after: List[int]) -> None:
+        where[name] = len(names)
+        names.append(name)
+        deps.append(after)
+        starts.append(max((ends[dep] for dep in after), default=Fraction(0)))
+        ends.append(starts[-1] + duration)
+
+    sequential = Fraction(0)
+    barrier: List[int] = []
     for q, stage in enumerate(stages):
         for hop in range(1, stage.depth + 1):
-            deps: List[object] = []
-            if hop > 1:
-                deps.append(("seq", q, hop - 1))
-            elif previous_tail is not None:
-                deps.append(previous_tail)
-            tasks.append(
-                Task(name=("seq", q, hop), duration=stage.phase1, deps=tuple(deps))
-            )
-        tail_duration = stage.remainder + (stage.dispute if dispute_ran[q] else Fraction(0))
-        tasks.append(
-            Task(
-                name=("seq-tail", q),
-                duration=tail_duration,
-                deps=(("seq", q, stage.depth),),
-            )
-        )
-        previous_tail = ("seq-tail", q)
-    return tasks
+            after = [where[q, hop - 1]] if hop > 1 else list(barrier)
+            if q > 0:
+                after.append(where[q - 1, min(hop, stages[q - 1].depth)])
+            add((q, hop), stage.round_length, after)
+        sequential += stage.depth * stage.phase1 + stage.remainder
+        if dispute_ran[q]:
+            sequential += stage.dispute
+            add((q, 0), stage.dispute, [where[q, stage.depth]])
+            barrier = [where[q, 0]]
+
+    # An event queue finishes tasks by (end, scheduling order), and schedules
+    # a task when its last dependency finishes: by that dependency's finish
+    # rank, then build order.  Equal ends are ranked in rounds, because a
+    # zero-length task ends with the dependency that starts it: each round
+    # ranks the tasks whose dependencies are all ranked, and every task it
+    # makes ready is scheduled after all of them.  ``rank`` is filled in
+    # finish order.
+    rank: Dict[int, int] = {}
+    by_end = sorted(range(len(names)), key=ends.__getitem__)
+    for _end, group in itertools.groupby(by_end, key=ends.__getitem__):
+        waiting = list(group)
+        while waiting:
+            ready = [task for task in waiting if all(dep in rank for dep in deps[task])]
+            ready.sort(key=lambda task: (max((rank[dep] for dep in deps[task]), default=-1), task))
+            for task in ready:
+                rank[task] = len(rank)
+            waiting = [task for task in waiting if task not in rank]
+    timeline = [(*names[task], starts[task], ends[task]) for task in rank if names[task][1]]
+    return max(ends), sequential, timeline
 
 
 def _steady_state(
@@ -164,39 +159,20 @@ def _steady_state(
     round structure.  Returns ``(round_overhead, schedule)`` or
     ``(None, None)``.
     """
-    if not results:
+    if any(result.dispute_control_ran or result.parameters is None for result in results):
         return None, None
-    if any(result.dispute_control_ran for result in results):
+    shapes = set()
+    for value, result, stage in zip(inputs, results, stages):
+        params = result.parameters
+        shapes.add((len(value), params.gamma, params.rho, stage.depth, stage.round_length))
+    if len(shapes) != 1:
         return None, None
-    first = results[0]
-    if first.parameters is None:
-        return None, None
-    lengths = {len(value) for value in inputs}
-    if len(lengths) != 1:
-        return None, None
-    gammas = {
-        result.parameters.gamma for result in results if result.parameters is not None
-    }
-    rhos = {result.parameters.rho for result in results if result.parameters is not None}
-    depths = {stage.depth for stage in stages}
-    rounds = {stage.round_length for stage in stages}
-    if len(gammas) != 1 or len(rhos) != 1 or len(depths) != 1 or len(rounds) != 1:
-        return None, None
-    if any(result.parameters is None for result in results):
-        return None, None
-    total_bits = 8 * lengths.pop()
-    gamma = gammas.pop()
-    rho = rhos.pop()
-    overhead = rounds.pop() - Fraction(total_bits, gamma) - Fraction(total_bits, rho)
-    schedule = pipelined_schedule(
-        total_bits,
-        gamma,
-        rho,
-        depths.pop(),
-        len(results),
-        flag_overhead=overhead,
+    ((length, gamma, rho, depth, round_length),) = shapes
+    total_bits = 8 * length
+    overhead = round_length - Fraction(total_bits, gamma) - Fraction(total_bits, rho)
+    return overhead, pipelined_schedule(
+        total_bits, gamma, rho, depth, len(results), flag_overhead=overhead
     )
-    return overhead, schedule
 
 
 def pipelined_timing(
@@ -209,9 +185,9 @@ def pipelined_timing(
         inputs: One byte-string input per instance.
 
     Returns:
-        ``(makespan, metadata)``: the event-simulated pipelined completion
-        time, and the JSON-safe record metadata (rationals as ``"p/q"``
-        strings) — the steady-state ``pipeline_depth`` / ``round_length`` /
+        ``(makespan, metadata)``: the pipelined completion time, and the
+        JSON-safe record metadata (rationals as ``"p/q"`` strings) — the
+        steady-state ``pipeline_depth`` / ``round_length`` /
         ``round_overhead`` (the per-round cost beyond ``L/gamma + L/rho``), the
         unpipelined comparator ``sequential_elapsed`` and the ``speedup`` over
         it, the Figure 3 closed form ``analytic_total`` and whether the makespan
@@ -219,10 +195,9 @@ def pipelined_timing(
         steady state), and the measured ``stage_timeline``.
     """
     stages = [_stages_of(result) for result in results]
-    dispute_ran = [result.dispute_control_ran for result in results]
-    pipeline_timeline: TaskTimeline = simulate_tasks(_pipeline_tasks(stages, dispute_ran))
-    makespan = pipeline_timeline.makespan
-    sequential = simulate_tasks(_sequential_tasks(stages, dispute_ran)).makespan
+    makespan, sequential, timeline = _pipeline_clock(
+        stages, [result.dispute_control_ran for result in results]
+    )
     round_overhead, analytic = _steady_state(results, stages, inputs)
     return makespan, {
         "execution": "pipelined",
@@ -234,13 +209,7 @@ def pipelined_timing(
         "analytic_total": None if analytic is None else str(analytic.total_time),
         "matches_analytic": None if analytic is None else analytic.total_time == makespan,
         "stage_timeline": [
-            {
-                "instance": timing.name[1],
-                "hop": timing.name[2],
-                "start": str(timing.start),
-                "end": str(timing.end),
-            }
-            for timing in pipeline_timeline.timings()
-            if timing.name[0] == "stage"
+            {"instance": q, "hop": hop, "start": str(start), "end": str(end)}
+            for q, hop, start, end in timeline
         ],
     }

@@ -21,9 +21,9 @@ from repro.classical.flooding import classical_flooding_run, eig_chunked_run
 from repro.core.nab import NetworkAwareBroadcast
 from repro.exceptions import ConfigurationError
 from repro.graph.network_graph import NetworkGraph
-from repro.sched.faults import LinkFaultPlan, fault_plan
-from repro.sched.links import LinkModel, link_model
 from repro.transport.faults import FaultModel
+from repro.transport.link_faults import LinkFaultPlan, fault_plan
+from repro.transport.links import LinkModel, link_model
 from repro.transport.network import NetworkFactory
 from repro.transport.reliable import ReliableNetwork, accumulate_reliability_stats
 from repro.transport.scheduled import ScheduledNetwork

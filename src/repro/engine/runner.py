@@ -37,7 +37,7 @@ from repro.exceptions import ConfigurationError
 from repro.exec import Journal, Task, crash_evidence, run_tasks
 from repro.exec import dump_row  # noqa: F401 - re-exported: rows are dumped by the journal
 from repro.graph.flow_cache import MinCutCache, clear_scope
-from repro.sched.faults import fault_plan
+from repro.transport.link_faults import fault_plan
 from repro.types import RunRecord
 
 #: Version stamp of the persisted row layout; bump on breaking changes so

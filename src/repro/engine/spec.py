@@ -25,9 +25,9 @@ from repro.exceptions import ConfigurationError, ProtocolError
 from repro.graph.connectivity import resilience_violation
 from repro.graph.flow_cache import MinCutCache
 from repro.graph.network_graph import NetworkGraph
-from repro.sched.faults import named_fault_plans
-from repro.sched.links import named_link_models
 from repro.transport.faults import FaultModel
+from repro.transport.link_faults import named_fault_plans
+from repro.transport.links import named_link_models
 from repro.types import NodeId
 from repro.workloads.scenarios import (
     Scenario,
@@ -213,11 +213,11 @@ class ExperimentSpec:
             :data:`PIPELINED`); pipelined points are expanded only for
             pipeline-capable protocols.
         link_models: Named link models (see
-            :func:`repro.sched.links.named_link_models`) the scheduled
+            :func:`repro.transport.links.named_link_models`) the scheduled
             transport applies; ``"instant"`` is the paper's base model.
         fault_plans: Named link-fault plans (see
-            :func:`repro.sched.faults.named_fault_plans`) the ARQ transport
-            applies; ``"none"`` is the paper's reliable base model.
+            :func:`repro.transport.link_faults.named_fault_plans`) the ARQ
+            transport applies; ``"none"`` is the paper's reliable base model.
         instances: Number of broadcast instances per cell (``Q``).
         source: The broadcasting node (the paper uses node 1).
         base_seed: Root seed all per-cell seeds are derived from.

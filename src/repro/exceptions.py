@@ -82,8 +82,9 @@ class ReproductionFinding(ReproError):
 
 
 class SchedulerError(ReproError):
-    """Raised for invalid discrete-event schedules.
+    """Raised for invalid timing or link parameters.
 
-    Examples include scheduling an event in the past, a task graph with a
-    dependency cycle, or referencing an unknown task.
+    Examples include a negative link latency or jitter (``LinkModel``), fault
+    rates outside ``[0, 1]`` or summing past 1 (``EdgeFaultRates``), or an ARQ
+    timeout, backoff or retry budget out of range (``ReliableNetwork``).
     """

@@ -18,13 +18,16 @@ enforces exactly that model:
   behaviour.  The strategy interface is defined here (with honest defaults);
   concrete attacks live in :mod:`repro.adversary`.
 * :class:`repro.transport.scheduled.ScheduledNetwork` — the same send API
-  driven by the discrete-event kernel of :mod:`repro.sched`: per-link FIFO
-  drains, optional propagation latency/jitter, and a measured clock that
-  equals the accountant's analytical total exactly in the zero-latency case.
+  on a measured clock: each phase is a synchronous round, each link a FIFO
+  draining at capacity, plus the optional propagation latency/jitter of a
+  :class:`repro.transport.links.LinkModel`; the clock equals the
+  accountant's analytical total exactly in the zero-latency case.
 * :class:`repro.transport.reliable.ReliableNetwork` — ARQ retransmission
   (timeout, exponential backoff, bounded retries, dead-link = omission) over a
-  seeded :class:`repro.sched.faults.LinkFaultPlan`; bit-identical to
+  seeded :class:`repro.transport.link_faults.LinkFaultPlan`; bit-identical to
   ``ScheduledNetwork`` when the plan is clean.
+* :mod:`repro.transport.links` and :mod:`repro.transport.link_faults` — the
+  named link models and fault plans experiment specs reference.
 """
 
 from repro.transport.accounting import TimeAccountant

@@ -3,11 +3,12 @@
 The paper assumes reliable synchronous links; this module models the axis it
 abstracts away.  A :class:`LinkFaultPlan` decides, for every wire attempt on a
 directed link, whether the attempt is delivered intact, lost, duplicated or
-corrupted in flight.  Decisions follow the PR 3 jitter idiom: a SHA-256 hash
-of ``(seed, edge, per-edge attempt ordinal)`` picks a lattice point in
-``[0, 1)`` that is compared against the plan's rates, so faulty runs are
-bit-for-bit reproducible no matter which worker process executes them, while
-still exercising genuinely scattered loss patterns.
+corrupted in flight.  Decisions follow the jitter idiom of
+:mod:`repro.transport.links`: a SHA-256 hash of ``(seed, edge, per-edge
+attempt ordinal)`` picks a lattice point in ``[0, 1)`` that is compared
+against the plan's rates, so faulty runs are bit-for-bit reproducible no
+matter which worker process executes them, while still exercising genuinely
+scattered loss patterns.
 
 The fault layer sits *below* the Byzantine layer: :mod:`repro.transport.faults`
 models adversarial nodes, this module models an unreliable medium.  The ARQ
@@ -15,7 +16,7 @@ transport (:class:`repro.transport.reliable.ReliableNetwork`) turns these
 per-attempt faults back into reliable delivery via timeout/retransmission, so
 protocol semantics never observe them — only the clocks and bit ledgers do.
 
-Named plans are registered so experiment specs can reference them
+Plans are named in a fixed registry so experiment specs can reference them
 declaratively (``fault_plans=("none", "drop-10pct")``), exactly like
 topologies, adversary strategies and link models.
 """
@@ -23,7 +24,7 @@ topologies, adversary strategies and link models.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping
 
@@ -141,29 +142,6 @@ class LinkFaultPlan:
             return DUPLICATE
         return DELIVER
 
-    def scaled(self, factor: Fraction | int) -> "LinkFaultPlan":
-        """A copy of this plan with every rate multiplied by ``factor``.
-
-        ``scaled(0)`` is the plan's zero-rate shadow — structurally identical
-        but clean — which is what the zero-fault contract tests sweep: every
-        registered plan at rate 0 must reproduce the fault-free grids
-        byte-identically.
-        """
-        factor = Fraction(factor)
-
-        def scale(rates: EdgeFaultRates) -> EdgeFaultRates:
-            return EdgeFaultRates(
-                drop=Fraction(rates.drop) * factor,
-                duplicate=Fraction(rates.duplicate) * factor,
-                corrupt=Fraction(rates.corrupt) * factor,
-            )
-
-        return replace(
-            self,
-            rates=scale(self.rates),
-            per_edge={edge: scale(rates) for edge, rates in self.per_edge.items()},
-        )
-
 
 _FAULT_PLAN_FACTORIES: Dict[str, Callable[[], LinkFaultPlan]] = {
     "none": lambda: LinkFaultPlan(name="none"),
@@ -226,16 +204,3 @@ def fault_plan(name: str) -> LinkFaultPlan:
             f"unknown fault plan {name!r}; available: {', '.join(named_fault_plans())}"
         )
     return _FAULT_PLAN_FACTORIES[name]()
-
-
-def register_fault_plan(
-    name: str, factory: Callable[[], LinkFaultPlan], replace: bool = False
-) -> None:
-    """Register a named fault-plan factory.
-
-    Raises:
-        ConfigurationError: if the name is taken and ``replace`` is not set.
-    """
-    if name in _FAULT_PLAN_FACTORIES and not replace:
-        raise ConfigurationError(f"fault plan {name!r} is already registered")
-    _FAULT_PLAN_FACTORIES[name] = factory

@@ -14,8 +14,8 @@ made of
   message sequence number picks a rational in ``[0, jitter]``, so runs are
   bit-for-bit reproducible while still exercising non-constant delays.
 
-Named models are registered so experiment specs can reference them
-declaratively (``link_models=("instant", "hetero-slow-tail")``), exactly like
+Models are named in a fixed registry so experiment specs can reference them
+declaratively (``link_models=("instant", "lan-wan")``), exactly like
 topologies and adversary strategies.
 """
 
@@ -59,15 +59,6 @@ class LinkModel:
         for edge, value in self.per_link.items():
             if Fraction(value) < 0:
                 raise SchedulerError(f"negative latency for link {edge}")
-
-    @property
-    def is_instant(self) -> bool:
-        """Whether this model adds no propagation delay at all."""
-        return (
-            Fraction(self.latency) == 0
-            and Fraction(self.jitter) == 0
-            and all(Fraction(value) == 0 for value in self.per_link.values())
-        )
 
     def link_latency(self, edge: Edge) -> Fraction:
         """Base propagation latency of one directed link."""
@@ -132,16 +123,3 @@ def link_model(name: str) -> LinkModel:
             f"unknown link model {name!r}; available: {', '.join(named_link_models())}"
         )
     return _LINK_MODEL_FACTORIES[name]()
-
-
-def register_link_model(
-    name: str, factory: Callable[[], LinkModel], replace: bool = False
-) -> None:
-    """Register a named link-model factory.
-
-    Raises:
-        ConfigurationError: if the name is taken and ``replace`` is not set.
-    """
-    if name in _LINK_MODEL_FACTORIES and not replace:
-        raise ConfigurationError(f"link model {name!r} is already registered")
-    _LINK_MODEL_FACTORIES[name] = factory

@@ -2,7 +2,7 @@
 
 :class:`ReliableNetwork` extends :class:`repro.transport.scheduled.
 ScheduledNetwork` with the classic automatic-repeat-request discipline over a
-seeded :class:`repro.sched.faults.LinkFaultPlan`:
+seeded :class:`repro.transport.link_faults.LinkFaultPlan`:
 
 * every wire attempt on a link consults the fault plan (deterministically, via
   the per-edge attempt ordinal);
@@ -42,9 +42,9 @@ from typing import Any, Dict, List
 
 from repro.exceptions import GraphError, ProtocolError, SchedulerError
 from repro.graph.network_graph import NetworkGraph
-from repro.sched.faults import CORRUPT, DELIVER, DROP, DUPLICATE, LinkFaultPlan
-from repro.sched.links import LinkModel
 from repro.transport.faults import FaultModel
+from repro.transport.link_faults import CORRUPT, DELIVER, DROP, DUPLICATE, LinkFaultPlan
+from repro.transport.links import LinkModel
 from repro.transport.message import Message
 from repro.transport.scheduled import ScheduledNetwork
 from repro.types import Edge, NodeId

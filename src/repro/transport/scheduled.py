@@ -1,9 +1,9 @@
-"""Event-queue transport: :class:`ScheduledNetwork`.
+"""Measured-clock transport: :class:`ScheduledNetwork`.
 
 ``ScheduledNetwork`` exposes exactly the same ``send`` / ``send_round`` API as
 :class:`repro.transport.network.SynchronousNetwork` — protocols port by
-swapping the constructor — but instead of treating delivery as free it gives
-every transmission the discrete-event semantics of :mod:`repro.sched`:
+swapping the constructor — but instead of treating delivery as free it replays
+every transmission on an exact clock:
 
 * each named accounting phase is one synchronous round: all of a phase's
   messages enter the network when the round starts, and the next phase begins
@@ -11,8 +11,9 @@ every transmission the discrete-event semantics of :mod:`repro.sched`:
 * within a round, each directed link is a FIFO that drains
   ``bit_size / capacity`` time units per message in send order (finite link
   capacity is the paper's base model);
-* an optional :class:`repro.sched.links.LinkModel` adds propagation latency
-  and deterministic jitter between a message's drain and its delivery.
+* an optional :class:`repro.transport.links.LinkModel` adds propagation
+  latency and deterministic jitter between a message's drain and its
+  delivery.
 
 Phase identity follows the *name*, exactly as in
 :class:`~repro.transport.accounting.TimeAccountant`: protocols that interleave
@@ -50,8 +51,8 @@ from fractions import Fraction
 from typing import Any, Dict, List, Tuple
 
 from repro.graph.network_graph import NetworkGraph
-from repro.sched.links import LinkModel
 from repro.transport.faults import FaultModel
+from repro.transport.links import LinkModel
 from repro.transport.message import Message
 from repro.transport.network import SynchronousNetwork
 from repro.types import Edge, NodeId
@@ -93,27 +94,15 @@ class DeliveryTiming:
 
 
 class ScheduledNetwork(SynchronousNetwork):
-    """Message transport whose clock is driven by the discrete-event kernel.
-
-    ``start_time`` restores the measured clock mid-flight: the first round
-    begins at that absolute instant instead of 0, so a session resumed from a
-    snapshot continues on the same session-absolute timeline it stopped on.
-    Durations are unaffected — :meth:`elapsed_time` reports ``end -
-    start_time``, keeping the zero-latency equality with the analytical
-    accountant (which only ever counts durations) intact.
-    """
+    """Message transport whose clock replays every round's link FIFOs."""
 
     def __init__(
         self,
         graph: NetworkGraph,
         fault_model: FaultModel | None = None,
         link_model: LinkModel | None = None,
-        start_time: Fraction | int = 0,
     ) -> None:
         super().__init__(graph, fault_model)
-        self.start_time = Fraction(start_time)
-        if self.start_time < 0:
-            raise ValueError(f"start_time must be non-negative, got {self.start_time}")
         self.link_model = link_model if link_model is not None else LinkModel()
         #: Per phase, the messages of its round in send order.  Round order
         #: and fixed overhead come from the accountant (the single ledger),
@@ -209,7 +198,7 @@ class ScheduledNetwork(SynchronousNetwork):
             return self._replay_cache
         timeline: List[DeliveryTiming] = []
         segments: List[PhaseSegment] = []
-        start = self.start_time
+        start = Fraction(0)
         for phase in self.accountant.phase_names():
             end = start
             busy: Dict[Edge, Fraction] = {}
@@ -241,8 +230,8 @@ class ScheduledNetwork(SynchronousNetwork):
         return self._replay_cache
 
     def elapsed_time(self) -> Fraction:
-        """Measured duration: last delivery's landing time minus ``start_time``."""
-        return self._replay()[2] - self.start_time
+        """Measured duration: when the last round's last delivery lands."""
+        return self._replay()[2]
 
     def result_accounting(self) -> Dict[str, object]:
         """As the parent's, with ``elapsed`` read off the measured clock."""

@@ -1,24 +1,13 @@
-"""The discrete-event simulation kernel: an exact-time event queue and a
-dependency-driven task simulator.
+"""The frozen event kernel: the reference the pipelined clock is held to.
 
-Everything in :mod:`repro.sched` keeps time as :class:`fractions.Fraction`, the
-same exact arithmetic the analytical layer (:mod:`repro.capacity`,
-:class:`repro.transport.accounting.TimeAccountant`) uses, so a simulated clock
-can be compared against an analytical schedule with ``==`` rather than with a
-floating-point tolerance.  Determinism is part of the contract: events firing
-at the same instant are processed in scheduling order (a monotone sequence
-number breaks ties), so a simulation is a pure function of the scheduled
-events.
-
-Two entry points:
-
-* :class:`EventQueue` — the raw kernel: schedule callbacks at absolute or
-  relative times, advance the clock by processing events in order.
-* :func:`simulate_tasks` — a task-graph simulator built on the queue: tasks
-  with exact durations and explicit dependencies are started as soon as every
-  dependency has finished, which is exactly the structure of the paper's
-  Figure 3 pipeline (instance ``q`` at hop ``h`` waits for ``(q, h-1)`` and
-  ``(q-1, h)``).
+``repro.core.pipeline`` computes the Figure 3 schedule by its max-plus
+recurrence.  Before that it event-simulated the task DAG below on this
+kernel, and that simulation is the definition the recurrence must reproduce:
+makespan, sequential comparator and the stage timeline *in finish order*
+(``tests/test_pipelined_nab.py``).  ``EventQueue`` processes events by
+``(time, scheduling order)``; ``simulate_tasks`` starts every task the
+instant its last dependency finishes.  Kept verbatim from the retired ``sched`` package.
+Don't optimise them.
 """
 
 from __future__ import annotations
@@ -27,9 +16,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchedulerError
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import _InstanceStages
 
 
 class EventQueue:
@@ -230,3 +222,67 @@ def simulate_tasks(tasks: Sequence[Task]) -> TaskTimeline:
             f"task graph has a dependency cycle; never started: {', '.join(stuck)}"
         )
     return TaskTimeline(finished)
+
+
+def _pipeline_tasks(stages: Sequence[_InstanceStages], dispute_ran: Sequence[bool]) -> List[Task]:
+    """The Figure 3 dependency graph over all instances' stage tasks."""
+    tasks: List[Task] = []
+    previous_barrier = None
+    for q, stage in enumerate(stages):
+        for hop in range(1, stage.depth + 1):
+            deps: List[object] = []
+            if hop > 1:
+                deps.append(("stage", q, hop - 1))
+            if q > 0:
+                # The hop-h links are busy with the previous instance's round
+                # (clamped to its depth when packings differ across instances).
+                deps.append(("stage", q - 1, min(hop, stages[q - 1].depth)))
+            if hop == 1 and previous_barrier is not None:
+                deps.append(previous_barrier)
+            tasks.append(
+                Task(
+                    name=("stage", q, hop),
+                    duration=stage.round_length,
+                    deps=tuple(deps),
+                )
+            )
+        if dispute_ran[q]:
+            # Dispute control occupies the whole network: later instances
+            # stall until it completes, then the pipeline refills.
+            tasks.append(
+                Task(
+                    name=("dc", q),
+                    duration=stage.dispute,
+                    deps=(("stage", q, stage.depth),),
+                )
+            )
+            previous_barrier = ("dc", q)
+    return tasks
+
+
+def _sequential_tasks(
+    stages: Sequence[_InstanceStages], dispute_ran: Sequence[bool]
+) -> List[Task]:
+    """The unpipelined comparator: per-hop propagation, no overlap at all."""
+    tasks: List[Task] = []
+    previous_tail = None
+    for q, stage in enumerate(stages):
+        for hop in range(1, stage.depth + 1):
+            deps: List[object] = []
+            if hop > 1:
+                deps.append(("seq", q, hop - 1))
+            elif previous_tail is not None:
+                deps.append(previous_tail)
+            tasks.append(
+                Task(name=("seq", q, hop), duration=stage.phase1, deps=tuple(deps))
+            )
+        tail_duration = stage.remainder + (stage.dispute if dispute_ran[q] else Fraction(0))
+        tasks.append(
+            Task(
+                name=("seq-tail", q),
+                duration=tail_duration,
+                deps=(("seq", q, stage.depth),),
+            )
+        )
+        previous_tail = ("seq-tail", q)
+    return tasks

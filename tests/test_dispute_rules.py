@@ -1,11 +1,13 @@
 """Dispute control's rules, each named by a behavioural test.
 
-Three rules of Phase 3 and the instance loop were held only by the sha256 of
-the ``adversary_zoo`` grid: breaking one moved a digest, and no test said
-which rule broke.  Each test below pins one rule at the exact boundary a
-one-token change would cross:
+Five rules of Phase 3 and the instance loop were held only by the sha256 of
+the ``adversary_zoo`` grid or by a search score: breaking one moved a digest
+or a score, and no test said which rule broke.  Each test below pins one rule
+at the exact boundary a one-token change would cross:
 
 * DC2 compares the equality-check claims, not only the Phase 1 claims;
+* DC3 checks a node's announced flag against its claimed receptions, and its
+  claimed Phase 1 forwards against its claimed Phase 1 receptions;
 * DC4 intersects the explaining sets of *at most* ``f`` nodes;
 * special case 2 skips Phase 2 once *at least* ``f`` nodes are excluded.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.strategies import FalseFlagStrategy, Phase1CorruptingRelayStrategy
 from repro.coding.coding_matrix import generate_coding_scheme
 from repro.core.dispute_state import DisputeState
 from repro.core.nab import NetworkAwareBroadcast
@@ -49,34 +52,40 @@ class EqualitySendLiar(ByzantineStrategy):
         return claims
 
 
+def _three_phases(faulty, strategy):
+    """Phases 1-3 of one instance on K4 (f = 1), dispute control run regardless."""
+    graph = complete_graph(4, capacity=2)
+    network = SynchronousNetwork(graph, FaultModel([faulty], strategy))
+    params = compute_instance_parameters(graph, 1, 4, 1, DisputeState(1))
+    scheme = generate_coding_scheme(
+        graph, params.rho, symbol_size_for(L_BITS, params.rho), seed=5
+    )
+    phase1 = run_phase1(network, graph, 1, INPUT, L_BITS, params.gamma)
+    phase2 = run_phase2(network, graph, phase1.values, L_BITS, scheme, graph.nodes(), 1, 1)
+    result = run_phase3(
+        network,
+        graph,
+        1,
+        INPUT,
+        L_BITS,
+        phase1,
+        phase2.check,
+        phase2.announced_flags,
+        scheme,
+        graph.nodes(),
+        1,
+        1,
+    )
+    return phase1, phase2, result
+
+
 class TestDC2:
     def test_equality_claims_alone_put_a_pair_in_dispute(self):
         # Node 3 is honest through Phases 1 and 2, so every Phase 1 claim
         # agrees; in DC1 it claims a different equality-check vector on its
         # link to 4 than 4 claims to have received.  DC2 must dispute {3, 4}.
-        graph = complete_graph(4, capacity=2)
-        network = SynchronousNetwork(graph, FaultModel([3], EqualitySendLiar(head=4)))
-        params = compute_instance_parameters(graph, 1, 4, 1, DisputeState(1))
-        scheme = generate_coding_scheme(
-            graph, params.rho, symbol_size_for(L_BITS, params.rho), seed=5
-        )
-        phase1 = run_phase1(network, graph, 1, INPUT, L_BITS, params.gamma)
-        phase2 = run_phase2(network, graph, phase1.values, L_BITS, scheme, graph.nodes(), 1, 1)
+        phase1, phase2, result = _three_phases(3, EqualitySendLiar(head=4))
         assert not phase2.mismatch_announced
-        result = run_phase3(
-            network,
-            graph,
-            1,
-            INPUT,
-            L_BITS,
-            phase1,
-            phase2.check,
-            phase2.announced_flags,
-            scheme,
-            graph.nodes(),
-            1,
-            1,
-        )
         claims = result.claims
         for tree_index, tree in enumerate(phase1.trees):
             if tree.parents.get(4) == 3:
@@ -86,6 +95,44 @@ class TestDC2:
                 )
         assert claims[3]["equality_sent"][4] != claims[4]["equality_received"][3]
         assert result.new_disputes == (frozenset({3, 4}),)
+        assert result.output_bits == INPUT
+
+
+class TestDC3:
+    def test_a_false_flag_told_truthfully_identifies_its_node(self):
+        # Node 3 announces MISMATCH although every vector it received checks
+        # out, then claims exactly what it received.  No pair of claims
+        # conflicts, so only DC3's flag check (the announced flag must be the
+        # one the claimed receptions imply) can name node 3.
+        _phase1, phase2, result = _three_phases(3, FalseFlagStrategy())
+        assert phase2.announced_flags[3] and phase2.mismatch_announced
+        assert not any(flag for node, flag in phase2.announced_flags.items() if node != 3)
+        assert result.new_disputes == ()
+        assert result.identified_faulty == (3,)
+        assert result.output_bits == INPUT
+
+    def test_a_corrupted_forward_told_truthfully_identifies_its_node(self):
+        # Node 3 has a Phase 1 child and forwards it a flipped symbol, then
+        # claims the flipped symbol as sent: sender and receiver agree, so DC2
+        # sees no dispute.  Its equality-check sends and flag follow from what
+        # it received, so only DC3's forwarding check (a claimed forward must
+        # equal the claimed reception) can name node 3.
+        phase1, _phase2, result = _three_phases(3, Phase1CorruptingRelayStrategy())
+        forwards = [
+            (tree_index, child)
+            for tree_index, tree in enumerate(phase1.trees)
+            for child in tree.children_of(3)
+        ]
+        assert forwards
+        claims = result.claims[3]
+        for tree_index, child in forwards:
+            assert claims["phase1_sent"][(tree_index, child)] != claims["phase1_received"][tree_index]
+            assert (
+                claims["phase1_sent"][(tree_index, child)]
+                == result.claims[child]["phase1_received"][tree_index]
+            )
+        assert result.new_disputes == ()
+        assert result.identified_faulty == (3,)
         assert result.output_bits == INPUT
 
 

@@ -23,7 +23,8 @@ from repro.engine import get_protocol, get_spec
 from repro.engine.runner import dump_row, run_cell
 from repro.exceptions import ConfigurationError, SchedulerError
 from repro.graph.network_graph import NetworkGraph
-from repro.sched.faults import (
+from repro.transport import FaultModel, ReliableNetwork, ScheduledNetwork
+from repro.transport.link_faults import (
     CORRUPT,
     DELIVER,
     DROP,
@@ -32,9 +33,7 @@ from repro.sched.faults import (
     LinkFaultPlan,
     fault_plan,
     named_fault_plans,
-    register_fault_plan,
 )
-from repro.transport import FaultModel, ReliableNetwork, ScheduledNetwork
 from repro.workloads.scenarios import input_stream
 from repro.workloads.topologies import topology
 
@@ -46,6 +45,30 @@ def graph():
 
 #: A plan that drops every attempt on every link: the degradation worst case.
 ALWAYS_DROP = LinkFaultPlan(name="always-drop", rates=EdgeFaultRates(drop=Fraction(1)))
+
+
+def scaled(plan: LinkFaultPlan, factor: Fraction | int) -> LinkFaultPlan:
+    """A copy of ``plan`` with every rate multiplied by ``factor``.
+
+    ``scaled(plan, 0)`` is the plan's zero-rate shadow — structurally
+    identical but clean — which is what the zero-fault contract tests sweep:
+    every registered plan at rate 0 must reproduce the fault-free grids
+    byte-identically.
+    """
+    factor = Fraction(factor)
+
+    def scale(rates: EdgeFaultRates) -> EdgeFaultRates:
+        return EdgeFaultRates(
+            drop=Fraction(rates.drop) * factor,
+            duplicate=Fraction(rates.duplicate) * factor,
+            corrupt=Fraction(rates.corrupt) * factor,
+        )
+
+    return replace(
+        plan,
+        rates=scale(plan.rates),
+        per_edge={edge: scale(rates) for edge, rates in plan.per_edge.items()},
+    )
 
 
 class TestFaultPlans:
@@ -65,10 +88,6 @@ class TestFaultPlans:
     def test_unknown_plan_rejected(self):
         with pytest.raises(ConfigurationError):
             fault_plan("no-such-plan")
-
-    def test_register_rejects_duplicates_unless_replacing(self):
-        with pytest.raises(ConfigurationError):
-            register_fault_plan("none", LinkFaultPlan)
 
     def test_rates_validated(self):
         with pytest.raises(SchedulerError):
@@ -102,7 +121,7 @@ class TestFaultPlans:
 
     def test_scaled_zero_is_clean_for_every_registered_plan(self):
         for name in named_fault_plans():
-            shadow = fault_plan(name).scaled(0)
+            shadow = scaled(fault_plan(name), 0)
             assert shadow.is_clean
             assert all(shadow.decide((1, 2), k) == DELIVER for k in range(20))
 
@@ -283,7 +302,7 @@ class TestReliableNetworkArq:
             return network
 
         clean = drive(ScheduledNetwork(graph))
-        lossy = drive(ReliableNetwork(graph, fault_plan=fault_plan("drop-10pct").scaled(factor)))
+        lossy = drive(ReliableNetwork(graph, fault_plan=scaled(fault_plan("drop-10pct"), factor)))
         stats = lossy.reliability_stats()
         assert lossy.total_bits() == clean.total_bits() + stats["retransmit_bits"]
         assert lossy.elapsed_time() == lossy.accountant.total_elapsed()
@@ -341,11 +360,11 @@ class TestZeroFaultByteIdentity:
     def test_every_plan_at_rate_zero_reproduces_the_quick_grid(
         self, baseline_rows, monkeypatch
     ):
-        import repro.sched.faults as faults_module
+        import repro.transport.link_faults as faults_module
 
         cells, baseline = baseline_rows
         for name in named_fault_plans():
-            shadow = fault_plan(name).scaled(0)
+            shadow = scaled(fault_plan(name), 0)
             shadow_name = f"{name}@zero"
             monkeypatch.setitem(
                 faults_module._FAULT_PLAN_FACTORIES, shadow_name, lambda s=shadow: s
@@ -361,11 +380,11 @@ class TestZeroFaultByteIdentity:
     def test_zero_rate_plan_reports_zero_retransmit_bits(self, monkeypatch):
         # Transport-level confirmation that byte-identity is not vacuous:
         # the run really goes through ReliableNetwork and really measures 0.
-        import repro.sched.faults as faults_module
+        import repro.transport.link_faults as faults_module
 
         graph = topology("k4-fast")
         for name in named_fault_plans():
-            shadow = fault_plan(name).scaled(0)
+            shadow = scaled(fault_plan(name), 0)
             shadow_name = f"{name}@zero"
             monkeypatch.setitem(
                 faults_module._FAULT_PLAN_FACTORIES, shadow_name, lambda s=shadow: s

@@ -1,4 +1,4 @@
-"""Tests for the pipelined NAB executor (Figure 3 on the event kernel)."""
+"""Tests for the pipelined NAB executor (the Figure 3 clock as a recurrence)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles.sched import _pipeline_tasks, _sequential_tasks, simulate_tasks
 from repro.capacity.pipelining import pipelined_schedule
 from repro.core.nab import NetworkAwareBroadcast
+from repro.core.pipeline import _InstanceStages, _pipeline_clock, _stages_of, pipelined_timing
 from repro.engine import dump_row, get_spec, run_cell, run_spec
 from repro.engine.spec import FAULT_FREE, Cell, ExperimentSpec
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -46,6 +50,97 @@ def _timing(record):
         if timing[key] is not None:
             timing[key] = Fraction(timing[key])
     return timing
+
+
+def _oracle_clock(stages, dispute_ran):
+    """Makespan, sequential comparator and stage timeline by the event kernel."""
+    timeline = simulate_tasks(_pipeline_tasks(stages, dispute_ran))
+    sequential = simulate_tasks(_sequential_tasks(stages, dispute_ran)).makespan
+    stages_in_finish_order = [
+        (timing.name[1], timing.name[2], timing.start, timing.end)
+        for timing in timeline.timings()
+        if timing.name[0] == "stage"
+    ]
+    return timeline.makespan, sequential, stages_in_finish_order
+
+
+#: Small rationals, so equal ends (and equal-end ordering) are common.
+_DURATIONS = st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2]))
+
+#: One executed instance: its stages and whether dispute control ran.  A
+#: source identified as faulty (special case 1) runs no phase at all: every
+#: duration is 0 and the depth defaults to 1.
+_INSTANCES = st.one_of(
+    st.just((_InstanceStages(Fraction(0), Fraction(0), Fraction(0), 1), False)),
+    st.tuples(_DURATIONS, _DURATIONS, st.integers(1, 4)).map(
+        lambda drawn: (_InstanceStages(drawn[0], drawn[1], Fraction(0), drawn[2]), False)
+    ),
+    st.tuples(_DURATIONS, _DURATIONS, _DURATIONS, st.integers(1, 4)).map(
+        lambda drawn: (_InstanceStages(*drawn), True)
+    ),
+)
+
+#: Mixed runs, and the homogeneous fault-free steady state.
+_RUNS = st.one_of(
+    st.lists(_INSTANCES, min_size=1, max_size=12),
+    st.tuples(_DURATIONS, _DURATIONS, st.integers(1, 4), st.integers(1, 8)).map(
+        lambda drawn: [
+            (_InstanceStages(drawn[0], drawn[1], Fraction(0), drawn[2]), False)
+        ] * drawn[3]
+    ),
+)
+
+
+class TestClockRecurrence:
+    """The recurrence is held to the frozen event kernel it replaced."""
+
+    @given(run=_RUNS)
+    @example(
+        # Stages (0, 4) and (2, 1) both run from 15/2 to 10.  (2, 1) is
+        # scheduled first, because (1, 1) finishes before (0, 3) at 15/2, so
+        # it finishes first although (0, 4) is built, and starts, no later.
+        run=[
+            (_InstanceStages(Fraction(3, 2), Fraction(1), Fraction(0), 4), False),
+            (_InstanceStages(Fraction(2), Fraction(3), Fraction(0), 2), False),
+            (_InstanceStages(Fraction(1), Fraction(3, 2), Fraction(0), 1), False),
+        ]
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_recurrence_equals_the_event_kernel(self, run):
+        stages = [stage for stage, _ran in run]
+        dispute_ran = [ran for _stage, ran in run]
+        assert _pipeline_clock(stages, dispute_ran) == _oracle_clock(stages, dispute_ran)
+
+    @pytest.mark.parametrize(
+        "topology_name,strategy,faulty_nodes,instances,seed",
+        [
+            ("ring7-chords", "equality-garbage", (7,), 5, 3),
+            ("k4-fast", "phase1-relay", (4,), 4, 9),
+        ],
+    )
+    def test_attacked_runs_carry_the_event_kernel_timing(
+        self, topology_name, strategy, faulty_nodes, instances, seed
+    ):
+        # The two under-attack runs of TestAdversarialPipeline, timed both ways.
+        scenario = _scenario(topology_name, strategy, faulty_nodes, instances, seed)
+        nab = NetworkAwareBroadcast(
+            scenario.graph, scenario.source, scenario.max_faults,
+            fault_model=scenario.fault_model,
+        )
+        inputs = list(scenario.inputs)
+        results = [nab.run_instance(value) for value in inputs]
+        makespan, metadata = pipelined_timing(results, inputs)
+        dispute_ran = [result.dispute_control_ran for result in results]
+        expected, sequential, timeline = _oracle_clock(
+            [_stages_of(result) for result in results], dispute_ran
+        )
+        assert makespan == expected
+        assert metadata["sequential_elapsed"] == str(sequential)
+        assert metadata["speedup"] == str(sequential / expected)
+        assert metadata["stage_timeline"] == [
+            {"instance": q, "hop": hop, "start": str(start), "end": str(end)}
+            for q, hop, start, end in timeline
+        ]
 
 
 class TestFaultFreeSteadyState:

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event kernel and the link-model registry."""
+"""Tests for the frozen event kernel (the pipeline clock's oracle) and the link models."""
 
 from __future__ import annotations
 
@@ -8,16 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles.sched import EventQueue, Task, simulate_tasks
 from repro.exceptions import ConfigurationError, SchedulerError
-from repro.sched import (
-    EventQueue,
-    LinkModel,
-    Task,
-    link_model,
-    named_link_models,
-    register_link_model,
-    simulate_tasks,
-)
+from repro.transport.links import LinkModel, link_model, named_link_models
 
 
 class TestEventQueue:
@@ -158,12 +151,10 @@ class TestSimulateTasks:
 class TestLinkModel:
     def test_instant_model(self):
         model = LinkModel()
-        assert model.is_instant
         assert model.delay((1, 2), 0) == 0
 
     def test_uniform_latency(self):
         model = LinkModel(name="u", latency=Fraction(3, 2))
-        assert not model.is_instant
         assert model.delay((1, 2), 5) == Fraction(3, 2)
 
     def test_per_link_overrides(self):
@@ -214,15 +205,13 @@ class TestLinkModelRegistry:
             assert model.name == name
 
     def test_instant_is_instant(self):
-        assert link_model("instant").is_instant
-        assert not link_model("unit-latency").is_instant
-        assert not link_model("lan-wan").is_instant
-        assert not link_model("jitter-mild").is_instant
+        # Only "instant" adds no delay on any link of the 7-node families.
+        edges = [(tail, head) for tail in range(1, 8) for head in range(1, 8) if tail != head]
+        for name in named_link_models():
+            model = link_model(name)
+            delays = {model.delay(edge, sequence) for edge in edges for sequence in range(4)}
+            assert (delays == {0}) == (name == "instant"), name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             link_model("definitely-not-a-model")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_link_model("instant", LinkModel)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from repro.engine import get_protocol, registered_protocols
 from repro.exceptions import ConfigurationError
 from repro.graph.network_graph import NetworkGraph
-from repro.sched import LinkModel
 from repro.transport import FaultModel, ScheduledNetwork, SynchronousNetwork
+from repro.transport.links import LinkModel
 from repro.workloads.scenarios import input_stream
 from repro.workloads.topologies import topology
 import random
@@ -167,7 +167,7 @@ class TestWireOrdinals:
     per-phase FIFOs must drain in send order even when phases interleave."""
 
     def test_duplicated_copies_consume_unique_jitter_ordinals(self, graph):
-        from repro.sched.faults import DUPLICATE, EdgeFaultRates, LinkFaultPlan
+        from repro.transport.link_faults import DUPLICATE, EdgeFaultRates, LinkFaultPlan
         from repro.transport import ReliableNetwork
 
         class AlwaysDuplicate(LinkFaultPlan):
