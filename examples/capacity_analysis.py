@@ -47,7 +47,7 @@ def main() -> None:
                 analysis.capacity_upper_bound,
                 analysis.achieved_fraction,
                 analysis.guaranteed_fraction,
-                "ok" if analysis.satisfies_theorem3() else "VIOLATED",
+                "ok" if analysis.achieved_fraction >= analysis.guaranteed_fraction else "VIOLATED",
             ]
         )
     print("Capacity analysis with f = 1 (all quantities in bits per time unit):")

@@ -54,8 +54,8 @@ class CapacityAnalysis:
         capacity_upper_bound: Theorem 2 upper bound on ``C_BB``.
         guaranteed_fraction: The 1/2 or 1/3 guarantee of Theorem 3.
         achieved_fraction: ``nab_lower_bound / capacity_upper_bound`` — the
-            fraction actually certified for this network (always at least
-            ``guaranteed_fraction``).
+            fraction actually certified for this network (Theorem 3: always
+            at least ``guaranteed_fraction``).
     """
 
     gamma_star: int
@@ -64,10 +64,6 @@ class CapacityAnalysis:
     capacity_upper_bound: Fraction
     guaranteed_fraction: Fraction
     achieved_fraction: Fraction
-
-    def satisfies_theorem3(self) -> bool:
-        """Whether the certified fraction meets Theorem 3's promise."""
-        return self.achieved_fraction >= self.guaranteed_fraction
 
 
 def analyse_network(graph: NetworkGraph, source: NodeId, max_faults: int) -> CapacityAnalysis:

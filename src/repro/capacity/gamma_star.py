@@ -127,8 +127,3 @@ def gamma_star(graph: NetworkGraph, source: NodeId, max_faults: int) -> int:
         broadcast_mincut(candidate_graph, source) for candidate_graph in unique.values()
     ]
     return min(values)
-
-
-def gamma_of_full_graph(graph: NetworkGraph, source: NodeId) -> int:
-    """``gamma_1``: the Phase 1 rate on the original network (no disputes yet)."""
-    return broadcast_mincut(graph, source)

@@ -108,17 +108,3 @@ def pipelined_schedule(
         total_time=total,
         throughput=Fraction(total_bits * instances) / total,
     )
-
-
-def pipelining_speedup(
-    total_bits: int,
-    gamma_value: int,
-    rho_value: int,
-    hops: int,
-    instances: int,
-    flag_overhead: Fraction | int = 0,
-) -> Fraction:
-    """Ratio of pipelined to unpipelined throughput (``>= 1``, grows with hops and Q)."""
-    naive = unpipelined_schedule(total_bits, gamma_value, rho_value, hops, instances, flag_overhead)
-    piped = pipelined_schedule(total_bits, gamma_value, rho_value, hops, instances, flag_overhead)
-    return piped.throughput / naive.throughput

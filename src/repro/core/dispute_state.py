@@ -35,10 +35,6 @@ class DisputeState:
         self.max_faults = max_faults
         self._disputes: Set[NodePair] = set()
         self._known_faulty: Set[NodeId] = set()
-        # Last instance_graph derivation, as (base graph signature, pruned
-        # graph signature, disputes applied, derived graph) — the anchor for
-        # incremental Gomory-Hu repair when only new disputes were added.
-        self._last_derivation: Tuple[object, object, FrozenSet[NodePair], NetworkGraph] | None = None
 
     # -------------------------------------------------------------- recording
 
@@ -130,39 +126,9 @@ class DisputeState:
 
         Identified-faulty nodes (and their links) are removed, then every link
         between a disputed pair is removed.
-
-        When this state previously derived ``G_k`` from the same base graph
-        and has since only *gained* disputes (the common dispute-control
-        step: no new faulty identifications), the min-cut analysis of
-        ``G_{k+1}`` is seeded incrementally: the cached Gomory-Hu tree of the
-        previous instance graph is repaired pair-by-pair instead of letting
-        ``gamma_{k+1}`` re-solve ``n - 1`` flows from scratch.  A failed
-        precondition silently skips the seeding — derivation itself is always
-        the plain remove-nodes / remove-links construction.
         """
-        from repro.graph.flow_cache import graph_signature
-
         faulty = self.implied_faulty(graph.nodes())
-        pruned = graph.remove_nodes(faulty)
-        result = pruned.remove_links_between(self._disputes)
-        disputes = frozenset(self._disputes)
-        base_signature = graph_signature(graph)
-        pruned_signature = graph_signature(pruned)
-        previous = self._last_derivation
-        if previous is not None:
-            prev_base, prev_pruned, prev_disputes, prev_result = previous
-            delta = disputes - prev_disputes
-            if (
-                delta
-                and prev_base == base_signature
-                and prev_pruned == pruned_signature
-                and prev_disputes <= disputes
-            ):
-                from repro.graph.gomory_hu import derive_trees_after_pair_removals
-
-                derive_trees_after_pair_removals(prev_result, delta, result)
-        self._last_derivation = (base_signature, pruned_signature, disputes, result)
-        return result
+        return graph.remove_nodes(faulty).remove_links_between(self._disputes)
 
     def snapshot(self) -> Tuple[FrozenSet[NodePair], FrozenSet[NodeId]]:
         """An immutable snapshot ``(disputes, known_faulty)`` for equality checks in tests."""
@@ -176,9 +142,7 @@ class DisputeState:
         The layout is canonical (pairs sorted within and across, faulty ids
         sorted) so ``json.dumps(..., sort_keys=True)`` of the result is a pure
         function of the knowledge itself — the property the session service's
-        write-ahead snapshots rely on.  The cached ``instance_graph``
-        derivation anchor is deliberately not serialised: it is a pure
-        performance memo that the restored state rebuilds on first use.
+        write-ahead snapshots rely on.
         """
         return {
             "max_faults": self.max_faults,
@@ -205,7 +169,6 @@ class DisputeState:
         clone = DisputeState(self.max_faults)
         clone._disputes = set(self._disputes)
         clone._known_faulty = set(self._known_faulty)
-        clone._last_derivation = self._last_derivation
         return clone
 
     def __repr__(self) -> str:

@@ -15,8 +15,8 @@ the Theorem 2 capacity bound on 64-1024-node fat-tree / torus /
 ring-of-rings / Octopus-pod fabrics.  Its cells are *bounds-only* — no
 broadcast protocol executes; each row's ``bounds`` field is the deliverable
 and its ``record`` is null (rendered as ``bounds`` in the comparison table).
-The Gomory-Hu analysis layer is what makes these grids affordable: one cut
-tree of ``n - 1`` flow solves per distinct graph instead of per-pair Dinic
+The global min-cut contraction is what makes these grids affordable: one
+maximum-adjacency contraction per distinct graph instead of per-pair Dinic
 runs.  ``datacenter_scale_f1`` adds the ``f = 1`` sweep on the smallest
 feasible member of each family.
 """

@@ -177,7 +177,7 @@ _LAST_TOPOLOGY: Optional[str] = None
 def _execute_cell(cell: Cell, _emit: object = None) -> Dict[str, object]:
     """The pool's handler: per-topology cache hygiene around :func:`run_cell`.
 
-    Every topology-scoped cache (min-cut solutions, Gomory-Hu trees,
+    Every topology-scoped cache (min-cut solutions, global min-cuts,
     arborescence packings, relay paths, rank verdicts, instance parameters)
     is keyed on canonical graph signatures, so clearing them is about memory,
     not correctness; cells arrive grouped by topology, so the clears are rare.

@@ -207,8 +207,8 @@ register_spec(
         name="datacenter_scale",
         # The PR 8 bounds chart: every datacenter family at 64-1024 nodes.
         # bounds_only cells never execute a protocol — each cell is one
-        # gamma*/rho*/Eq. 6/Theorem 2 evaluation, which the Gomory-Hu layer
-        # makes tractable at 1024 nodes.  f = 0 keeps the gamma/Omega
+        # gamma*/rho*/Eq. 6/Theorem 2 evaluation, which the global min-cut
+        # contraction makes tractable at 1024 nodes.  f = 0 keeps the gamma/Omega
         # families singleton (the full graph); the f = 1 sweep lives in
         # datacenter_scale_f1 on the 64-80-node members, where the
         # O(n)-candidate families are still affordable.
@@ -248,8 +248,8 @@ register_spec(
         # each datacenter family that stays feasible at f = 1 (needs
         # connectivity >= 3; every family below has kappa >= 3 by
         # construction).  The gamma* family then holds n + 1 candidate
-        # graphs and Omega_1 holds n subsets, each analysed via its own
-        # cached Gomory-Hu tree.
+        # graphs and Omega_1 holds n subsets, each analysed by its own
+        # cached global min-cut contraction.
         topologies=("fat-tree-8", "torus-8x8", "ring-rings-8x8", "octopus-8x8"),
         strategies=(FAULT_FREE,),
         payload_bytes=(8,),

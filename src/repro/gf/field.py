@@ -70,6 +70,22 @@ _STACK_CACHE_BYTES = 8 << 20
 #: clamped to 64 slots (diminishing interpreter-amortisation returns).
 _STACK_WINDOW_BYTES = 1 << 16
 
+#: ``sys.getsizeof`` of a window table's list, the part of its cost that does
+#: not grow with the operand: 256 entries appended one by one, as
+#: :func:`~repro.gf.polynomials.window_table` builds them.
+_TABLE_LIST_BYTES = sys.getsizeof([0 for _ in range(256)])
+
+
+def _window_table_bytes(bits: int) -> int:
+    """What the cache charges for the window table of a ``bits``-bit operand, at most.
+
+    The same measure the retention checks take (``sys.getsizeof`` of the
+    list plus each entry, so int headers and 30-bit digits count), bounded
+    by giving every entry the ``bits + 7`` bits of the widest one.
+    """
+    return _TABLE_LIST_BYTES + 256 * sys.getsizeof(1 << (bits + 6))
+
+
 # Largest degree for which log/antilog tables are built (2^16 entries tops).
 _TABLE_MAX_DEGREE = 16
 
@@ -276,18 +292,23 @@ class GF2m:
         # one raw product (guard-spacing rule, see polynomials.stack_stride),
         # the per-window slot cap, and the stacked window-table cache.  When
         # clamping the window to the cache's per-entry budget still leaves a
-        # useful batch (>= 8 slots), prefer cacheable windows so recurring
+        # useful batch (>= 4 slots), prefer cacheable windows so recurring
         # operands (coding-matrix rows) pay their table build once; at very
         # large degrees, where even small windows exceed the entry budget,
         # keep the wider window — the fused scan amortisation is then worth
-        # more than the (impossible) caching.
+        # more than the (impossible) caching.  A window's table is sized the
+        # way ``_stacked_table`` measures it (``_window_table_bytes``); its
+        # top slot holds a value below ``2^degree``.
         self._stride = stack_stride(degree, degree)
-        width = self._stride // 8
-        window_slots = max(1, _STACK_WINDOW_BYTES // width)
-        cacheable_slots = (_STACK_CACHE_BYTES // 4) // (256 * width)
-        if cacheable_slots >= 8:
-            window_slots = min(window_slots, cacheable_slots)
-        self._slot_cap = max(1, min(window_slots, 64))
+        window_slots = max(1, min(_STACK_WINDOW_BYTES // (self._stride // 8), 64))
+        cacheable_slots = window_slots
+        while (
+            cacheable_slots
+            and _window_table_bytes((cacheable_slots - 1) * self._stride + degree)
+            > _STACK_CACHE_BYTES // 4
+        ):
+            cacheable_slots -= 1
+        self._slot_cap = cacheable_slots if cacheable_slots >= 4 else window_slots
         self._swtab: Dict[int, List[int]] = {}
         self._swtab_bytes = 0
         # Kernel backend (big fields only): resolved once, sticky for the

@@ -15,20 +15,20 @@ The paper models the network as a synchronous point-to-point network
   repeated sweeps hit this instead of re-running Dinic), and the cache
   registry every structure cache enters: ``clear_scope`` clears a scope,
   ``all_cache_stats`` is the one stats surface.
-* :mod:`repro.graph.gomory_hu` — Gomory-Hu cut trees: all-pairs min-cuts of
-  undirected-equivalent graphs from ``n - 1`` flows, cached once per graph
-  up to capacity scale, with exact decremental repair along the dispute path
-  (asymmetric graphs are solved per pair).
+* :mod:`repro.graph.gomory_hu` — the global min-cut of an
+  undirected-equivalent graph by one maximum-adjacency contraction, cached
+  once per graph up to capacity scale (asymmetric graphs are solved per
+  target); the Gomory-Hu cut tree it keeps is for the reference benchmark.
 * :mod:`repro.graph.connectivity` — the ``2f + 1`` connectivity threshold,
   plus the vertex-disjoint path extraction the Appendix D relay runs on.
 * :mod:`repro.graph.spanning_trees` — constructive packing of capacity-disjoint
   spanning arborescences (Phase 1's unreliable broadcast transport).
+* :mod:`repro.graph.generators` — the paper's example networks and synthetic
+  topology generators used by the workloads and benchmarks.
 
 Exact references that no run reaches — all-pairs vertex connectivity, the
 uncached Gomory-Hu build and the packing validator — are the frozen oracles
 of ``tests/_oracles/graph.py``.
-* :mod:`repro.graph.generators` — the paper's example networks and synthetic
-  topology generators used by the workloads and benchmarks.
 """
 
 from repro.graph.connectivity import (
@@ -40,12 +40,7 @@ from repro.graph.flow_cache import (
     clear_mincut_cache,
     graph_signature,
 )
-from repro.graph.gomory_hu import (
-    GomoryHuTree,
-    cached_gomory_hu,
-    clear_gomory_hu_cache,
-    incremental_repair_stats,
-)
+from repro.graph.gomory_hu import clear_gomory_hu_cache
 from repro.graph.maxflow import all_max_flow_values, max_flow_value
 from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
@@ -61,10 +56,7 @@ __all__ = [
     "graph_signature",
     "clear_mincut_cache",
     "cache_stats",
-    "GomoryHuTree",
-    "cached_gomory_hu",
     "clear_gomory_hu_cache",
-    "incremental_repair_stats",
     "has_vertex_connectivity_at_least",
     "vertex_disjoint_paths",
     "pack_arborescences",

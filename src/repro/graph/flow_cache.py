@@ -29,7 +29,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.maxflow import all_max_flow_values, max_flow_value
+from repro.graph.maxflow import all_max_flow_values
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
@@ -114,21 +114,6 @@ class MinCutCache:
         self.lifetime_hits += 1
         return value
 
-    def peek(self, key: Hashable):
-        """Return the cached value for ``key`` or ``None``, counting nothing.
-
-        For opportunistic probes ("is a solved structure already here?") that
-        must not skew the hit/miss statistics of callers who did not commit
-        to this cache answering their query.  LRU order is still refreshed on
-        a hit, so peeked-at structures stay warm.
-        """
-        try:
-            value = self._entries[key]
-        except KeyError:
-            return None
-        self._entries.move_to_end(key)
-        return value
-
     def store(self, key: Hashable, value) -> None:
         """Insert ``key -> value``, evicting least-recently-used entries."""
         self._entries[key] = value
@@ -188,41 +173,6 @@ def cache_stats() -> Dict[str, object]:
     return _CACHE.stats()
 
 
-def cached_st_mincut(
-    graph: NetworkGraph,
-    source: NodeId,
-    sink: NodeId,
-    signature: GraphSignature | None = None,
-) -> int:
-    """``MINCUT(G, source, sink)`` through the cache.
-
-    On a miss, an *already cached* Gomory–Hu tree for this signature answers
-    the query as a tree-path minimum (a single ``st`` query never justifies
-    building one); otherwise the pair is solved on its own.
-
-    Raises:
-        GraphError: if either endpoint is missing or they coincide.
-    """
-    if not graph.has_node(source) or not graph.has_node(sink):
-        raise GraphError("source or sink not present in the graph")
-    if source == sink:
-        raise GraphError("source and sink must differ")
-    if signature is None:
-        signature = graph_signature(graph)
-    key = ("st", signature, source, sink)
-    value = _CACHE.lookup(key)
-    if value is None:
-        from repro.graph.gomory_hu import tree_if_cached
-
-        tree = tree_if_cached(signature)
-        if tree is not None:
-            value = tree.mincut(source, sink)
-        else:
-            value = max_flow_value(graph, source, sink)
-        _CACHE.store(key, value)
-    return value
-
-
 def cached_all_target_mincuts(
     graph: NetworkGraph,
     source: NodeId,
@@ -233,9 +183,10 @@ def cached_all_target_mincuts(
     A single residual-graph build is shared across all targets on a miss
     (see :func:`repro.graph.maxflow.all_max_flow_values`).  Its callers are
     the directed cases: :func:`repro.graph.mincut.broadcast_mincut` asks it
-    only of asymmetric graphs (a symmetric one is a Gomory-Hu global min),
-    and the packing's feasibility probes of residual capacities.  The
-    returned dict is a fresh copy the caller may mutate freely.
+    only of asymmetric graphs (a symmetric one is a global min-cut, see
+    :mod:`repro.graph.gomory_hu`), and the packing's feasibility probes of
+    residual capacities.  The returned dict is a fresh copy the caller may
+    mutate freely.
 
     Raises:
         GraphError: if the source is not in the graph.

@@ -181,7 +181,7 @@ def random_connected_network(
     a link may get different capacities, making the network genuinely
     direction-asymmetric).  With ``symmetric=True`` one capacity is drawn per
     undirected link and used in both directions, producing an
-    undirected-equivalent graph (the regime the Gomory-Hu layer accelerates).
+    undirected-equivalent graph, whose min-cuts are one global min-cut.
 
     Raises:
         GraphError: if the requested connectivity cannot be met with
@@ -236,7 +236,7 @@ def random_connected_network(
 # Datacenter-scale families (PR 8).  All four generators are deterministic
 # (no RNG), number nodes from 1, and emit symmetric graphs — every link is a
 # pair of equal-capacity anti-parallel edges — so the whole analysis path
-# runs on Gomory-Hu trees instead of per-pair flows.
+# runs on global min-cut contractions instead of per-pair flows.
 
 
 def _add_link(graph: NetworkGraph, a: NodeId, b: NodeId, capacity: int) -> None:

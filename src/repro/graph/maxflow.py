@@ -5,7 +5,7 @@ The paper's throughput analysis is built almost entirely on min-cut values:
 ``U_k`` bound Phase 2.  By the max-flow/min-cut theorem those quantities are
 computed here as maximum flows.  Dinic's algorithm is exact for integer
 capacities, and :class:`_DinicSolver` is the *only* flow kernel in ``src/``:
-Gomory–Hu builds and repairs, the node-split threshold flows, relay routes
+the directed min-cuts, the node-split threshold flows, relay routes
 (one solve per ordered pair both decides that ``2f + 1`` paths exist and
 yields them) and the two per-pair functions below all run on it.  One
 residual build is reused across many queries (``snapshot`` / ``reset``), and

@@ -34,8 +34,7 @@ def broadcast_mincut(graph: NetworkGraph, source: NodeId) -> int:
     # On an undirected-equivalent graph the broadcast min-cut equals the
     # *global* undirected min-cut for every source (min_j mincut(s, j) is at
     # least the global minimum, and every global cut separates the source
-    # from someone), which one Gomory-Hu tree answers for all sources at
-    # once — including decrementally repaired trees along the dispute path.
+    # from someone), which one contraction answers for all sources at once.
     from repro.graph.gomory_hu import cached_global_mincut
 
     value = cached_global_mincut(graph)

@@ -102,11 +102,9 @@ class UndirectedView:
             return 0
         digraph = self._symmetric_digraph()
         # The minimum over *all* pairs equals the undirected global min-cut
-        # (every cut separates some pair, and every pair cut is a cut), which
-        # the Gomory-Hu layer serves as the smallest tree edge — memoised per
-        # signature, and exact even on decrementally repaired trees.  The
-        # symmetric digraph is undirected-equivalent by construction, so the
-        # layer always answers.
+        # (every cut separates some pair, and every pair cut is a cut),
+        # memoised per unit-form signature.  The symmetric digraph is
+        # undirected-equivalent by construction, so it always answers.
         from repro.graph.gomory_hu import cached_global_mincut
 
         return cached_global_mincut(digraph, signature=self._signature)

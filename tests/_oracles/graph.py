@@ -1,24 +1,24 @@
 """The frozen graph oracles: exact references the graph layer is held to.
 
 No registered run reaches these: sweeps, sessions and the search only ask
-the capped threshold question (``has_vertex_connectivity_at_least``), read
-Gomory-Hu trees through the cache (``cached_gomory_hu``), and trust the
-packing they peel.  They are kept verbatim from ``repro.graph`` so the fast
-paths have a fixed reference: the threshold check against the exact
+the capped threshold question (``has_vertex_connectivity_at_least``), take
+global min-cuts from one contraction (``cached_global_mincut``), and trust
+the packing they peel.  They are kept verbatim from ``repro.graph`` so the
+fast paths have a fixed reference: the threshold check against the exact
 all-pairs vertex connectivity (``tests/test_datacenter_topologies.py``), the
-cached and repaired cut trees against a fresh uncached Gusfield build
+contraction and the cached cut tree against a fresh uncached Gusfield build
 (``tests/test_gomory_hu.py``), and every packing against the validator
 (``tests/test_graph_spanning_trees.py``).  Don't optimise them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.connectivity import _node_split_solver
 from repro.graph.flow_cache import GraphSignature, graph_signature
-from repro.graph.gomory_hu import GomoryHuTree, _gusfield, _rescaled, _unit_form, is_symmetric
+from repro.graph.gomory_hu import GomoryHuTree, _gusfield, _unit_form, is_symmetric
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.spanning_trees import Arborescence
 from repro.types import Edge, NodeId
@@ -59,9 +59,85 @@ def vertex_connectivity(graph: NetworkGraph) -> int:
     )
 
 
-def gomory_hu_tree(
-    graph: NetworkGraph, signature: GraphSignature | None = None
-) -> GomoryHuTree:
+class CutTree:
+    """The queries of a cut tree (:class:`repro.graph.gomory_hu.GomoryHuTree`).
+
+    ``tree.mincut(u, v)`` is the smallest weight on the ``u``-``v`` tree
+    path, and ``tree.min_weight()`` the global undirected min-cut.
+    """
+
+    def __init__(self, tree: GomoryHuTree) -> None:
+        self.signature = tree.signature
+        self._nodes = tree.signature[0]
+        self._parent = tree.parent
+        self._weight = tree.weight
+        self._side = tree.side
+
+    def tree_edges(self) -> List[Tuple[NodeId, NodeId, int]]:
+        """The ``n - 1`` tree edges as ``(child, parent, exact min-cut value)``."""
+        return [
+            (node, self._parent[node], self._weight[node])
+            for node in self._nodes
+            if node in self._parent
+        ]
+
+    def cut_side(self, node: NodeId) -> FrozenSet[NodeId]:
+        """The ``node`` side of the stored minimum cut for edge ``(node, parent)``.
+
+        Raises:
+            GraphError: if ``node`` is the tree root (it has no parent edge).
+        """
+        if node not in self._side:
+            raise GraphError(f"node {node} has no parent edge in the cut tree")
+        return self._side[node]
+
+    def min_weight(self) -> int:
+        """The global undirected min-cut: the smallest tree edge weight.
+
+        Raises:
+            GraphError: if the tree has fewer than two nodes.
+        """
+        if len(self._nodes) < 2:
+            raise GraphError("the cut tree has no edges")
+        return min(self._weight[node] for node in self._nodes if node in self._parent)
+
+    def mincut(self, u: NodeId, v: NodeId) -> int:
+        """Pairwise min-cut: the minimum edge weight on the ``u``–``v`` tree path.
+
+        Raises:
+            GraphError: if either node is unknown or the nodes coincide.
+        """
+        if u == v:
+            raise GraphError("pairwise min-cut requires two distinct nodes")
+        root = self._nodes[0]
+        if u not in self._weight and u != root:
+            raise GraphError(f"node {u} is not in the cut tree")
+        if v not in self._weight and v != root:
+            raise GraphError(f"node {v} is not in the cut tree")
+        ancestors: Dict[NodeId, int] = {}
+        minimum = None
+        node = u
+        while node in self._parent:
+            ancestors[node] = 0
+            node = self._parent[node]
+        ancestors[node] = 0
+        node, running = v, None
+        while node not in ancestors:
+            running = self._weight[node] if running is None else min(running, self._weight[node])
+            node = self._parent[node]
+        meet = node
+        node = u
+        while node != meet:
+            minimum = self._weight[node] if minimum is None else min(minimum, self._weight[node])
+            node = self._parent[node]
+        if running is not None:
+            minimum = running if minimum is None else min(minimum, running)
+        if minimum is None:  # pragma: no cover - u == v is rejected above
+            raise GraphError("empty tree path")
+        return minimum
+
+
+def gomory_hu_tree(graph: NetworkGraph, signature: GraphSignature | None = None) -> CutTree:
     """Build the cut tree of an undirected-equivalent graph (Gusfield's method).
 
     Always a fresh build (``n - 1`` solves) that touches no cache; the solves
@@ -77,7 +153,13 @@ def gomory_hu_tree(
     if not signature[0]:
         raise GraphError("cannot build a cut tree of an empty graph")
     unit, scale = _unit_form(signature)
-    return _rescaled(_gusfield(unit), signature, multiply=scale)
+    tree = _gusfield(unit)
+    return CutTree(
+        tree._replace(
+            signature=signature,
+            weight={node: value * scale for node, value in tree.weight.items()},
+        )
+    )
 
 
 def packing_edge_usage(trees: Sequence[Arborescence]) -> Dict[Edge, int]:

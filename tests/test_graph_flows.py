@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError, InfeasibleError
 from repro.graph.connectivity import meets_connectivity_requirement, vertex_disjoint_paths
-from repro.graph.flow_cache import cached_all_target_mincuts, cached_st_mincut
+from repro.graph.flow_cache import cached_all_target_mincuts
 from repro.graph.generators import complete_graph, figure1a, figure1b, figure2a
 from repro.graph.maxflow import _build_solver, max_flow_value
 from repro.graph.mincut import broadcast_mincut
@@ -74,9 +74,9 @@ class TestMaxFlow:
 
     def test_figure1a_mincuts_match_paper(self):
         graph = figure1a()
-        assert cached_st_mincut(graph, 1, 2) == 2
-        assert cached_st_mincut(graph, 1, 3) == 3
-        assert cached_st_mincut(graph, 1, 4) == 2
+        assert max_flow_value(graph, 1, 2) == 2
+        assert max_flow_value(graph, 1, 3) == 3
+        assert max_flow_value(graph, 1, 4) == 2
 
     def test_figure1a_gamma_is_two(self):
         assert broadcast_mincut(figure1a(), 1) == 2

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError, InfeasibleError
-from repro.graph.flow_cache import cached_st_mincut, graph_signature
+from repro.graph.flow_cache import graph_signature
 from repro.graph.generators import (
     complete_graph,
     figure1a,
@@ -26,6 +26,7 @@ from repro.graph.generators import (
     random_connected_network,
     ring_with_chords,
 )
+from repro.graph.maxflow import max_flow_value
 from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.spanning_trees import Arborescence, pack_arborescences
@@ -210,7 +211,7 @@ class TestGenerators:
         deep = layered_pipeline(4, 3)
         assert deep.node_count() == 1 + 4 * 3
         assert shallow.node_count() == 1 + 3
-        assert cached_st_mincut(deep, 1, deep.node_count()) >= 1
+        assert max_flow_value(deep, 1, deep.node_count()) >= 1
 
     def test_layered_pipeline_validation(self):
         with pytest.raises(GraphError):

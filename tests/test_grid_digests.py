@@ -5,7 +5,11 @@ optimisation must leave alone.  ``benchmarks/layers/pins.json`` pins the six
 benchmark batches; this pins the sha256 of each named spec's JSONL exactly as
 ``run_spec`` writes it, so a relay, EIG, transport or accounting edit that
 moves one decision, one elapsed ``Fraction`` or one bit count of any cell
-fails here by name.  (``huge_payloads`` takes ~12 s and stays out of tier-1.)
+fails here by name.  The two fabric grids (``datacenter_scale``, 11
+bounds-only cells at 64-1024 nodes, and ``datacenter_scale_f1``, 4 cells)
+pin ``gamma*`` / ``rho*`` / Eq. 6 / Theorem 2 on the datacenter fabrics, so a
+wrong global min-cut fails here by name too (~4 s together).
+(``huge_payloads`` takes ~12 s and stays out of tier-1.)
 
 A digest changes only with an intended change of behaviour: regenerate the
 grid, review the row diff, and re-pin in the same commit.
@@ -28,6 +32,8 @@ GRID_DIGESTS = {
     "pipelined_nab": "4c31ef153cf1285c825bcda7b30c3c18f4ba027f09b1247628d66613a82312af",
     "large_payloads": "3075f9866c58073b85c744952a3b4986032c600d7b31ed2d568248fc0cd162b1",
     "protocol_matrix": "b60d6838ee6520eb8e193bc32a485c59177ee736f9ecf3e67b7767482dd55880",
+    "datacenter_scale": "98a10de84dc0a784a88af8f819e1a2f95662c1e16294bd83d484ffc289c49f55",
+    "datacenter_scale_f1": "501145ad95690e1c32104ba723953b51f7273067f0c3288dd02dfe469bb940cd",
 }
 
 

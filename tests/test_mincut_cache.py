@@ -13,7 +13,6 @@ from repro.exceptions import GraphError
 from repro.graph.flow_cache import (
     cache_stats,
     cached_all_target_mincuts,
-    cached_st_mincut,
     clear_mincut_cache,
     graph_signature,
 )
@@ -37,18 +36,6 @@ def _random_graphs():
 
 
 class TestCachedValuesMatchFreshSolves:
-    def test_cached_st_mincut_matches_max_flow(self):
-        for graph in _random_graphs():
-            nodes = graph.nodes()
-            for source in nodes[:2]:
-                for sink in nodes:
-                    if sink == source:
-                        continue
-                    expected = max_flow_value(graph, source, sink)
-                    assert cached_st_mincut(graph, source, sink) == expected
-                    # Second query is a cache hit with the same value.
-                    assert cached_st_mincut(graph, source, sink) == expected
-
     def test_cached_all_target_mincuts_matches_per_target_solves(self):
         for graph in _random_graphs():
             source = graph.nodes()[0]
@@ -84,11 +71,11 @@ class TestCachedValuesMatchFreshSolves:
 class TestCacheBehaviour:
     def test_hits_accumulate_on_identical_graphs(self):
         graph = complete_graph(4, capacity=2)
-        cached_st_mincut(graph, 1, 2)
+        cached_all_target_mincuts(graph, 1)
         before = cache_stats()
         # A structurally identical but distinct object still hits.
         clone = graph.copy()
-        cached_st_mincut(clone, 1, 2)
+        cached_all_target_mincuts(clone, 1)
         after = cache_stats()
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
@@ -101,7 +88,7 @@ class TestCacheBehaviour:
 
     def test_clear_resets_counters_and_entries(self):
         graph = complete_graph(4)
-        cached_st_mincut(graph, 1, 2)
+        cached_all_target_mincuts(graph, 1)
         clear_mincut_cache()
         stats = cache_stats()
         assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
@@ -109,17 +96,17 @@ class TestCacheBehaviour:
     def test_rejects_bad_endpoints(self):
         graph = complete_graph(4)
         with pytest.raises(GraphError):
-            cached_st_mincut(graph, 1, 1)
+            cached_all_target_mincuts(graph, 99)
         with pytest.raises(GraphError):
-            cached_st_mincut(graph, 1, 99)
+            max_flow_value(graph, 1, 99)
 
     def test_cache_stats_lifetime_counters_survive_clear(self):
         graph = complete_graph(4, capacity=2)
         before = cache_stats()
-        cached_st_mincut(graph, 1, 2)
-        cached_st_mincut(graph.copy(), 1, 2)  # hit
+        cached_all_target_mincuts(graph, 1)
+        cached_all_target_mincuts(graph.copy(), 1)  # hit
         clear_mincut_cache()
-        cached_st_mincut(graph, 1, 2)  # miss again after the clear
+        cached_all_target_mincuts(graph, 1)  # miss again after the clear
         after = cache_stats()
         # Epoch counters were reset by the clear...
         assert after["hits"] == 0

@@ -165,19 +165,15 @@ class TestStackedWindows:
 
     def test_full_windows_stay_cacheable_at_gate_degrees(self):
         """The slot cap must not exceed the cache's per-entry budget where a
-        cacheable window is still a useful batch (>= 8 slots)."""
-        from repro.gf.field import _STACK_CACHE_BYTES
+        cacheable window is still a useful batch (>= 4 slots)."""
+        from repro.gf.field import _STACK_CACHE_BYTES, _window_table_bytes
 
-        for degree in (256, 821, 1024, 2048):
+        for degree in (256, 821, 1024, 2048, 4096):
             field = GF2m(degree, kernel_backend="windowed")
-            width = field._stride // 8
-            if (_STACK_CACHE_BYTES // 4) // (256 * width) >= 8:
-                assert 256 * field._slot_cap * width <= _STACK_CACHE_BYTES // 4
+            cap = field._slot_cap
+            assert cap >= 4
+            assert _window_table_bytes((cap - 1) * field._stride + degree) <= _STACK_CACHE_BYTES // 4
         # A full-window stacked row of a mid_field-sized matrix is retained.
-        # (At 821, 1024, 2048 or 4096 it is not: the slot cap's estimate
-        # leaves out the ~7 % that 30-bit int digits add, so a full window's
-        # table lands just over the per-entry quarter and is rebuilt per
-        # encode instead — same values.)
         field = GF2m(2185, kernel_backend="windowed")
         rng = random.Random(5)
         matrix = GFMatrix.random(field, 2, field._slot_cap, rng)
@@ -187,6 +183,22 @@ class TestStackedWindows:
         assert cached_before, "the first encode builds the stacked tables"
         matrix.vecmat(_vectors(field, rng, 2))
         assert set(field._swtab) == cached_before, "full windows must stay cached"
+
+    @pytest.mark.parametrize("degree", (821, 1024, 1093, 2048, 4096))
+    def test_second_encode_hits_every_full_window(self, degree):
+        """The slot cap sizes a window's table as the retention check does
+        (``sys.getsizeof``, int headers and 30-bit digits included), so a full
+        window's table fits the per-entry quarter of the budget: four rows of
+        full windows are all retained, and a second encode builds none."""
+        field = GF2m(degree, kernel_backend="windowed")
+        rng = random.Random(degree)
+        matrix = GFMatrix.random(field, 4, field._slot_cap, rng)
+        matrix.vecmat([field.random_nonzero(rng) for _ in range(4)])
+        before = dict(field.kernel_cache_stats()["stacked"])
+        vector = [field.random_nonzero(rng) for _ in range(4)]
+        assert matrix.vecmat(vector) == vecmat_loop(matrix, vector)
+        after = field.kernel_cache_stats()["stacked"]
+        assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (4, 0)
 
     def test_stacked_table_cache_is_bounded(self):
         field = GF2m(31, kernel_backend="windowed")
