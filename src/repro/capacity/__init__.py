@@ -23,13 +23,12 @@ from repro.capacity.bounds import (
     nab_throughput_lower_bound,
     theorem3_guarantee,
 )
-from repro.capacity.gamma_star import construct_gamma_family, gamma_star
+from repro.capacity.gamma_star import gamma_star
 from repro.capacity.pipelining import PipelineSchedule, pipelined_schedule, unpipelined_schedule
 from repro.capacity.rho_star import rho_star, u1_value
 
 __all__ = [
     "gamma_star",
-    "construct_gamma_family",
     "rho_star",
     "u1_value",
     "capacity_upper_bound",

@@ -9,121 +9,85 @@ belong to ``Gamma``.  Then
 
     ``gamma* = min over Psi in Gamma of min_j MINCUT(Psi, 1, j)``.
 
-Enumerating every explainable edge subset is exponential in the number of
-edges, but the minimum is attained on *maximal* explainable sets: for a fixed
+The minimum is attained on *maximal* explainable sets: for a fixed
 candidate faulty set ``F``, removing additional ``F``-incident edges only
 lowers min-cuts (and can only grow the set of removed nodes, which are by
 construction not min-cut targets the adversary can use to its advantage).
-This module therefore iterates over candidate faulty sets ``F`` with
-``|F| <= f`` and uses ``W_F`` = all edges incident on ``F``, which yields the
-same minimum while keeping the computation polynomial for the network sizes
-the simulator targets.
+So only ``W_F``, all edges incident on ``F``, matters for each ``|F| <= f``,
+and on a gated graph its ``Psi`` has a closed form.
+
+**Lemma.**  Let every node have at least ``f + 1`` distinct neighbours
+(in-edges and out-edges counted together; the ``2f + 1`` connectivity gate
+implies this).  Then ``Psi_{W_F} = G - F`` for every ``|F| <= f``.
+
+*Proof.*  Let ``X``, ``|X| <= f``, be any set that explains ``W_F``: every
+edge incident on ``F`` touches ``X``.  Were some ``v`` in ``F`` not in
+``X``, every edge at ``v`` would need its other end in ``X``, so all of
+``v``'s ``f + 1`` or more neighbours would be in ``X``, which has at most
+``f`` nodes.  Hence ``F`` is a subset of every explanation.  ``F`` explains
+``W_F`` itself, so the nodes every explanation contains are exactly ``F``,
+and ``Psi = G - W_F - F = G - F``.  ``F = {}`` gives ``G``, and an ``F``
+holding the source drops out of ``Gamma``.  ``G - F`` keeps at least two
+nodes, because the source has ``f + 1`` neighbours and ``|F| <= f``.
+
+So ``gamma* = min over |F| <= f, source not in F of MINCUT(G - F)``, and
+:func:`gamma_star` reads every ``G - F`` straight off ``G``'s signature
+(:func:`~repro.graph.flow_cache.induced_signature`); no graph is built per
+member.  On a symmetric graph each value is one cached global min-cut, the
+value ``rho*`` and ``U_k`` find again for ``2 (G - F)``.  An asymmetric
+``G - F`` is solved per target.  The explaining-set construction this
+replaces is the oracle ``construct_gamma_family`` of
+``tests/_oracles/capacity.py``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, Set
 
 from repro.exceptions import ProtocolError
-from repro.graph.flow_cache import graph_signature
-from repro.graph.mincut import broadcast_mincut
+from repro.graph.flow_cache import cached_all_target_mincuts, graph_signature, induced_signature
+from repro.graph.gomory_hu import cached_global_mincut, is_symmetric
 from repro.graph.network_graph import NetworkGraph
-from repro.types import Edge, NodeId
-
-
-def _edges_incident_on(graph: NetworkGraph, nodes: FrozenSet[NodeId]) -> Set[Edge]:
-    return {
-        (tail, head)
-        for tail, head, _capacity in graph.edges()
-        if tail in nodes or head in nodes
-    }
-
-
-def _explaining_sets(
-    graph: NetworkGraph, removed_edges: Set[Edge], max_faults: int
-) -> List[FrozenSet[NodeId]]:
-    """All node sets of size at most ``f`` such that every removed edge touches the set."""
-    nodes = graph.nodes()
-    explaining = []
-    for size in range(0, max_faults + 1):
-        for candidate in combinations(nodes, size):
-            candidate_set = frozenset(candidate)
-            if all(tail in candidate_set or head in candidate_set for tail, head in removed_edges):
-                explaining.append(candidate_set)
-    return explaining
-
-
-def construct_gamma_family(
-    graph: NetworkGraph, source: NodeId, max_faults: int
-) -> Dict[FrozenSet[NodeId], NetworkGraph]:
-    """The graphs ``Psi_W`` for the maximal explainable edge set of each candidate fault set.
-
-    Returns:
-        Mapping from candidate faulty set ``F`` to the corresponding
-        ``Psi_{W_F}`` (only entries whose graph still contains the source).
-
-    Raises:
-        ProtocolError: if the source is not in the graph or ``max_faults`` is
-            negative.
-    """
-    if not graph.has_node(source):
-        raise ProtocolError(f"source {source} is not in the graph")
-    if max_faults < 0:
-        raise ProtocolError(f"max_faults must be non-negative, got {max_faults}")
-    family: Dict[FrozenSet[NodeId], NetworkGraph] = {}
-    candidates = [
-        frozenset(candidate)
-        for size in range(0, max_faults + 1)
-        for candidate in combinations(graph.nodes(), size)
-    ]
-    full_copy: NetworkGraph | None = None
-    for faulty_set in candidates:
-        removed_edges = _edges_incident_on(graph, faulty_set)
-        if not removed_edges:
-            # Nothing removed: every candidate set explains the empty edge
-            # set, so no node is certainly faulty and Psi_W is the full
-            # graph itself.  One detached *frozen* copy (never the caller's
-            # graph object, which may be mutated later) is shared by all
-            # such candidates instead of rebuilding an identical graph per
-            # set; freezing makes the sharing safe against caller mutation.
-            if graph.node_count() >= 2:
-                if full_copy is None:
-                    full_copy = graph.copy().freeze()
-                family[faulty_set] = full_copy
-            continue
-        explaining = _explaining_sets(graph, removed_edges, max_faults)
-        if not explaining:
-            continue
-        certainly_faulty: Set[NodeId] = set(explaining[0])
-        for other in explaining[1:]:
-            certainly_faulty &= other
-        if source in certainly_faulty:
-            continue
-        candidate_graph = graph.remove_edges(removed_edges).remove_nodes(certainly_faulty)
-        if not candidate_graph.has_node(source) or candidate_graph.node_count() < 2:
-            continue
-        family[faulty_set] = candidate_graph
-    return family
+from repro.types import NodeId
 
 
 def gamma_star(graph: NetworkGraph, source: NodeId, max_faults: int) -> int:
     """``gamma* = min over Gamma of min_j MINCUT(Psi, source, j)``.
 
     Raises:
-        ProtocolError: if the family is empty (e.g. the graph is too small or
-            too sparse to run NAB at all).
+        ProtocolError: if the source is not in the graph, ``max_faults`` is
+            negative, or some node has at most ``f`` neighbours (the lemma
+            above needs ``f + 1``).
     """
-    family = construct_gamma_family(graph, source, max_faults)
-    if not family:
-        raise ProtocolError("the Gamma family is empty; gamma* is undefined")
-    # Distinct fault sets frequently produce structurally identical candidate
-    # graphs; deduplicate on the canonical signature so each unique graph is
-    # solved once (the min-cut cache then absorbs repeats across calls too).
-    unique: Dict[tuple, NetworkGraph] = {}
-    for candidate_graph in family.values():
-        unique.setdefault(graph_signature(candidate_graph), candidate_graph)
-    values: List[int] = [
-        broadcast_mincut(candidate_graph, source) for candidate_graph in unique.values()
-    ]
-    return min(values)
+    if not graph.has_node(source):
+        raise ProtocolError(f"source {source} is not in the graph")
+    if max_faults < 0:
+        raise ProtocolError(f"max_faults must be non-negative, got {max_faults}")
+    signature = graph_signature(graph)
+    nodes, edges = signature
+    neighbours: Dict[NodeId, Set[NodeId]] = {node: set() for node in nodes}
+    for tail, head, _capacity in edges:
+        neighbours[tail].add(head)
+        neighbours[head].add(tail)
+    for node, adjacent in neighbours.items():
+        if len(adjacent) <= max_faults:
+            raise ProtocolError(
+                f"node {node} has {len(adjacent)} neighbours; gamma* at f = {max_faults} "
+                f"needs at least {max_faults + 1} per node"
+            )
+    symmetric = is_symmetric(edges)
+    node_set = set(nodes)
+    candidates = [node for node in nodes if node != source]
+    best = None
+    for size in range(max_faults + 1):
+        for faulty in combinations(candidates, size):
+            member = induced_signature(signature, node_set.difference(faulty))
+            if symmetric:
+                value = cached_global_mincut(member)
+            else:
+                cuts = cached_all_target_mincuts(graph.remove_nodes(faulty), source, member)
+                value = min(cuts.values())
+            if best is None or value < best:
+                best = value
+    return best

@@ -6,11 +6,19 @@ network (no disputes have been found before the first instance, so ``Omega_1``
 is simply all ``(n - f)``-subsets).  Because later instance graphs only ever
 remove links between disputed pairs, ``Omega_k`` is a subset of ``Omega_1``
 and ``U_k >= U_1``, so ``rho_k >= rho*`` in every reachable instance.
+
+A member of ``Omega_1`` is ``G - F`` for some ``|F| = f``, so ``U_1`` is
+the minimum of ``MINCUT(\\bar G - F)``: :func:`~repro.coding.omega.compute_uk`
+filters one undirected view per member, and on a symmetric ``G`` (where
+``\\bar G = 2 G``) every value is the one ``gamma*`` already cached for
+``G - F``.
 """
 
 from __future__ import annotations
 
-from repro.coding.omega import compute_rho, compute_uk, dispute_free_subgraphs
+from itertools import combinations
+
+from repro.coding.omega import compute_rho, compute_uk
 from repro.exceptions import ProtocolError
 from repro.graph.network_graph import NetworkGraph
 
@@ -25,8 +33,8 @@ def u1_value(graph: NetworkGraph, max_faults: int) -> int:
         raise ProtocolError(
             f"n - f = {subgraph_size} < 2: the equality check has nothing to compare"
         )
-    subgraphs = dispute_free_subgraphs(graph, subgraph_size)
-    return compute_uk(graph, subgraphs)
+    # No disputes yet: Omega_1 is every (n - f)-subset, streamed, not listed.
+    return compute_uk(graph, combinations(graph.nodes(), subgraph_size))
 
 
 def rho_star(graph: NetworkGraph, max_faults: int) -> int:

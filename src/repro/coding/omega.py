@@ -79,23 +79,23 @@ def _contains_disputed_pair(subset: Sequence[NodeId], disputes: Set[NodePair]) -
     return False
 
 
-def compute_uk(graph: NetworkGraph, subgraphs: Sequence[Tuple[NodeId, ...]]) -> int:
+def compute_uk(graph: NetworkGraph, subgraphs: Iterable[Sequence[NodeId]]) -> int:
     """``U_k``: the minimum pairwise undirected min-cut over all ``Omega_k`` members.
+
+    ``\\bar G`` is built once; each member's view is a filter of its
+    signature (:meth:`~repro.graph.undirected.UndirectedView.induced`), not
+    a graph.
 
     Raises:
         ProtocolError: if ``subgraphs`` is empty (``Omega_k`` is provably
             non-empty when the fault bound holds, so an empty family indicates
             the caller excluded too many nodes).
     """
-    if not subgraphs:
+    view = UndirectedView(graph)
+    values = (view.induced(nodes).min_pairwise_mincut() for nodes in subgraphs)
+    minimum = min(values, default=None)
+    if minimum is None:
         raise ProtocolError("Omega_k is empty; cannot compute U_k")
-    minimum = None
-    for nodes in subgraphs:
-        view = UndirectedView(graph.induced_subgraph(nodes))
-        value = view.min_pairwise_mincut()
-        if minimum is None or value < minimum:
-            minimum = value
-    assert minimum is not None
     return minimum
 
 
@@ -121,7 +121,7 @@ def omega_and_parameters(
     max_faults: int,
     disputes: Iterable[NodePair] = (),
 ) -> Tuple[List[Tuple[NodeId, ...]], int, int]:
-    """Convenience wrapper returning ``(Omega_k, U_k, rho_k)`` for an instance graph."""
+    """``(Omega_k, U_k, rho_k)`` of an instance graph, as each NAB instance computes them."""
     subgraphs = dispute_free_subgraphs(graph, total_nodes - max_faults, disputes)
     uk = compute_uk(graph, subgraphs)
     return subgraphs, uk, compute_rho(uk)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.coding.omega import compute_rho, compute_uk, dispute_free_subgraphs
+from repro.coding.omega import omega_and_parameters
 from repro.exceptions import ProtocolError
 from repro.graph.flow_cache import MinCutCache, graph_signature
 from repro.graph.mincut import broadcast_mincut
@@ -94,12 +94,9 @@ def compute_instance_parameters(
     if cached is not None:
         return cached
     gamma = broadcast_mincut(instance_graph, source)
-    subgraph_size = total_nodes - max_faults
-    omega = tuple(
-        dispute_free_subgraphs(instance_graph, subgraph_size, dispute_state.disputes())
+    omega, uk, rho = omega_and_parameters(
+        instance_graph, total_nodes, max_faults, dispute_state.disputes()
     )
-    uk = compute_uk(instance_graph, omega)
-    rho = compute_rho(uk)
-    params = InstanceParameters(gamma=gamma, omega=omega, uk=uk, rho=rho)
+    params = InstanceParameters(gamma=gamma, omega=tuple(omega), uk=uk, rho=rho)
     _parameter_cache.store(key, params)
     return params

@@ -1,19 +1,22 @@
 """Memoised min-cut evaluation keyed on canonical graph signatures.
 
-The capacity layer solves the *same* max-flow problems over and over:
-``gamma_star`` sweeps a family of candidate subgraphs many of which coincide,
-``rho_star`` / ``compute_uk`` revisit identical induced subgraphs across
-instances, and benchmark sweeps re-analyse one fixed network per parameter
-point.  Dinic is fast, but re-solving identical flows dominates wall time at
-scale.  This module provides a process-wide LRU cache mapping a *canonical
-graph signature* (sorted nodes + sorted capacitated edges) plus the query
-endpoints to the solved value, so any structurally identical query is a
-dictionary lookup.
+A graph's *signature* (:func:`graph_signature`: the sorted node tuple and the
+sorted ``(tail, head, capacity)`` tuple) is the one currency the graph and
+capacity layers trade in.  Values are cached against it, so any structurally
+identical query is a dictionary lookup, and :func:`induced_signature` derives
+the signature of an induced subgraph by filtering both tuples, which is how
+``gamma*``, ``rho*`` and ``U_k`` reach every ``G - F`` of their families
+without building a graph per member.
 
-The cache is bounded (LRU eviction) and purely value-based: ``NetworkGraph``
-instances are never retained, only their signatures, so caching cannot leak
-graphs or observe mutation.  ``clear_mincut_cache`` resets it (useful in
-long-lived processes switching workloads).
+The cache here holds the *directed* per-target values
+(:func:`cached_all_target_mincuts`): the broadcast min-cut of an asymmetric
+graph and the packing's feasibility probes.  The global min-cut of a
+symmetric graph, which is every value the capacity families ask for on the
+named topologies, is one contraction cached in :mod:`repro.graph.gomory_hu`.
+Both caches are bounded (LRU eviction) and purely value-based:
+``NetworkGraph`` instances are never retained, only their signatures, so
+caching cannot leak graphs or observe mutation.  ``clear_mincut_cache``
+resets this one.
 
 Every process-wide cache of the library registers here
 (:func:`register_cache`): :func:`clear_scope` is how a sweep worker drops
@@ -26,7 +29,7 @@ reference benchmark resolves by name.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Container, Dict, Hashable, Optional, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.maxflow import all_max_flow_values
@@ -48,6 +51,19 @@ def graph_signature(graph: NetworkGraph) -> GraphSignature:
     determined by graph structure alone.
     """
     return (tuple(graph.nodes()), tuple(graph.edges()))
+
+
+def induced_signature(signature: GraphSignature, keep: Container[NodeId]) -> GraphSignature:
+    """The signature of the subgraph induced by the nodes in ``keep``.
+
+    Filtering keeps both tuples sorted, so the result equals
+    ``graph_signature(graph.induced_subgraph(keep))`` without building it.
+    """
+    nodes, edges = signature
+    return (
+        tuple(node for node in nodes if node in keep),
+        tuple(edge for edge in edges if edge[0] in keep and edge[1] in keep),
+    )
 
 
 #: ``name -> (scope, clear, stats)`` of every process-wide cache family.
@@ -182,11 +198,11 @@ def cached_all_target_mincuts(
 
     A single residual-graph build is shared across all targets on a miss
     (see :func:`repro.graph.maxflow.all_max_flow_values`).  Its callers are
-    the directed cases: :func:`repro.graph.mincut.broadcast_mincut` asks it
-    only of asymmetric graphs (a symmetric one is a global min-cut, see
-    :mod:`repro.graph.gomory_hu`), and the packing's feasibility probes of
-    residual capacities.  The returned dict is a fresh copy the caller may
-    mutate freely.
+    the directed cases: :func:`repro.graph.mincut.broadcast_mincut` and
+    ``gamma*`` ask it only of asymmetric graphs (a symmetric one is a
+    global min-cut, see :mod:`repro.graph.gomory_hu`), and the packing's
+    feasibility probes of residual capacities.  The returned dict is a
+    fresh copy the caller may mutate freely.
 
     Raises:
         GraphError: if the source is not in the graph.

@@ -34,7 +34,7 @@ and are solved per target on :class:`repro.graph.maxflow._DinicSolver`.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.flow_cache import GraphSignature, MinCutCache, graph_signature, register_cache
@@ -84,14 +84,16 @@ def incremental_repair_stats() -> Dict[str, int]:
     return {key: 0 for base in _REPAIR_KEYS for key in (base, f"lifetime_{base}")}
 
 
-def is_symmetric(graph: NetworkGraph) -> bool:
+def is_symmetric(edges: Iterable[Tuple[NodeId, NodeId, int]]) -> bool:
     """Whether every directed edge has a same-capacity reverse edge.
 
-    Exactly these graphs are *undirected-equivalent*: their directed
-    ``s``-``t`` max-flow equals the undirected min-cut of the one-capacity-
-    per-link view, which is what makes a global min-cut answer them.
+    ``edges`` are ``(tail, head, capacity)`` triples, a graph's ``edges()``
+    or the edge tuple of its signature.  Exactly these graphs are
+    *undirected-equivalent*: their directed ``s``-``t`` max-flow equals the
+    undirected min-cut of the one-capacity-per-link view, which is what
+    makes a global min-cut answer them.
     """
-    capacities = {(tail, head): capacity for tail, head, capacity in graph.edges()}
+    capacities = {(tail, head): capacity for tail, head, capacity in edges}
     return all(
         capacities.get((head, tail)) == capacity
         for (tail, head), capacity in capacities.items()
@@ -176,24 +178,22 @@ def _ma_global_mincut(signature: GraphSignature) -> int:
     return best
 
 
-def cached_global_mincut(
-    graph: NetworkGraph, signature: GraphSignature | None = None
-) -> Optional[int]:
-    """The global undirected min-cut of a symmetric graph, through the cache.
+def cached_global_mincut(signature: GraphSignature) -> int:
+    """The global undirected min-cut of the symmetric graph ``signature`` describes.
 
-    A miss runs :func:`_ma_global_mincut` on the unit form.  Returns ``None``
-    (recording nothing) for asymmetric graphs, whose callers solve per target.
+    A miss runs :func:`_ma_global_mincut` on the unit form.  The graph must
+    be symmetric (:func:`is_symmetric`); callers check once, since every
+    induced subgraph of a symmetric graph is symmetric, and solve an
+    asymmetric graph per target instead.  It takes a signature, not a graph,
+    so the capacity layer asks it of every ``G - F`` by filtering one
+    signature's tuples.
 
     Raises:
         GraphError: if the graph has fewer than two nodes.
     """
-    if signature is None:
-        signature = graph_signature(graph)
     unit, scale = _unit_form(signature)
     value = _GH_CACHE.lookup(("global-min", unit))
     if value is None:
-        if not is_symmetric(graph):
-            return None
         if len(unit[0]) < 2:
             raise GraphError("global min-cut requires at least two nodes")
         value = _ma_global_mincut(unit)
@@ -257,7 +257,7 @@ def cached_gomory_hu(
     unit, scale = _unit_form(signature)
     tree = _GH_CACHE.lookup(("tree", unit))
     if tree is None:
-        if not is_symmetric(graph):
+        if not is_symmetric(unit[1]):
             return None
         if not unit[0]:
             raise GraphError("cannot build a cut tree of an empty graph")

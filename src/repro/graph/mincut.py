@@ -4,15 +4,18 @@
 max-flow — enters the paper's analysis through its minimum over targets:
 ``gamma_k = min_j MINCUT(G_k, 1, j)``, the highest rate at which Phase 1 can
 deliver the input to every node (:func:`broadcast_mincut`).  The per-target
-values are :func:`repro.graph.flow_cache.cached_all_target_mincuts`; the
-undirected pairwise minimum inside ``U_k`` is
+values are :func:`repro.graph.flow_cache.cached_all_target_mincuts`, and on
+a symmetric graph the minimum is one global min-cut
+(:func:`repro.graph.gomory_hu.cached_global_mincut`).  The undirected
+pairwise minimum inside ``U_k`` is
 :meth:`repro.graph.undirected.UndirectedView.min_pairwise_mincut`.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import GraphError
-from repro.graph.flow_cache import cached_all_target_mincuts
+from repro.graph.flow_cache import cached_all_target_mincuts, graph_signature
+from repro.graph.gomory_hu import cached_global_mincut, is_symmetric
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
@@ -35,10 +38,8 @@ def broadcast_mincut(graph: NetworkGraph, source: NodeId) -> int:
     # *global* undirected min-cut for every source (min_j mincut(s, j) is at
     # least the global minimum, and every global cut separates the source
     # from someone), which one contraction answers for all sources at once.
-    from repro.graph.gomory_hu import cached_global_mincut
-
-    value = cached_global_mincut(graph)
-    if value is not None:
-        return value
-    cuts = cached_all_target_mincuts(graph, source)
+    signature = graph_signature(graph)
+    if is_symmetric(signature[1]):
+        return cached_global_mincut(signature)
+    cuts = cached_all_target_mincuts(graph, source, signature)
     return min(cuts.values())

@@ -11,9 +11,9 @@ on which NAB runs.  It matches the paper's network model exactly:
 
 The class also provides the graph-surgery operations that NAB's graph
 evolution needs (removing nodes found faulty, removing links between disputed
-node pairs, taking induced subgraphs for the ``Omega_k`` enumeration), all of
-which return new graphs and never mutate the original once it has been
-frozen via :meth:`NetworkGraph.freeze`.
+node pairs, taking induced subgraphs), all of which return new graphs and
+never mutate the original once it has been frozen via
+:meth:`NetworkGraph.freeze`.
 """
 
 from __future__ import annotations

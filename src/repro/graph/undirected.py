@@ -11,100 +11,55 @@ undirected views.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Collection, Dict, Tuple
 
 from repro.exceptions import GraphError
-from repro.graph.flow_cache import graph_signature
+from repro.graph.flow_cache import GraphSignature, induced_signature
+from repro.graph.gomory_hu import cached_global_mincut
 from repro.graph.network_graph import NetworkGraph
-from repro.types import NodeId, NodePair, node_pair
+from repro.types import NodeId
 
 
 class UndirectedView:
-    """The undirected, capacity-summed view ``\\bar H`` of a directed graph ``H``."""
+    """The undirected, capacity-summed view ``\\bar H`` of a directed graph ``H``.
+
+    It is held as the signature of its symmetric digraph (:attr:`signature`):
+    the link ``{i, j}`` of capacity ``c`` is the two directed edges ``(i, j,
+    c)`` and ``(j, i, c)``.  Under this encoding a directed ``s``-``t``
+    max-flow equals the undirected ``s``-``t`` min-cut, and a view of a
+    symmetric ``H`` is ``2 H``, whose global min-cut is cached under ``H``'s
+    unit form.  The view of an induced subgraph is :meth:`induced`, a filter
+    of this one's tuples: ``U_k`` reads every ``Omega_k`` member through it
+    without building a graph.
+    """
 
     def __init__(self, directed: NetworkGraph) -> None:
-        self._nodes = directed.nodes()
-        capacities: Dict[NodePair, int] = {}
+        capacities: Dict[Tuple[NodeId, NodeId], int] = {}
         for tail, head, capacity in directed.edges():
-            pair = node_pair(tail, head)
+            pair = (tail, head) if tail < head else (head, tail)
             capacities[pair] = capacities.get(pair, 0) + capacity
-        self._capacities = capacities
-        # Built once: is_connected() asks for the neighbours of every node.
-        neighbors: Dict[NodeId, List[NodeId]] = {node: [] for node in self._nodes}
-        for a, b in capacities:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        for adjacent in neighbors.values():
-            adjacent.sort()
-        self._neighbors = neighbors
-        # Lazily built symmetric digraph (and its cache signature) shared by
-        # all min-cut queries on this view (the view itself is immutable
-        # once constructed).
-        self._digraph: NetworkGraph | None = None
-        self._signature = None
+        links = [(low, high, capacity) for (low, high), capacity in capacities.items()]
+        links += [(high, low, capacity) for low, high, capacity in links]
+        links.sort()
+        self.signature: GraphSignature = (tuple(directed.nodes()), tuple(links))
 
-    def _symmetric_digraph(self) -> NetworkGraph:
-        if self._digraph is None:
-            self._digraph = self.as_symmetric_digraph()
-            self._signature = graph_signature(self._digraph)
-        return self._digraph
-
-    def edges(self) -> Iterator[Tuple[NodeId, NodeId, int]]:
-        """Iterate over undirected edges as ``(min_node, max_node, capacity)``."""
-        for pair in sorted(self._capacities, key=lambda p: tuple(sorted(p))):
-            low, high = sorted(pair)
-            yield low, high, self._capacities[pair]
-
-    def is_connected(self) -> bool:
-        """Whether the undirected view is connected (vacuously true when empty)."""
-        if not self._nodes:
-            return True
-        seen = {self._nodes[0]}
-        frontier = [self._nodes[0]]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in self._neighbors[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self._nodes)
-
-    # ---------------------------------------------------------------- min-cuts
-
-    def as_symmetric_digraph(self) -> NetworkGraph:
-        """Represent the undirected view as a symmetric directed graph.
-
-        Each undirected edge of capacity ``c`` becomes two anti-parallel
-        directed edges of capacity ``c``.  Under this encoding a directed
-        ``s``-``t`` max flow equals the undirected ``s``-``t`` min cut, which
-        is how :meth:`min_pairwise_mincut` is computed.
-        """
-        digraph = NetworkGraph()
-        for node in self._nodes:
-            digraph.add_node(node)
-        for low, high, capacity in self.edges():
-            digraph.add_edge(low, high, capacity)
-            digraph.add_edge(high, low, capacity)
-        return digraph
+    def induced(self, nodes: Collection[NodeId]) -> "UndirectedView":
+        """The view of the subgraph induced by ``nodes``: ``\\bar H[S]`` is ``\\bar{H[S]}``."""
+        view = object.__new__(UndirectedView)
+        view.signature = induced_signature(self.signature, set(nodes))
+        return view
 
     def min_pairwise_mincut(self) -> int:
         """``min_{i, j} MINCUT(\\bar H, i, j)`` over all node pairs.
 
-        This is the inner minimum in the definition of ``U_k``.  For a graph
-        with fewer than two nodes the quantity is undefined.
+        This is the inner minimum in the definition of ``U_k``.  The minimum
+        over *all* pairs is the undirected global min-cut (every cut
+        separates some pair, and every pair cut is a cut), so one cached
+        contraction answers it; a disconnected view reads 0.
 
         Raises:
             GraphError: if the graph has fewer than two nodes.
         """
-        if len(self._nodes) < 2:
+        if len(self.signature[0]) < 2:
             raise GraphError("pairwise min-cut requires at least two nodes")
-        if not self.is_connected():
-            return 0
-        digraph = self._symmetric_digraph()
-        # The minimum over *all* pairs equals the undirected global min-cut
-        # (every cut separates some pair, and every pair cut is a cut),
-        # memoised per unit-form signature.  The symmetric digraph is
-        # undirected-equivalent by construction, so it always answers.
-        from repro.graph.gomory_hu import cached_global_mincut
-
-        return cached_global_mincut(digraph, signature=self._signature)
+        return cached_global_mincut(self.signature)

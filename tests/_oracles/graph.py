@@ -148,7 +148,7 @@ def gomory_hu_tree(graph: NetworkGraph, signature: GraphSignature | None = None)
     """
     if signature is None:
         signature = graph_signature(graph)
-    if not is_symmetric(graph):
+    if not is_symmetric(graph.edges()):
         raise GraphError("Gomory-Hu trees require an undirected-equivalent graph")
     if not signature[0]:
         raise GraphError("cannot build a cut tree of an empty graph")

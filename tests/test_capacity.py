@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from _oracles.capacity import construct_gamma_family, gamma_star_by_family, uk_by_members
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.capacity.bounds import (
@@ -15,13 +17,44 @@ from repro.capacity.bounds import (
     nab_throughput_lower_bound,
     theorem3_guarantee,
 )
-from repro.capacity.gamma_star import construct_gamma_family, gamma_star
+from repro.capacity.gamma_star import gamma_star
 from repro.capacity.pipelining import pipelined_schedule, unpipelined_schedule
 from repro.capacity.rho_star import rho_star, u1_value
+from repro.coding.omega import compute_uk, dispute_free_subgraphs
 from repro.exceptions import ProtocolError
-from repro.graph.flow_cache import graph_signature
+from repro.graph.connectivity import resilience_violation
+from repro.graph.flow_cache import clear_mincut_cache, graph_signature
 from repro.graph.generators import complete_graph, heterogeneous_bottleneck, random_connected_network
+from repro.graph.gomory_hu import clear_gomory_hu_cache
 from repro.graph.mincut import broadcast_mincut
+from repro.graph.network_graph import NetworkGraph
+from repro.workloads.topologies import topology
+
+
+@st.composite
+def gated_graphs(draw):
+    """``(graph, f)``: a random graph that passes the resilience gate at ``f``.
+
+    Symmetric graphs draw one capacity per link; the others draw one per
+    direction and may lose up to two single directions, so some links are
+    one-way and a node's neighbours are its in- and out-neighbours together.
+    """
+    max_faults = draw(st.sampled_from((1, 2)))
+    node_count = draw(st.integers(min_value=3 * max_faults + 1, max_value=10))
+    symmetric = draw(st.booleans())
+    graph = random_connected_network(
+        node_count,
+        2 * max_faults + 1,
+        random.Random(draw(st.integers(min_value=0, max_value=2**32))),
+        max_capacity=5,
+        extra_edge_probability=draw(st.sampled_from((0.0, 0.3, 0.6))),
+        symmetric=symmetric,
+    )
+    if not symmetric:
+        edges = [(tail, head) for tail, head, _capacity in graph.edges()]
+        graph = graph.remove_edges(draw(st.sets(st.sampled_from(edges), max_size=2)))
+    assume(resilience_violation(graph, max_faults) is None)
+    return graph, max_faults
 
 
 class TestGammaStar:
@@ -56,9 +89,61 @@ class TestGammaStar:
     def test_invalid_arguments(self):
         graph = complete_graph(4)
         with pytest.raises(ProtocolError):
-            construct_gamma_family(graph, 99, 1)
+            gamma_star(graph, 99, 1)
         with pytest.raises(ProtocolError):
-            construct_gamma_family(graph, 1, -1)
+            gamma_star(graph, 1, -1)
+
+
+class TestClosedFormAgainstTheFamilies:
+    """``gamma*`` and ``U_k`` read off ``G - F`` equal the literal families."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gated_graphs())
+    def test_gamma_star_and_u1_equal_the_oracle(self, case):
+        graph, max_faults = case
+        clear_gomory_hu_cache()
+        for source in (1, graph.node_count()):
+            assert gamma_star(graph, source, max_faults) == gamma_star_by_family(
+                graph, source, max_faults
+            )
+        members = combinations(graph.nodes(), graph.node_count() - max_faults)
+        assert u1_value(graph, max_faults) == uk_by_members(graph, members)
+
+    @settings(max_examples=30, deadline=None)
+    @given(gated_graphs(), st.data())
+    def test_uk_under_disputes_equals_the_per_member_chain(self, case, data):
+        graph, max_faults = case
+        pairs = list(combinations(graph.nodes(), 2))
+        disputes = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+        instance = graph.remove_links_between(disputes)
+        omega = dispute_free_subgraphs(instance, graph.node_count() - max_faults, disputes)
+        assume(omega)
+        clear_gomory_hu_cache()
+        assert compute_uk(instance, omega) == uk_by_members(instance, omega)
+
+    def test_analysis_builds_no_graph(self, monkeypatch):
+        graph = topology("torus-8x8")
+        clear_mincut_cache()
+        clear_gomory_hu_cache()
+        built = []
+        original = NetworkGraph.add_edge
+
+        def counted(self, tail, head, capacity):
+            built.append((tail, head))
+            original(self, tail, head, capacity)
+
+        monkeypatch.setattr(NetworkGraph, "add_edge", counted)
+        analysis = analyse_network(graph, 1, 1)
+        assert (analysis.gamma_star, analysis.rho_star) == (6, 6)
+        assert built == []
+
+    def test_a_node_with_f_neighbours_is_refused_by_name(self):
+        graph = complete_graph(4)
+        graph.add_edge(1, 5, 1)
+        graph.add_edge(5, 1, 1)
+        assert gamma_star(graph, 1, 0) == 1
+        with pytest.raises(ProtocolError, match="node 5 has 1 neighbours"):
+            gamma_star(graph, 1, 1)
 
 
 class TestRhoStar:

@@ -133,7 +133,7 @@ class TestGlobalMinCut:
     @given(symmetric_graphs())
     def test_contraction_equals_both_oracles(self, graph):
         clear_gomory_hu_cache()
-        value = cached_global_mincut(graph)
+        value = cached_global_mincut(graph_signature(graph))
         assert value == gomory_hu_tree(graph).min_weight()
         assert value == _reference_global_mincut(graph)
 
@@ -143,14 +143,15 @@ class TestGlobalMinCut:
         expected = LARGE_FABRIC_MINCUTS.get(name)
         if expected is None:
             expected = gomory_hu_tree(graph).min_weight()
-        assert cached_global_mincut(graph) == expected
+        assert cached_global_mincut(graph_signature(graph)) == expected
 
     @pytest.mark.parametrize("name", ["fat-tree-8", "torus-8x8", "ring-rings-8x8", "octopus-8x8"])
     def test_every_node_deleted_subgraph_of_a_small_fabric(self, name):
         graph = topology(name)
         for node in graph.nodes():
             smaller = graph.remove_nodes([node])
-            assert cached_global_mincut(smaller) == gomory_hu_tree(smaller).min_weight(), node
+            expected = gomory_hu_tree(smaller).min_weight()
+            assert cached_global_mincut(graph_signature(smaller)) == expected, node
 
     def test_global_min_solves_no_flow_and_builds_no_tree(self, monkeypatch, contractions):
         solves = []
@@ -162,23 +163,23 @@ class TestGlobalMinCut:
 
         monkeypatch.setattr(_DinicSolver, "max_flow", counted)
         graph = torus_2d(4, 4)
-        assert cached_global_mincut(graph) == 8
-        assert cached_global_mincut(torus_2d(4, 4)) == 8  # fresh object: a hit
+        assert cached_global_mincut(graph_signature(graph)) == 8
+        assert cached_global_mincut(graph_signature(torus_2d(4, 4))) == 8  # fresh object: a hit
         assert solves == [] and len(contractions) == 1
         stats = gomory_hu_cache_stats()
         assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
-    def test_edge_cases(self):
-        # An asymmetric graph is not answered (callers solve it per target).
-        assert cached_global_mincut(figure1a()) is None
+    def test_edge_cases(self, contractions):
+        # An asymmetric graph never reaches the contraction: it is solved per target.
+        assert broadcast_mincut(figure1a(), 1) == 2 and contractions == []
         single = NetworkGraph()
         single.add_node(1)
         with pytest.raises(GraphError):
-            cached_global_mincut(single)
+            cached_global_mincut(graph_signature(single))
         isolated = NetworkGraph()
         isolated.add_node(1)
         isolated.add_node(2)
-        assert cached_global_mincut(isolated) == 0
+        assert cached_global_mincut(graph_signature(isolated)) == 0
 
     def test_dispute_path_values_match_a_fresh_analysis(self):
         graph = torus_2d(3, 4)
@@ -193,7 +194,7 @@ class TestGlobalMinCut:
                 ), disputes[: index + 1]
 
     def test_repair_counters_read_zero_with_their_key_set(self):
-        cached_global_mincut(torus_2d(3, 3))
+        cached_global_mincut(graph_signature(torus_2d(3, 3)))
         stats = incremental_repair_stats()
         assert stats == {
             key: 0
@@ -252,7 +253,7 @@ class TestTreeVsOracle:
 
     def test_asymmetric_graph_rejected_and_falls_back(self):
         graph = figure1a()  # genuinely directed: (1,2) has no reverse edge
-        assert not is_symmetric(graph)
+        assert not is_symmetric(graph.edges())
         with pytest.raises(GraphError):
             gomory_hu_tree(graph)
         assert cached_gomory_hu(graph) is None
@@ -298,7 +299,7 @@ class TestCaching:
         assert values == {target: _oracle_mincut(graph, 1, target) for target in range(2, 10)}
 
     def test_clear_hook_empties_cache(self):
-        cached_global_mincut(torus_2d(3, 3))
+        cached_global_mincut(graph_signature(torus_2d(3, 3)))
         cached_gomory_hu(torus_2d(3, 3))
         assert gomory_hu_cache_stats()["entries"] == 2
         clear_gomory_hu_cache()
@@ -306,7 +307,7 @@ class TestCaching:
         assert stats["entries"] == 0 and stats["hits"] == 0 and stats["misses"] == 0
 
     def test_runner_clears_gomory_hu_cache_between_topologies(self, monkeypatch):
-        cached_global_mincut(torus_2d(3, 3))
+        cached_global_mincut(graph_signature(torus_2d(3, 3)))
         assert gomory_hu_cache_stats()["entries"] >= 1
         monkeypatch.setattr(engine_runner, "_LAST_TOPOLOGY", None)
         monkeypatch.setattr(engine_runner, "run_cell", lambda cell: {"cell_id": "x"})

@@ -115,24 +115,26 @@ class TestUndirectedView:
     def test_capacities_sum_both_directions(self):
         graph = NetworkGraph.from_edges({(1, 2): 2, (2, 1): 3, (2, 3): 1})
         view = UndirectedView(graph)
-        assert list(view.edges()) == [(1, 2, 5), (2, 3, 1)]
+        assert view.signature[1] == ((1, 2, 5), (2, 1, 5), (2, 3, 1), (3, 2, 1))
 
     def test_edges_listing(self):
         graph = NetworkGraph.from_edges({(2, 1): 3, (1, 3): 1})
         view = UndirectedView(graph)
-        assert list(view.edges()) == [(1, 2, 3), (1, 3, 1)]
+        assert view.signature[1] == ((1, 2, 3), (1, 3, 1), (2, 1, 3), (3, 1, 1))
 
-    def test_is_connected(self):
+    def test_connected_views_have_a_positive_min_cut(self):
         connected = UndirectedView(NetworkGraph.from_edges({(1, 2): 1, (3, 2): 1}))
-        assert connected.is_connected()
+        assert connected.min_pairwise_mincut() == 1
         graph = NetworkGraph.from_edges({(1, 2): 1})
         graph.add_node(3)
-        assert not UndirectedView(graph).is_connected()
+        assert UndirectedView(graph).min_pairwise_mincut() == 0
 
     def test_symmetric_digraph_carries_the_summed_capacities(self):
         view = UndirectedView(NetworkGraph.from_edges({(1, 2): 2, (2, 3): 1, (3, 2): 1}))
-        digraph = view.as_symmetric_digraph()
-        assert list(digraph.edges()) == [(1, 2, 2), (2, 1, 2), (2, 3, 2), (3, 2, 2)]
+        nodes, edges = view.signature
+        assert nodes == (1, 2, 3)
+        assert edges == ((1, 2, 2), (2, 1, 2), (2, 3, 2), (3, 2, 2))
+        digraph = NetworkGraph.from_edges(edges)
         assert max_flow_value(digraph, 1, 3) == 2
         assert view.min_pairwise_mincut() == 2
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from _oracles.capacity import as_symmetric_digraph, construct_gamma_family
 
-from repro.capacity.gamma_star import construct_gamma_family, gamma_star
+from repro.capacity.gamma_star import gamma_star
 from repro.exceptions import GraphError
 from repro.graph.flow_cache import (
     cache_stats,
@@ -58,7 +59,7 @@ class TestCachedValuesMatchFreshSolves:
     def test_undirected_pairwise_mincut_matches_naive(self):
         for graph in _random_graphs():
             view = UndirectedView(graph)
-            digraph = view.as_symmetric_digraph()
+            digraph = as_symmetric_digraph(view)
             nodes = graph.nodes()
             naive = min(
                 max_flow_value(digraph, a, b)

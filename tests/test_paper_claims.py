@@ -48,7 +48,7 @@ NAMED_PARAMETERS = {
 
 def test_figure2_undirected_view_and_appendix_c_tree():
     graph = figure2a()
-    view = {(low, high): capacity for low, high, capacity in UndirectedView(graph).edges()}
+    view = {(tail, head): capacity for tail, head, capacity in UndirectedView(graph).signature[1]}
     # Link (1, 2) carries both packed trees: its capacity is 2 in both views.
     assert graph.capacity(1, 2) == view[(1, 2)] == 2
     # The Appendix C tree {2,3}, {1,4}, {3,4} spans the undirected view...
