@@ -39,8 +39,8 @@ def classical_full_value_broadcast(
         max_faults: The resilience parameter ``f``.
         fault_model: Byzantine behaviour; defaults to no faults.
         network_factory: Transport constructor; defaults to the zero-delay
-            :class:`SynchronousNetwork` (pass a scheduled factory to measure
-            delivery on its replayed link clock).
+            :class:`SynchronousNetwork` (pass a factory that gives it a link
+            model to measure delivery on its replayed link clock).
 
     Returns:
         ``(outputs, accounting)``: the decision of every fault-free node, and

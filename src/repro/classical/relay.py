@@ -147,7 +147,7 @@ class DisjointPathRelay:
         value (skipped when no hook ran: every copy is then the sent object).
         ``bit_size`` is one size for every value or one size per value; each
         link is charged their sum, exactly the bits the per-value sends would
-        charge, so the accountant's and the scheduled network's clocks are
+        charge, so the accountant's and the replayed link clocks are
         partition-independent.  Only per-message ordinals (jitter, per-attempt
         link-fault plans) can observe the batching.
 

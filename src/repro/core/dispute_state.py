@@ -19,7 +19,7 @@ between a disputed pair.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from repro.exceptions import ProtocolError
 from repro.graph.network_graph import NetworkGraph
@@ -38,10 +38,6 @@ class DisputeState:
 
     # -------------------------------------------------------------- recording
 
-    def add_dispute(self, a: NodeId, b: NodeId) -> None:
-        """Record that nodes ``a`` and ``b`` were found in dispute."""
-        self._disputes.add(node_pair(a, b))
-
     def add_disputes(self, pairs: Iterable[NodePair]) -> None:
         """Record a batch of disputed pairs."""
         for pair in pairs:
@@ -59,10 +55,6 @@ class DisputeState:
     def disputes(self) -> FrozenSet[NodePair]:
         """All disputed pairs recorded so far."""
         return frozenset(self._disputes)
-
-    def dispute_count(self) -> int:
-        """Number of distinct disputed pairs."""
-        return len(self._disputes)
 
     def is_disputed(self, a: NodeId, b: NodeId) -> bool:
         """Whether the pair ``{a, b}`` has been found in dispute."""
@@ -129,10 +121,6 @@ class DisputeState:
         """
         faulty = self.implied_faulty(graph.nodes())
         return graph.remove_nodes(faulty).remove_links_between(self._disputes)
-
-    def snapshot(self) -> Tuple[FrozenSet[NodePair], FrozenSet[NodeId]]:
-        """An immutable snapshot ``(disputes, known_faulty)`` for equality checks in tests."""
-        return frozenset(self._disputes), frozenset(self._known_faulty)
 
     # ----------------------------------------------------------- serialisation
 

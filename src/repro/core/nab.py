@@ -41,8 +41,8 @@ class NetworkAwareBroadcast:
             algorithm specification).
         network_factory: Builds the transport each instance runs on; defaults
             to the zero-delay :class:`repro.transport.network.SynchronousNetwork`.
-            Pass a :class:`repro.transport.scheduled.ScheduledNetwork` factory
-            to measure delivery on its replayed link clock.
+            Pass a factory that gives it a link model to measure delivery on
+            its replayed link clock, or a fault plan to run over lossy links.
 
     Raises:
         ProtocolError: if the preconditions on ``n``, ``f``, the source or the
@@ -201,11 +201,6 @@ class NetworkAwareBroadcast:
 
     # ------------------------------------------------------------------ state
 
-    @property
-    def instances_run(self) -> int:
-        """How many instances have been executed so far."""
-        return self._instances_run
-
     def snapshot_state(self) -> Dict[str, object]:
         """The JSON-safe cross-instance state of this run.
 
@@ -220,10 +215,6 @@ class NetworkAwareBroadcast:
             "instances_run": self._instances_run,
             "dispute_state": self.dispute_state.to_jsonable(),
         }
-
-    def current_instance_graph(self) -> NetworkGraph:
-        """The graph ``G_k`` the next instance would run on."""
-        return self.dispute_state.instance_graph(self.graph)
 
 
 def parse_checkpoint(

@@ -25,7 +25,7 @@ from repro.gf.symbols import bits_to_symbols, symbol_size_for, symbols_to_bits
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.spanning_trees import Arborescence, pack_arborescences
 from repro.transport.network import SynchronousNetwork
-from repro.types import Edge, NodeId
+from repro.types import NodeId
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,3 @@ def run_phase1(
         sent_symbols=sent_symbols,
         received_symbols=received_symbols,
     )
-
-
-def expected_forward_symbols(
-    transcript: Phase1Transcript, node: NodeId
-) -> Dict[Tuple[int, NodeId, NodeId], int]:
-    """What an honest ``node`` should have sent given what it received (for DC3).
-
-    For each tree, an honest relay forwards to each child exactly the symbol it
-    received from its parent; an honest source sends the symbols derived from
-    its (broadcast) input.
-    """
-    expected: Dict[Tuple[int, NodeId, NodeId], int] = {}
-    for tree_index, tree in enumerate(transcript.trees):
-        if node == tree.root:
-            continue
-        if node not in tree.parents:
-            continue
-        received = transcript.received_symbols.get((tree_index, node), 0)
-        for child in tree.children_of(node):
-            expected[(tree_index, node, child)] = received
-    return expected

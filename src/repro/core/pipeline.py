@@ -68,7 +68,8 @@ def _stages_of(result: InstanceResult) -> _InstanceStages:
 
     Phase 1 and Phase 3 durations come from the per-phase accounting; the
     remainder (equality check, flag broadcasts, and any propagation latency a
-    scheduled transport measured on top) is everything else in ``elapsed``.
+    link model's replayed clock measured on top) is everything else in
+    ``elapsed``.
     """
     phase1 = Fraction(0)
     dispute = Fraction(0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.classical.flooding import classical_flooding_run, eig_chunked_run
@@ -24,62 +25,60 @@ from repro.graph.network_graph import NetworkGraph
 from repro.transport.faults import FaultModel
 from repro.transport.link_faults import LinkFaultPlan, fault_plan
 from repro.transport.links import LinkModel, link_model
-from repro.transport.network import NetworkFactory
-from repro.transport.reliable import ReliableNetwork, accumulate_reliability_stats
-from repro.transport.scheduled import ScheduledNetwork
+from repro.transport.network import NetworkFactory, SynchronousNetwork
 from repro.types import NodeId, RunRecord
 
 
 class ReliabilityCollector:
-    """A transport factory that builds ARQ networks and aggregates their stats.
+    """A transport factory over a link model and/or a fault plan.
 
     Protocols construct one network per instance through their
-    ``network_factory`` hook; this callable keeps every network it built so
-    the adapter can fold the per-network
-    :meth:`~repro.transport.reliable.ReliableNetwork.reliability_stats` into
-    one per-run total after the run (see :func:`attach_reliability_stats`).
+    ``network_factory`` hook.  Under a lossy plan this callable keeps every
+    network it built, so the adapter can fold their
+    :meth:`~repro.transport.network.SynchronousNetwork.reliability_stats`
+    into one per-run total after the run (see :func:`attach_reliability_stats`).
     """
 
-    def __init__(self, plan: LinkFaultPlan, model: Optional[LinkModel]) -> None:
+    def __init__(self, plan: Optional[LinkFaultPlan], model: Optional[LinkModel]) -> None:
         self.plan = plan
         self.model = model
-        self.networks: List[ReliableNetwork] = []
+        self.lossy = plan is not None and not plan.is_clean
+        self.networks: List[SynchronousNetwork] = []
 
-    def __call__(self, graph: NetworkGraph, fault_model: FaultModel) -> ReliableNetwork:
-        network = ReliableNetwork(
-            graph, fault_model, link_model=self.model, fault_plan=self.plan
-        )
-        self.networks.append(network)
+    def __call__(self, graph: NetworkGraph, fault_model: FaultModel) -> SynchronousNetwork:
+        network = SynchronousNetwork(graph, fault_model, self.model, self.plan)
+        if self.lossy:
+            self.networks.append(network)
         return network
 
     def totals(self) -> Dict[str, object]:
         """Run-wide ARQ overhead: every constructed network's stats, summed."""
         totals: Dict[str, object] = {}
         for network in self.networks:
-            accumulate_reliability_stats(totals, network.reliability_stats())
+            for key, value in network.reliability_stats().items():
+                if key == "timeout_time":
+                    totals[key] = str(Fraction(totals.get(key, 0)) + Fraction(value))
+                else:
+                    totals[key] = totals.get(key, 0) + value
         return totals
 
 
 def network_factory_from_params(params: Mapping[str, object]) -> Optional[NetworkFactory]:
     """Build the transport factory a ``params`` mapping asks for.
 
-    When ``params`` carries a ``"link_model"`` name the run goes through
-    :class:`ScheduledNetwork` with that named model (``"instant"`` included —
-    the measured clock then equals the analytical one exactly, per the
-    scheduler contract); a ``"fault_plan"`` name upgrades the transport to
-    the ARQ :class:`~repro.transport.reliable.ReliableNetwork` over that plan
-    (composable with ``"link_model"``).  Without either key the protocol
-    keeps its default zero-delay transport.
+    A ``"link_model"`` name and/or a ``"fault_plan"`` name give a
+    :class:`ReliabilityCollector` over :class:`SynchronousNetwork` with that
+    named model and plan (``"instant"`` and clean plans included — they
+    measure exactly what the default transport does).  Without either key
+    the protocol keeps its default transport.
     """
     model_name = params.get("link_model")
-    model = link_model(str(model_name)) if model_name is not None else None
     plan_name = params.get("fault_plan")
-    if plan_name is not None:
-        return ReliabilityCollector(fault_plan(str(plan_name)), model)
-    if model is None:
+    if model_name is None and plan_name is None:
         return None
-    return lambda graph, fault_model: ScheduledNetwork(
-        graph, fault_model, link_model=model
+    return ReliabilityCollector(
+        None if plan_name is None else fault_plan(str(plan_name)),
+        None if model_name is None else link_model(str(model_name)),
     )
 
 
@@ -89,11 +88,11 @@ def attach_reliability_stats(
     """Copy a run's aggregated ARQ overhead into ``record.metadata``.
 
     A no-op unless the run went through a :class:`ReliabilityCollector` with a
-    *non-clean* fault plan: clean plans are bit-identical to the plain
-    scheduled transport by contract, so their records must not change shape
-    either (the zero-fault byte-identity guarantee).
+    *lossy* fault plan: a clean plan sends exactly as no plan does, so its
+    records must not change shape either (the zero-fault byte-identity
+    guarantee).
     """
-    if not isinstance(factory, ReliabilityCollector) or factory.plan.is_clean:
+    if not isinstance(factory, ReliabilityCollector) or not factory.lossy:
         return record
     metadata = dict(record.metadata)
     metadata["reliability"] = factory.totals()

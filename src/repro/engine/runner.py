@@ -89,16 +89,15 @@ def run_cell_record(
         "execution": cell.execution,
     }
     if cell.link_model != "instant":
-        # The zero-latency scheduled clock is contractually identical to
-        # the plain transport's (see repro.transport.scheduled), so
-        # default cells skip the per-send scheduling bookkeeping entirely.
+        # A zero-delay model's replayed clock is contractually identical to
+        # the accountant's (see repro.transport.network), so default cells
+        # build the transport without one.
         params["link_model"] = cell.link_model
     if cell.fault_plan != "none":
-        # Any named plan (clean ones included) routes through the ARQ
-        # transport — the clean fast path is contractually bit-identical
-        # to the default transport, and exercising it keeps the zero-rate
-        # byte-identity guarantee honest.  Only "none" itself skips the
-        # per-send bookkeeping entirely, mirroring link_model "instant".
+        # Any named plan (clean ones included) reaches the transport — a
+        # clean plan sends exactly as no plan does, and passing it keeps
+        # the zero-rate byte-identity guarantee honest.  Only "none" itself
+        # is left out, mirroring link_model "instant".
         params["fault_plan"] = cell.fault_plan
     if snapshot is not None:
         params["snapshot"] = snapshot

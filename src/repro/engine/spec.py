@@ -213,11 +213,12 @@ class ExperimentSpec:
             :data:`PIPELINED`); pipelined points are expanded only for
             pipeline-capable protocols.
         link_models: Named link models (see
-            :func:`repro.transport.links.named_link_models`) the scheduled
-            transport applies; ``"instant"`` is the paper's base model.
+            :func:`repro.transport.links.named_link_models`) the transport
+            replays its clock under; ``"instant"`` is the paper's base model.
         fault_plans: Named link-fault plans (see
-            :func:`repro.transport.link_faults.named_fault_plans`) the ARQ
-            transport applies; ``"none"`` is the paper's reliable base model.
+            :func:`repro.transport.link_faults.named_fault_plans`) the
+            transport's ARQ recovers from; ``"none"`` is the paper's
+            reliable base model.
         instances: Number of broadcast instances per cell (``Q``).
         source: The broadcasting node (the paper uses node 1).
         base_seed: Root seed all per-cell seeds are derived from.

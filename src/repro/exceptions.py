@@ -84,7 +84,6 @@ class ReproductionFinding(ReproError):
 class SchedulerError(ReproError):
     """Raised for invalid timing or link parameters.
 
-    Examples include a negative link latency or jitter (``LinkModel``), fault
-    rates outside ``[0, 1]`` or summing past 1 (``EdgeFaultRates``), or an ARQ
-    timeout, backoff or retry budget out of range (``ReliableNetwork``).
+    Examples include a negative link latency or jitter (``LinkModel``), or
+    fault rates outside ``[0, 1]`` or summing past 1 (``EdgeFaultRates``).
     """

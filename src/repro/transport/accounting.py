@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from repro.exceptions import GraphError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.graph.network_graph import NetworkGraph
-from repro.types import Edge, NodeId, PhaseTiming, accumulate_link_bits
+from repro.types import Edge, PhaseTiming, accumulate_link_bits
 
 
 @dataclass
@@ -53,29 +53,12 @@ class TimeAccountant:
             ledger = self._phases[phase] = _PhaseLedger(link_bits={}, fixed_overhead=Fraction(0))
         return ledger
 
-    def record_transmission(self, phase: str, tail: NodeId, head: NodeId, bits: int) -> None:
-        """Charge ``bits`` of usage on the link ``(tail, head)`` to ``phase``.
-
-        Raises:
-            GraphError: if the link does not exist in the graph.
-            ProtocolError: if ``bits`` is not a positive integer.
-        """
-        if not self._graph.has_edge(tail, head):
-            raise GraphError(f"cannot transmit on missing link ({tail}, {head})")
-        if not isinstance(bits, int) or isinstance(bits, bool) or bits <= 0:
-            raise ProtocolError(f"bits must be a positive integer, got {bits!r}")
-        link_bits = self._ledger(phase).link_bits
-        key = (tail, head)
-        link_bits[key] = link_bits.get(key, 0) + bits
-
     def link_ledger(self, phase: str) -> Dict[Edge, int]:
         """The live per-link bit ledger of ``phase`` (registered on first use).
 
         For transport code that has already validated the link and the bit
-        count: the per-message hot path (``SynchronousNetwork.send``) and the
-        ARQ network's wasted wire copies add to it in place, skipping
-        :meth:`record_transmission`'s re-checks.  Everything else reads the
-        copy :meth:`link_bits` returns.
+        count: ``SynchronousNetwork.send`` charges every wire copy, delivered
+        or wasted, into it in place.
         """
         ledger = self._phases.get(phase)
         if ledger is None:
@@ -95,12 +78,6 @@ class TimeAccountant:
         """Phases seen so far, in first-use order."""
         return list(self._phases)
 
-    def link_bits(self, phase: str) -> Dict[Edge, int]:
-        """Bits charged to each link during ``phase`` (empty dict if unknown phase)."""
-        if phase not in self._phases:
-            return {}
-        return dict(self._phases[phase].link_bits)
-
     def total_link_bits(self) -> Dict[Edge, int]:
         """Bits charged to each link, aggregated across every phase."""
         totals: Dict[Edge, int] = {}
@@ -108,31 +85,11 @@ class TimeAccountant:
             accumulate_link_bits(totals, ledger.link_bits)
         return totals
 
-    def phase_bits(self, phase: str) -> int:
-        """Total bits sent on all links during ``phase``."""
-        if phase not in self._phases:
-            return 0
-        return self._phases[phase].total_bits()
-
     def phase_fixed_overhead(self, phase: str) -> Fraction:
         """Fixed (link-independent) time charged to ``phase`` so far."""
         if phase not in self._phases:
             return Fraction(0)
         return self._phases[phase].fixed_overhead
-
-    def total_fixed_overhead(self) -> Fraction:
-        """Fixed overhead summed across every phase."""
-        return sum(
-            (ledger.fixed_overhead for ledger in self._phases.values()),
-            Fraction(0),
-        )
-
-    def phase_elapsed(self, phase: str) -> Fraction:
-        """Elapsed time of ``phase``: ``max_e bits_e / z_e`` plus fixed overhead."""
-        ledger = self._phases.get(phase)
-        if ledger is None:
-            return Fraction(0)
-        return self._ledger_elapsed(ledger)
 
     def _ledger_elapsed(self, ledger: _PhaseLedger) -> Fraction:
         """``max_e bits_e / z_e`` plus fixed overhead, as one exact ``Fraction``.
@@ -157,10 +114,6 @@ class TimeAccountant:
         """Sum of the elapsed times of all phases (phases run sequentially)."""
         return sum(map(self._ledger_elapsed, self._phases.values()), Fraction(0))
 
-    def total_bits(self) -> int:
-        """Total bits sent on all links across all phases."""
-        return sum(ledger.total_bits() for ledger in self._phases.values())
-
     def phase_timings(self) -> Tuple[PhaseTiming, ...]:
         """Immutable per-phase summary in execution order."""
         return tuple(
@@ -171,16 +124,3 @@ class TimeAccountant:
             )
             for phase, ledger in self._phases.items()
         )
-
-    def merge_from(self, other: "TimeAccountant") -> None:
-        """Fold another accountant's ledgers into this one (phases keep their names).
-
-        Used when a sub-protocol (e.g. the classical 1-bit broadcast) runs with
-        its own accountant and its cost must be attributed to the caller.
-        """
-        for phase in other.phase_names():
-            for (tail, head), bits in other.link_bits(phase).items():
-                self.record_transmission(phase, tail, head, bits)
-            overhead = other._phases[phase].fixed_overhead
-            if overhead:
-                self.add_fixed_overhead(phase, overhead)

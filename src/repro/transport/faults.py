@@ -176,11 +176,6 @@ class FaultModel:
         self.strategy = strategy if strategy is not None else ByzantineStrategy()
         self.strategy.observe_faulty_nodes(self._faulty)
 
-    @property
-    def faulty_nodes(self) -> FrozenSet[NodeId]:
-        """The set of Byzantine node identifiers."""
-        return self._faulty
-
     def fault_count(self) -> int:
         """Number of Byzantine nodes."""
         return len(self._faulty)

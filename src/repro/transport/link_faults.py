@@ -12,9 +12,10 @@ scattered loss patterns.
 
 The fault layer sits *below* the Byzantine layer: :mod:`repro.transport.faults`
 models adversarial nodes, this module models an unreliable medium.  The ARQ
-transport (:class:`repro.transport.reliable.ReliableNetwork`) turns these
-per-attempt faults back into reliable delivery via timeout/retransmission, so
-protocol semantics never observe them — only the clocks and bit ledgers do.
+transport (:class:`repro.transport.network.SynchronousNetwork` given a plan)
+turns these per-attempt faults back into reliable delivery via
+timeout/retransmission, so protocol semantics never observe them — only the
+clocks and bit ledgers do.
 
 Plans are named in a fixed registry so experiment specs can reference them
 declaratively (``fault_plans=("none", "drop-10pct")``), exactly like
@@ -62,13 +63,13 @@ class EdgeFaultRates:
     corrupt: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        # Coerced once here, so deciding an attempt builds no Fraction.
         total = Fraction(0)
-        for label, rate in (
-            ("drop", self.drop), ("duplicate", self.duplicate), ("corrupt", self.corrupt)
-        ):
-            rate = Fraction(rate)
+        for label in ("drop", "duplicate", "corrupt"):
+            rate = Fraction(getattr(self, label))
             if rate < 0 or rate > 1:
                 raise SchedulerError(f"{label} rate must be in [0, 1], got {rate}")
+            object.__setattr__(self, label, rate)
             total += rate
         if total > 1:
             raise SchedulerError(f"fault rates sum to {total} > 1")
@@ -76,11 +77,7 @@ class EdgeFaultRates:
     @property
     def is_clean(self) -> bool:
         """Whether this link never misbehaves."""
-        return (
-            Fraction(self.drop) == 0
-            and Fraction(self.duplicate) == 0
-            and Fraction(self.corrupt) == 0
-        )
+        return not (self.drop or self.duplicate or self.corrupt)
 
 
 @dataclass(frozen=True)
@@ -131,13 +128,13 @@ class LinkFaultPlan:
             f"{self.seed}|{edge[0]}->{edge[1]}|{attempt}".encode()
         ).digest()
         point = Fraction(int.from_bytes(digest[:4], "big") % FAULT_STEPS, FAULT_STEPS)
-        threshold = Fraction(rates.drop)
+        threshold = rates.drop
         if point < threshold:
             return DROP
-        threshold += Fraction(rates.corrupt)
+        threshold += rates.corrupt
         if point < threshold:
             return CORRUPT
-        threshold += Fraction(rates.duplicate)
+        threshold += rates.duplicate
         if point < threshold:
             return DUPLICATE
         return DELIVER

@@ -1,4 +1,4 @@
-"""Per-link delivery models for the scheduled transport.
+"""Per-link delivery models for the transport's replayed clock.
 
 The paper's base model delivers messages instantaneously once their bits have
 drained through the link (zero propagation delay); Appendix D motivates the
@@ -59,6 +59,12 @@ class LinkModel:
         for edge, value in self.per_link.items():
             if Fraction(value) < 0:
                 raise SchedulerError(f"negative latency for link {edge}")
+
+    @property
+    def adds_delay(self) -> bool:
+        """Whether any delivery is delayed past its drain (else the replayed
+        clock equals the accountant's total, and no replay is needed)."""
+        return bool(self.latency or self.jitter or any(self.per_link.values()))
 
     def link_latency(self, edge: Edge) -> Fraction:
         """Base propagation latency of one directed link."""

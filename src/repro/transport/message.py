@@ -84,7 +84,7 @@ class Message(tuple):
         return (tuple.__new__, (type(self), tuple(self)))
 
     def replace_payload(self, payload: Any, bit_size: int | None = None) -> "Message":
-        """Return a copy with a different payload (used by Byzantine interception)."""
+        """Return a copy with a different payload (a message rewritten in flight)."""
         return Message(
             self.sender,
             self.receiver,

@@ -91,7 +91,7 @@ for _hook in RecordingStrategy.HOOKS:
 def _ledger(network):
     """Per-phase, per-link bit totals of everything sent so far."""
     accountant = network.accountant
-    return {phase: accountant.link_bits(phase) for phase in accountant.phase_names()}
+    return {phase: dict(accountant.link_ledger(phase)) for phase in accountant.phase_names()}
 
 
 class TestMajorityValue:
@@ -159,7 +159,7 @@ class TestDisjointPathRelay:
         network = SynchronousNetwork(complete_graph(4))
         relay = DisjointPathRelay(network, max_faults=1)
         assert relay.reliable_send(2, 2, "x", 8, "p") == "x"
-        assert network.total_bits() == 0
+        assert network.result_accounting()["bits_sent"] == 0
 
     def test_reliable_send_survives_corrupting_intermediate(self):
         fault_model = FaultModel([2], CorruptingRelayStrategy())
@@ -172,7 +172,7 @@ class TestDisjointPathRelay:
         relay = DisjointPathRelay(network, max_faults=1)
         relay.reliable_send(1, 3, "payload", 10, "p")
         # 3 disjoint paths: one direct (1 hop) and two 2-hop paths -> 5 hops total.
-        assert network.total_bits() == 5 * 10
+        assert network.result_accounting()["bits_sent"] == 5 * 10
 
 
 #: (topology, f, faulty placement).  ``ring7-chords`` has connectivity 4, so
@@ -198,8 +198,8 @@ class TestBatchedRelayMatchesPerValueOracle:
         network = SynchronousNetwork(topology(topology_name), FaultModel(faulty, recorder))
         relay = DisjointPathRelay(network, max_faults, instance=3)
         delivered = {}
-        for sender in network.nodes():
-            for receiver in network.nodes():
+        for sender in network.graph.nodes():
+            for receiver in network.graph.nodes():
                 phase = f"round{sender % 2}"
                 if batched:
                     delivered[sender, receiver] = relay.reliable_send_vector(
@@ -231,14 +231,14 @@ class TestBatchedRelayMatchesPerValueOracle:
         relay = DisjointPathRelay(network, max_faults=1)
         assert relay.reliable_send_vector(1, 3, ["a", "b"], 10, "p") == ["a", "b"]
         # 5 hops (one direct path, two 2-hop paths), one message each.
-        assert network.total_bits() == 5 * 2 * 10
+        assert network.result_accounting()["bits_sent"] == 5 * 2 * 10
         assert len(network.delivered_messages()) == 5
 
     def test_to_self_is_identity(self):
         network = SynchronousNetwork(complete_graph(4))
         relay = DisjointPathRelay(network, max_faults=1)
         assert relay.reliable_send_vector(2, 2, ["x", "y"], [8, 9], "p") == ["x", "y"]
-        assert network.total_bits() == 0
+        assert network.result_accounting()["bits_sent"] == 0
 
     @pytest.mark.parametrize(
         "values, sizes",
@@ -251,7 +251,7 @@ class TestBatchedRelayMatchesPerValueOracle:
         relay = DisjointPathRelay(network, max_faults=1)
         with pytest.raises(ProtocolError):
             relay.reliable_send_vector(1, 3, values, sizes, "p")
-        assert network.total_bits() == 0
+        assert network.result_accounting()["bits_sent"] == 0
 
 
 class TestSharedRoundsMatchPerOriginBroadcasts:
@@ -270,7 +270,7 @@ class TestSharedRoundsMatchPerOriginBroadcasts:
             if shared:
                 outputs = broadcaster.broadcast_from_all(values, sizes, "dc", context="claims")
             else:
-                outputs = {node: {} for node in network.fault_free_nodes()}
+                outputs = {node: {} for node in network.fault_model.fault_free(graph.nodes())}
                 for origin in graph.nodes():
                     decided = broadcaster.broadcast(
                         origin, values[origin], sizes[origin], "dc",
@@ -307,7 +307,7 @@ class TestSharedRoundsMatchPerValueBroadcasts:
                     1, MANY_VALUES, MANY_SIZES, "bb", context="chunked", contexts=contexts
                 )
             else:
-                outputs = {node: [] for node in network.fault_free_nodes()}
+                outputs = {node: [] for node in network.fault_model.fault_free(graph.nodes())}
                 for value, size, context in zip(MANY_VALUES, MANY_SIZES, contexts):
                     decided = broadcaster.broadcast(1, value, size, "bb", context=context)
                     for receiver, decision in decided.items():
@@ -345,7 +345,7 @@ class TestSharedRoundsMatchPerValueBroadcasts:
         broadcaster = BroadcastDefault(network, graph.nodes(), 1)
         with pytest.raises(ProtocolError):
             broadcaster.broadcast_many(source, values, sizes, "bb", contexts=contexts)
-        assert network.total_bits() == 0
+        assert network.result_accounting()["bits_sent"] == 0
 
 
 class TestStrategiesAreKeyedStateless:
@@ -434,7 +434,7 @@ class TestEIGBroadcast:
     def test_bits_are_charged(self):
         network, eig = self._make(4)
         eig.broadcast(1, "v", 8, "p")
-        assert network.total_bits() > 0
+        assert network.result_accounting()["bits_sent"] > 0
 
     def test_broadcast_bit_cost_monotone_in_n(self):
         assert broadcast_bit_cost(5, 1) > broadcast_bit_cost(4, 1)

@@ -14,15 +14,15 @@ from repro.types import node_pair
 class TestDisputeRecording:
     def test_add_and_count(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
-        state.add_dispute(3, 2)  # same pair
-        assert state.dispute_count() == 1
+        state.add_disputes([node_pair(2, 3)])
+        state.add_disputes([node_pair(3, 2)])  # same pair
+        assert len(state.disputes()) == 1
         assert node_pair(2, 3) in state.disputes()
 
     def test_add_disputes_batch(self):
         state = DisputeState(2)
         state.add_disputes([node_pair(1, 2), node_pair(3, 4)])
-        assert state.dispute_count() == 2
+        assert len(state.disputes()) == 2
 
     def test_add_disputes_rejects_bad_pairs(self):
         state = DisputeState(1)
@@ -35,27 +35,25 @@ class TestDisputeRecording:
 
     def test_dispute_partners(self):
         state = DisputeState(2)
-        state.add_dispute(1, 2)
-        state.add_dispute(1, 3)
+        state.add_disputes([node_pair(1, 2)])
+        state.add_disputes([node_pair(1, 3)])
         assert state.dispute_partners(1) == {2, 3}
         assert state.dispute_partners(2) == {1}
         assert state.dispute_partners(4) == set()
 
     def test_snapshot_and_copy(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         state.mark_faulty(4)
         clone = state.copy()
-        clone.add_dispute(1, 2)
-        assert state.dispute_count() == 1
-        assert clone.dispute_count() == 2
-        disputes, faulty = state.snapshot()
-        assert faulty == frozenset({4})
-        assert disputes == frozenset({node_pair(2, 3)})
+        clone.add_disputes([node_pair(1, 2)])
+        assert state.disputes() == frozenset({node_pair(2, 3)})
+        assert len(clone.disputes()) == 2
+        assert state.to_jsonable()["known_faulty"] == [4]
 
     def test_repr(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         assert "(2, 3)" in repr(state)
 
 
@@ -67,25 +65,25 @@ class TestFaultInference:
 
     def test_node_in_dispute_with_more_than_f_nodes_is_faulty(self):
         state = DisputeState(1)
-        state.add_dispute(2, 1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 1)])
+        state.add_disputes([node_pair(2, 3)])
         assert 2 in state.implied_faulty([1, 2, 3, 4])
 
     def test_single_dispute_is_ambiguous(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         assert state.implied_faulty([1, 2, 3, 4]) == set()
 
     def test_intersection_of_explaining_sets(self):
         # With f = 1 and disputes {2,3} and {2,4}, only {2} explains both.
         state = DisputeState(1)
-        state.add_dispute(2, 3)
-        state.add_dispute(2, 4)
+        state.add_disputes([node_pair(2, 3)])
+        state.add_disputes([node_pair(2, 4)])
         assert state.implied_faulty([1, 2, 3, 4]) == {2}
 
     def test_explaining_sets_enumeration(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         explaining = state.explaining_sets([1, 2, 3, 4])
         assert frozenset({2}) in explaining
         assert frozenset({3}) in explaining
@@ -97,12 +95,12 @@ class TestFaultInference:
 
     def test_f2_requires_more_evidence(self):
         state = DisputeState(2)
-        state.add_dispute(2, 3)
-        state.add_dispute(2, 4)
+        state.add_disputes([node_pair(2, 3)])
+        state.add_disputes([node_pair(2, 4)])
         # With f = 2 the pair {3, 4} also explains everything, so node 2 is not
         # yet certainly faulty.
         assert state.implied_faulty([1, 2, 3, 4, 5, 6, 7]) == set()
-        state.add_dispute(2, 5)
+        state.add_disputes([node_pair(2, 5)])
         assert state.implied_faulty([1, 2, 3, 4, 5, 6, 7]) == {2}
 
 
@@ -114,7 +112,7 @@ class TestInstanceGraph:
 
     def test_dispute_removes_links(self):
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         derived = state.instance_graph(figure1a())
         assert not derived.has_edge(2, 3)
         assert not derived.has_edge(3, 2)
@@ -129,8 +127,8 @@ class TestInstanceGraph:
 
     def test_excessive_disputes_remove_node(self):
         state = DisputeState(1)
-        state.add_dispute(3, 1)
-        state.add_dispute(3, 2)
+        state.add_disputes([node_pair(3, 1)])
+        state.add_disputes([node_pair(3, 2)])
         derived = state.instance_graph(complete_graph(4))
         assert not derived.has_node(3)
         # Links between the surviving disputed pairs are also dropped.

@@ -79,7 +79,7 @@ class TestFaultFreeRuns:
         assert record.throughput is not None and record.throughput > 0
         assert record.dispute_control_executions == 0
         assert record.instances == len(record.outputs) == 5
-        assert nab.instances_run == 5
+        assert nab.snapshot_state()["instances_run"] == 5
 
     def test_outputs_match_inputs_per_instance(self):
         values = _values(4, seed=3)
@@ -90,7 +90,7 @@ class TestFaultFreeRuns:
     def test_instance_graph_unchanged_without_faults(self):
         nab = NetworkAwareBroadcast(complete_graph(4), 1, 1)
         nab.run(_values(3))
-        assert graph_signature(nab.current_instance_graph()) == graph_signature(nab.graph)
+        assert graph_signature(nab.dispute_state.instance_graph(nab.graph)) == graph_signature(nab.graph)
 
 
 ATTACKS = [

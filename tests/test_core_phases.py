@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from _oracles.core import expected_forward_symbols
 
 from repro.adversary.strategies import (
     DisputeLiarStrategy,
@@ -16,7 +17,7 @@ from repro.adversary.strategies import (
 from repro.coding.coding_matrix import generate_coding_scheme
 from repro.core.dispute_state import DisputeState
 from repro.core.parameters import compute_instance_parameters
-from repro.core.phase1_broadcast import expected_forward_symbols, run_phase1
+from repro.core.phase1_broadcast import run_phase1
 from repro.core.phase2_equality import run_phase2
 from repro.core.phase3_dispute import claims_bit_size, honest_claims, run_phase3
 from repro.exceptions import ProtocolError
@@ -26,6 +27,7 @@ from repro.graph.generators import complete_graph, figure1a
 from repro.graph.mincut import broadcast_mincut
 from repro.transport.faults import FaultModel
 from repro.transport.network import SynchronousNetwork
+from repro.types import node_pair
 
 L_BITS = 32
 INPUT = 0xDEADBEEF
@@ -43,7 +45,7 @@ class TestParameters:
         from repro.graph.generators import figure1b
 
         state = DisputeState(1)
-        state.add_dispute(2, 3)
+        state.add_disputes([node_pair(2, 3)])
         graph = state.instance_graph(figure1a())
         assert graph_signature(graph) == graph_signature(figure1b())
         params = compute_instance_parameters(graph, 1, 4, 1, state)
@@ -78,7 +80,9 @@ class TestPhase1:
         network, gamma = _phase1_setup(graph)
         run_phase1(network, graph, 1, 0xAB, 8, gamma, phase="p1")
         # gamma = 3 on K4 with unit capacities; ceil(8/3) = 3 bits per symbol.
-        assert network.accountant.phase_elapsed("p1") == Fraction(symbol_size_for(8, gamma))
+        assert [timing.time_units for timing in network.accountant.phase_timings() if timing.name == "p1"] == [
+            Fraction(symbol_size_for(8, gamma))
+        ]
 
     def test_input_out_of_range_rejected(self):
         graph = figure1a()

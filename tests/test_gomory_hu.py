@@ -40,6 +40,7 @@ from repro.graph.maxflow import _DinicSolver, max_flow_value
 from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.undirected import UndirectedView
+from repro.types import node_pair
 from repro.workloads.topologies import topology
 
 
@@ -186,7 +187,7 @@ class TestGlobalMinCut:
         state = DisputeState(max_faults=3)
         disputes = [(1, 2), (2, 3), (5, 6)]
         for index, (a, b) in enumerate(disputes):
-            state.add_dispute(a, b)
+            state.add_disputes([node_pair(a, b)])
             derived = state.instance_graph(graph)
             for source in (1, 4, 8):
                 assert broadcast_mincut(derived, source) == min(

@@ -1,8 +1,8 @@
 """Seeded link faults and ARQ reliable delivery.
 
 Pins the PR 6 reliability contract: fault plans decide deterministically per
-``(seed, edge, attempt)``; the ARQ transport over a *clean* plan is
-bit-identical to the plain scheduled transport (and a zero-rate shadow of
+``(seed, edge, attempt)``; the transport over a *clean* plan is
+bit-identical to the transport without one (and a zero-rate shadow of
 every registered plan reproduces the quick-grid rows byte-for-byte with
 ``retransmit_bits == 0``); under loss, retransmission preserves delivery and
 the measured clock keeps equalling the analytical oracle; a link dead after
@@ -23,7 +23,7 @@ from repro.engine import get_protocol, get_spec
 from repro.engine.runner import dump_row, run_cell
 from repro.exceptions import ConfigurationError, SchedulerError
 from repro.graph.network_graph import NetworkGraph
-from repro.transport import FaultModel, ReliableNetwork, ScheduledNetwork
+from repro.transport import FaultModel, SynchronousNetwork
 from repro.transport.link_faults import (
     CORRUPT,
     DELIVER,
@@ -34,6 +34,7 @@ from repro.transport.link_faults import (
     fault_plan,
     named_fault_plans,
 )
+from repro.transport.network import ARQ_BACKOFF, ARQ_MAX_ATTEMPTS, ARQ_TIMEOUT
 from repro.workloads.scenarios import input_stream
 from repro.workloads.topologies import topology
 
@@ -41,6 +42,24 @@ from repro.workloads.topologies import topology
 @pytest.fixture()
 def graph():
     return NetworkGraph.from_edges({(1, 2): 2, (2, 3): 1, (1, 3): 4})
+
+
+def elapsed(network):
+    """The clock a result reports (the accountant's total at zero delay)."""
+    return network.result_accounting()["elapsed"]
+
+
+def bits(network):
+    return network.result_accounting()["bits_sent"]
+
+
+def replayed(network):
+    """Where the replayed clock ends; equals :func:`elapsed` at zero delay."""
+    return network.phase_segments()[-1].end
+
+
+def received_by(network, node, phase):
+    return [m for m in network.delivered_messages() if m.receiver == node and m.phase == phase]
 
 
 #: A plan that drops every attempt on every link: the degradation worst case.
@@ -139,17 +158,19 @@ class TestFaultPlans:
 
 class TestReliableNetworkCleanPath:
     def test_clean_plan_is_bit_identical_to_scheduled(self, graph):
-        scheduled = ScheduledNetwork(graph)
-        reliable = ReliableNetwork(graph, fault_plan=LinkFaultPlan())
+        scheduled = SynchronousNetwork(graph)
+        reliable = SynchronousNetwork(graph, fault_plan=LinkFaultPlan())
         for network in (scheduled, reliable):
             network.send(1, 2, b"a", 10, "p1")
             network.send(1, 3, b"b", 12, "p1")
             network.send(2, 3, b"c", 3, "p2")
-        assert reliable.elapsed_time() == scheduled.elapsed_time()
-        assert reliable.accountant.total_elapsed() == scheduled.accountant.total_elapsed()
+        assert reliable.result_accounting() == scheduled.result_accounting()
         assert reliable.delivery_timeline() == scheduled.delivery_timeline()
         assert reliable.phase_segments() == scheduled.phase_segments()
-        assert reliable.total_bits() == scheduled.total_bits()
+        # Messages equal but for their process-wide sequence numbers.
+        assert [message[:6] for message in reliable.delivered_messages()] == [
+            message[:6] for message in scheduled.delivered_messages()
+        ]
         assert reliable.reliability_stats() == {
             "retransmit_bits": 0,
             "retransmissions": 0,
@@ -158,14 +179,6 @@ class TestReliableNetworkCleanPath:
             "dropped_messages": 0,
             "timeout_time": "0",
         }
-
-    def test_constructor_validation(self, graph):
-        with pytest.raises(SchedulerError):
-            ReliableNetwork(graph, timeout=Fraction(-1))
-        with pytest.raises(SchedulerError):
-            ReliableNetwork(graph, backoff=Fraction(1, 2))
-        with pytest.raises(SchedulerError):
-            ReliableNetwork(graph, max_attempts=0)
 
 
 class TestReliableNetworkArq:
@@ -177,22 +190,21 @@ class TestReliableNetworkArq:
                 return DROP if attempt < 2 else DELIVER
 
         plan = TwoDrops(name="two-drops", rates=EdgeFaultRates(drop=Fraction(1, 2)))
-        network = ReliableNetwork(
-            graph, fault_plan=plan, timeout=Fraction(1), backoff=Fraction(2)
-        )
+        network = SynchronousNetwork(graph, fault_plan=plan)
         network.send(1, 2, b"x", 10, "p")
         stats = network.reliability_stats()
         assert stats["retransmissions"] == 2
         assert stats["retransmit_bits"] == 20
         assert stats["dropped_messages"] == 0
         # Timeouts: 1 * 2**0 + 1 * 2**1 = 3 units of backoff.
+        assert (ARQ_TIMEOUT, ARQ_BACKOFF) == (1, 2)
         assert stats["timeout_time"] == "3"
         # All three copies drained the link (15 units at capacity 2) plus the
         # 3 timeout units; measured equals analytical throughout.
-        assert network.elapsed_time() == Fraction(30, 2) + 3
-        assert network.elapsed_time() == network.accountant.total_elapsed()
+        assert elapsed(network) == Fraction(30, 2) + 3
+        assert elapsed(network) == replayed(network) == network.accountant.total_elapsed()
         # Exactly one delivery reached the inbox.
-        assert len(network.messages_received_by(2, "p")) == 1
+        assert len(received_by(network, 2, "p")) == 1
 
     def test_duplicate_delivers_once_but_drains_twice(self, graph):
         class AlwaysDuplicate(LinkFaultPlan):
@@ -202,38 +214,36 @@ class TestReliableNetworkArq:
         plan = AlwaysDuplicate(
             name="always-dup", rates=EdgeFaultRates(duplicate=Fraction(1))
         )
-        network = ReliableNetwork(graph, fault_plan=plan)
+        network = SynchronousNetwork(graph, fault_plan=plan)
         network.send(1, 2, b"x", 10, "p")
         stats = network.reliability_stats()
         assert stats["duplicated_messages"] == 1
         assert stats["retransmit_bits"] == 10
         assert stats["retransmissions"] == 0
         assert stats["timeout_time"] == "0"
-        assert len(network.messages_received_by(2, "p")) == 1
+        assert len(received_by(network, 2, "p")) == 1
         # Two copies on the wire: 20 bits over capacity 2.
-        assert network.elapsed_time() == Fraction(20, 2)
-        assert network.elapsed_time() == network.accountant.total_elapsed()
+        assert elapsed(network) == Fraction(20, 2)
+        assert elapsed(network) == replayed(network) == network.accountant.total_elapsed()
 
     def test_dead_link_surfaces_as_omission_not_exception(self, graph):
-        network = ReliableNetwork(
-            graph, fault_plan=ALWAYS_DROP, max_attempts=3, timeout=Fraction(1)
-        )
+        assert ARQ_MAX_ATTEMPTS == 8
+        network = SynchronousNetwork(graph, fault_plan=ALWAYS_DROP)
         message = network.send(1, 2, b"x", 10, "p")
         # The caller gets a message object, but nothing was delivered.
         assert message.receiver == 2
         assert network.delivered_messages() == []
-        assert network.messages_received_by(2, "p") == []
         stats = network.reliability_stats()
         assert stats["dropped_messages"] == 1
-        assert stats["retransmissions"] == 2  # attempts 2 and 3 were retries
-        assert stats["retransmit_bits"] == 30  # all 3 attempts drained
+        assert stats["retransmissions"] == 7  # attempts 2 to 8 were retries
+        assert stats["retransmit_bits"] == 80  # all 8 attempts drained
         letters = network.dead_letters()
         assert len(letters) == 1
         assert letters[0].edge == (1, 2)
-        assert letters[0].attempts == 3
-        # 1 + 2 + 4 timeout units; clocks still agree.
-        assert stats["timeout_time"] == "7"
-        assert network.elapsed_time() == network.accountant.total_elapsed()
+        assert letters[0].attempts == 8
+        # 1 + 2 + ... + 128 timeout units; clocks still agree.
+        assert stats["timeout_time"] == "255"
+        assert elapsed(network) == replayed(network) == network.accountant.total_elapsed()
 
     def test_corrupt_costs_exactly_what_drop_costs(self, graph):
         class AlwaysCorrupt(LinkFaultPlan):
@@ -245,13 +255,13 @@ class TestReliableNetworkArq:
                 return DROP if attempt == 0 else DELIVER
 
         rates = EdgeFaultRates(corrupt=Fraction(1, 2))
-        corrupt_net = ReliableNetwork(
+        corrupt_net = SynchronousNetwork(
             graph, fault_plan=AlwaysCorrupt(name="c", rates=rates)
         )
-        drop_net = ReliableNetwork(graph, fault_plan=OneDrop(name="d", rates=rates))
+        drop_net = SynchronousNetwork(graph, fault_plan=OneDrop(name="d", rates=rates))
         corrupt_net.send(1, 2, b"x", 10, "p")
         drop_net.send(1, 2, b"x", 10, "p")
-        assert corrupt_net.elapsed_time() == drop_net.elapsed_time()
+        assert elapsed(corrupt_net) == elapsed(drop_net)
         corrupt_stats = corrupt_net.reliability_stats()
         assert corrupt_stats["corrupted_attempts"] == 1
         assert corrupt_stats["retransmit_bits"] == 10
@@ -263,7 +273,7 @@ class TestReliableNetworkArq:
     def test_faulty_sends_validate_like_clean_ones(self, graph):
         from repro.exceptions import GraphError, ProtocolError
 
-        network = ReliableNetwork(graph, fault_plan=ALWAYS_DROP)
+        network = SynchronousNetwork(graph, fault_plan=ALWAYS_DROP)
         with pytest.raises(GraphError):
             network.send(3, 1, b"x", 4, "p")  # no such link
         with pytest.raises(ProtocolError):
@@ -271,10 +281,10 @@ class TestReliableNetworkArq:
 
     def test_seeded_arq_runs_are_reproducible(self, graph):
         def run():
-            network = ReliableNetwork(graph, fault_plan=fault_plan("lossy-mix"))
+            network = SynchronousNetwork(graph, fault_plan=fault_plan("lossy-mix"))
             for _ in range(100):
                 network.send(1, 2, b"x", 4, "p")
-            return (network.elapsed_time(), network.reliability_stats())
+            return (elapsed(network), replayed(network), network.reliability_stats())
 
         assert run() == run()
 
@@ -282,12 +292,12 @@ class TestReliableNetworkArq:
     def test_measured_clock_equals_oracle_under_faults(self, graph, plan_name):
         # Every phantom copy charges both clocks identically, so the
         # zero-latency scheduler contract survives arbitrary fault activity.
-        network = ReliableNetwork(graph, fault_plan=fault_plan(plan_name))
+        network = SynchronousNetwork(graph, fault_plan=fault_plan(plan_name))
         rng = random.Random(7)
         for index in range(150):
             edge = rng.choice([(1, 2), (1, 3), (2, 3)])
             network.send(edge[0], edge[1], b"x", rng.randint(1, 16), f"p{index % 3}")
-        assert network.elapsed_time() == network.accountant.total_elapsed()
+        assert elapsed(network) == replayed(network) == network.accountant.total_elapsed()
 
     @pytest.mark.parametrize("factor", [0, Fraction(1, 10), Fraction(1, 2), 1, 2])
     def test_bit_ledger_is_clean_plus_retransmits(self, graph, factor):
@@ -301,15 +311,15 @@ class TestReliableNetworkArq:
                 network.send(tail, head, b"x", 1 + index % 16, f"phase-{index % 8}")
             return network
 
-        clean = drive(ScheduledNetwork(graph))
-        lossy = drive(ReliableNetwork(graph, fault_plan=scaled(fault_plan("drop-10pct"), factor)))
+        clean = drive(SynchronousNetwork(graph))
+        lossy = drive(SynchronousNetwork(graph, fault_plan=scaled(fault_plan("drop-10pct"), factor)))
         stats = lossy.reliability_stats()
-        assert lossy.total_bits() == clean.total_bits() + stats["retransmit_bits"]
-        assert lossy.elapsed_time() == lossy.accountant.total_elapsed()
+        assert bits(lossy) == bits(clean) + stats["retransmit_bits"]
+        assert elapsed(lossy) == replayed(lossy) == lossy.accountant.total_elapsed()
         assert (stats["retransmit_bits"] == 0) == (factor == 0)
         if factor == 0:
             assert stats["timeout_time"] == "0"
-            assert lossy.elapsed_time() == clean.elapsed_time()
+            assert elapsed(lossy) == elapsed(clean)
 
 
 class TestProtocolsOverLossyLinks:
@@ -379,7 +389,7 @@ class TestZeroFaultByteIdentity:
 
     def test_zero_rate_plan_reports_zero_retransmit_bits(self, monkeypatch):
         # Transport-level confirmation that byte-identity is not vacuous:
-        # the run really goes through ReliableNetwork and really measures 0.
+        # the run really goes through ARQ's network and really measures 0.
         import repro.transport.link_faults as faults_module
 
         graph = topology("k4-fast")
@@ -390,22 +400,23 @@ class TestZeroFaultByteIdentity:
                 faults_module._FAULT_PLAN_FACTORIES, shadow_name, lambda s=shadow: s
             )
             captured = []
-            original_init = ReliableNetwork.__init__
+            original_init = SynchronousNetwork.__init__
 
             def capturing_init(self, *args, _init=original_init, **kwargs):
                 _init(self, *args, **kwargs)
                 captured.append(self)
 
             try:
-                ReliableNetwork.__init__ = capturing_init
+                SynchronousNetwork.__init__ = capturing_init
                 record = get_protocol("nab").run(
                     graph, 1, [b"\x01" * 8], FaultModel(),
                     {"max_faults": 1, "fault_plan": shadow_name},
                 )
             finally:
-                ReliableNetwork.__init__ = original_init
-            assert captured, "the fault_plan param must route through ReliableNetwork"
+                SynchronousNetwork.__init__ = original_init
+            assert captured, "the fault_plan param must reach the transport"
             for network in captured:
+                assert network.fault_plan is not None
                 stats = network.reliability_stats()
                 assert stats["retransmit_bits"] == 0
                 assert stats["dropped_messages"] == 0

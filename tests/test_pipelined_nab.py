@@ -365,25 +365,26 @@ class TestEngineIntegration:
             )
 
     def test_default_cells_skip_the_scheduled_transport(self):
-        # The "instant" default must not pay scheduling bookkeeping: run_cell
-        # omits the link_model param, so no ScheduledNetwork is constructed.
-        from repro.transport.scheduled import ScheduledNetwork
+        # The "instant" default must not pay for a link model: run_cell omits
+        # the link_model param, so the protocol builds its default transport
+        # and no transport factory is made.
+        from repro.engine.protocol import ReliabilityCollector
 
         spec = get_spec("nab_vs_classical_quick")
         cell = spec.expand()[0]
         assert cell.link_model == "instant"
         constructed = []
-        original_init = ScheduledNetwork.__init__
+        original_init = ReliabilityCollector.__init__
 
         def capturing_init(self, *args, **kwargs):
             constructed.append(self)
             original_init(self, *args, **kwargs)
 
         try:
-            ScheduledNetwork.__init__ = capturing_init
+            ReliabilityCollector.__init__ = capturing_init
             row = run_cell(cell)
         finally:
-            ScheduledNetwork.__init__ = original_init
+            ReliabilityCollector.__init__ = original_init
         assert row["error"] is None
         assert constructed == []
 

@@ -38,6 +38,7 @@ from repro.service.session import (
     warm_graph,
 )
 from repro.service.workload import generate_sessions
+from repro.types import node_pair
 from repro.workloads.scenarios import named_strategies
 from repro.workloads.topologies import topology
 
@@ -146,22 +147,23 @@ class TestSnapshotRestoreProperty:
 class TestDisputeStateSerialisation:
     def test_round_trip_preserves_knowledge(self):
         state = DisputeState(2)
-        state.add_dispute(1, 3)
-        state.add_dispute(4, 2)
+        state.add_disputes([node_pair(1, 3)])
+        state.add_disputes([node_pair(4, 2)])
         state.mark_faulty(5)
         restored = DisputeState.from_jsonable(
             json.loads(json.dumps(state.to_jsonable()))
         )
-        assert restored.snapshot() == state.snapshot()
+        assert restored.disputes() == state.disputes()
+        assert restored.to_jsonable() == state.to_jsonable()
         assert restored.max_faults == state.max_faults
 
     def test_rendering_is_canonical(self):
         first = DisputeState(1)
-        first.add_dispute(3, 1)
-        first.add_dispute(2, 4)
+        first.add_disputes([node_pair(3, 1)])
+        first.add_disputes([node_pair(2, 4)])
         second = DisputeState(1)
-        second.add_dispute(4, 2)
-        second.add_dispute(1, 3)
+        second.add_disputes([node_pair(4, 2)])
+        second.add_disputes([node_pair(1, 3)])
         assert json.dumps(first.to_jsonable(), sort_keys=True) == json.dumps(
             second.to_jsonable(), sort_keys=True
         )

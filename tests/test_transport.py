@@ -91,37 +91,31 @@ class TestMessage:
             assert clone.sequence == message.sequence
 
 
+def _elapsed(network, phase):
+    """The elapsed time the accountant reports for ``phase``."""
+    (elapsed,) = [t.time_units for t in network.accountant.phase_timings() if t.name == phase]
+    return elapsed
+
+
 class TestTimeAccountant:
     def test_phase_elapsed_is_max_over_links(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        accountant.record_transmission("phase1", 1, 2, 10)  # 10 / 2 = 5
-        accountant.record_transmission("phase1", 1, 3, 12)  # 12 / 4 = 3
-        assert accountant.phase_elapsed("phase1") == Fraction(5)
+        network = SynchronousNetwork(simple_graph)
+        network.send(1, 2, None, 10, "phase1")  # 10 / 2 = 5
+        network.send(1, 3, None, 12, "phase1")  # 12 / 4 = 3
+        assert network.accountant.phase_timings() == (PhaseTiming("phase1", Fraction(5), 22),)
 
     def test_usage_accumulates_per_link(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        accountant.record_transmission("p", 1, 2, 3)
-        accountant.record_transmission("p", 1, 2, 5)
-        assert accountant.link_bits("p") == {(1, 2): 8}
-        assert accountant.phase_elapsed("p") == Fraction(8, 2)
-
-    def test_missing_link_rejected(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        with pytest.raises(GraphError):
-            accountant.record_transmission("p", 3, 1, 4)
-
-    def test_invalid_bits_rejected(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        with pytest.raises(ProtocolError):
-            accountant.record_transmission("p", 1, 2, 0)
-        with pytest.raises(ProtocolError):
-            accountant.record_transmission("p", 1, 2, 2.5)
+        network = SynchronousNetwork(simple_graph)
+        network.send(1, 2, None, 3, "p")
+        network.send(1, 2, None, 5, "p")
+        assert network.accountant.link_ledger("p") == {(1, 2): 8}
+        assert _elapsed(network, "p") == Fraction(8, 2)
 
     def test_fixed_overhead_added(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        accountant.record_transmission("p", 1, 2, 2)
-        accountant.add_fixed_overhead("p", Fraction(3, 2))
-        assert accountant.phase_elapsed("p") == Fraction(1) + Fraction(3, 2)
+        network = SynchronousNetwork(simple_graph)
+        network.send(1, 2, None, 2, "p")
+        network.accountant.add_fixed_overhead("p", Fraction(3, 2))
+        assert _elapsed(network, "p") == Fraction(1) + Fraction(3, 2)
 
     def test_negative_overhead_rejected(self, simple_graph):
         accountant = TimeAccountant(simple_graph)
@@ -130,37 +124,27 @@ class TestTimeAccountant:
 
     def test_unknown_phase_is_zero(self, simple_graph):
         accountant = TimeAccountant(simple_graph)
-        assert accountant.phase_elapsed("nope") == 0
-        assert accountant.phase_bits("nope") == 0
-        assert accountant.link_bits("nope") == {}
+        assert accountant.phase_fixed_overhead("nope") == 0
+        assert accountant.phase_timings() == ()
+        assert accountant.total_elapsed() == 0
 
     def test_totals_and_order(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        accountant.record_transmission("a", 1, 2, 2)
-        accountant.record_transmission("b", 2, 3, 3)
+        network = SynchronousNetwork(simple_graph)
+        network.send(1, 2, None, 2, "a")
+        network.send(2, 3, None, 3, "b")
+        accountant = network.accountant
         assert accountant.phase_names() == ["a", "b"]
-        assert accountant.total_bits() == 5
+        assert network.result_accounting()["bits_sent"] == 5
         assert accountant.total_elapsed() == Fraction(1) + Fraction(3)
 
     def test_phase_timings_structure(self, simple_graph):
-        accountant = TimeAccountant(simple_graph)
-        accountant.record_transmission("a", 1, 2, 4)
-        timings = accountant.phase_timings()
+        network = SynchronousNetwork(simple_graph)
+        network.send(1, 2, None, 4, "a")
+        timings = network.accountant.phase_timings()
         assert len(timings) == 1
         assert timings[0].name == "a"
         assert timings[0].time_units == Fraction(2)
         assert timings[0].bits_sent == 4
-
-    def test_merge_from(self, simple_graph):
-        main = TimeAccountant(simple_graph)
-        sub = TimeAccountant(simple_graph)
-        sub.record_transmission("sub_phase", 1, 3, 8)
-        sub.add_fixed_overhead("sub_phase", 2)
-        main.record_transmission("main_phase", 1, 2, 2)
-        main.merge_from(sub)
-        assert main.phase_bits("sub_phase") == 8
-        assert main.phase_elapsed("sub_phase") == Fraction(8, 4) + 2
-        assert main.total_bits() == 10
 
 
 class TestFaultModel:
@@ -206,8 +190,8 @@ class TestSynchronousNetwork:
         network = SynchronousNetwork(simple_graph)
         message = network.send(1, 2, "hello", 6, "phase1")
         assert message.payload == "hello"
-        assert network.accountant.phase_bits("phase1") == 6
-        assert network.elapsed_time() == Fraction(3)
+        assert network.result_accounting()["bits_sent"] == 6
+        assert network.result_accounting()["elapsed"] == Fraction(3)
 
     def test_send_on_missing_link_raises(self, simple_graph):
         network = SynchronousNetwork(simple_graph)
@@ -220,7 +204,7 @@ class TestSynchronousNetwork:
         with pytest.raises(ProtocolError):
             network.send(1, 2, "x", bit_size, "p")
         assert network.delivered_messages() == []
-        assert network.accountant.phase_names() == [] and network.total_bits() == 0
+        assert network.accountant.phase_names() == []
 
     def test_send_round_inboxes(self, simple_graph):
         network = SynchronousNetwork(simple_graph)
@@ -229,24 +213,6 @@ class TestSynchronousNetwork:
         )
         assert [m.payload for m in inboxes[3]] == ["b", "c"]
         assert [m.payload for m in inboxes[2]] == ["a"]
-
-    def test_messages_received_by_filters(self, simple_graph):
-        network = SynchronousNetwork(simple_graph)
-        network.send(1, 2, "a", 1, "p1")
-        network.send(1, 2, "b", 1, "p2")
-        network.send(1, 3, "c", 1, "p1")
-        assert [m.payload for m in network.messages_received_by(2)] == ["a", "b"]
-        assert [m.payload for m in network.messages_received_by(2, phase="p2")] == ["b"]
-
-    def test_fault_free_nodes(self, simple_graph):
-        network = SynchronousNetwork(simple_graph, FaultModel([2]))
-        assert network.fault_free_nodes() == [1, 3]
-
-    def test_link_queries(self, simple_graph):
-        network = SynchronousNetwork(simple_graph)
-        assert network.has_link(1, 2)
-        assert not network.has_link(2, 1)
-        assert network.link_capacity(1, 3) == 4
 
     def test_figure1a_phase_time_matches_formula(self):
         """Sending L/gamma bits down each of gamma trees takes L/gamma time on figure1a."""
@@ -261,7 +227,7 @@ class TestSynchronousNetwork:
         for tail, head in [(1, 3), (1, 4), (3, 4)]:
             network.send(tail, head, "sym", per_tree, "phase1")
         # Link (3,4) carries both trees: 2 * 60 bits over capacity 1 -> 120 time units.
-        assert network.accountant.phase_elapsed("phase1") == Fraction(120)
+        assert _elapsed(network, "phase1") == Fraction(120)
 
 
 class TestAccountingProperties:
@@ -312,26 +278,24 @@ class TestAccountingProperties:
 
         assert accountant.phase_names() == list(expected)
         for phase, elapsed in expected.items():
-            assert accountant.phase_elapsed(phase) == elapsed
-            assert isinstance(accountant.phase_elapsed(phase), Fraction)
+            assert _elapsed(network, phase) == elapsed
+            assert isinstance(_elapsed(network, phase), Fraction)
         assert accountant.total_elapsed() == sum(expected.values(), Fraction(0))
         assert accountant.phase_timings() == tuple(
             PhaseTiming(phase, elapsed, sum(ledgers[phase].values()))
             for phase, elapsed in expected.items()
         )
         assert network.result_accounting() == {
-            "elapsed": network.elapsed_time(),
-            "bits_sent": network.total_bits(),
+            "elapsed": accountant.total_elapsed(),
+            "bits_sent": sum(bits for _phase, _link, bits in transmissions),
             "phase_timings": accountant.phase_timings(),
             "link_bits": accountant.total_link_bits(),
         }
-        assert network.total_bits() == sum(bits for _phase, _link, bits in transmissions)
 
     @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=10))
     @settings(max_examples=50, deadline=None)
     def test_total_bits_is_sum(self, bit_amounts):
-        graph = NetworkGraph.from_edges({(1, 2): 3})
-        accountant = TimeAccountant(graph)
+        network = SynchronousNetwork(NetworkGraph.from_edges({(1, 2): 3}))
         for bits in bit_amounts:
-            accountant.record_transmission("p", 1, 2, bits)
-        assert accountant.total_bits() == sum(bit_amounts)
+            network.send(1, 2, None, bits, "p")
+        assert network.result_accounting()["bits_sent"] == sum(bit_amounts)
