@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from repro.capacity.gamma_star import family_minima
+from repro.coding.omega import compute_rho
 from repro.exceptions import ProtocolError
-from repro.capacity.gamma_star import gamma_star
-from repro.capacity.rho_star import rho_star
 from repro.graph.network_graph import NetworkGraph
 from repro.types import NodeId
 
@@ -67,9 +67,15 @@ class CapacityAnalysis:
 
 
 def analyse_network(graph: NetworkGraph, source: NodeId, max_faults: int) -> CapacityAnalysis:
-    """Compute every Theorem 2 / Theorem 3 quantity for one network."""
-    gamma_value = gamma_star(graph, source, max_faults)
-    rho_value = rho_star(graph, max_faults)
+    """Compute every Theorem 2 / Theorem 3 quantity for one network.
+
+    ``gamma*`` and ``U_1`` come from one pass over the ``G - F``
+    (:func:`~repro.capacity.gamma_star.family_minima`), and ``rho* =
+    floor(U_1 / 2)``.
+    """
+    minima = family_minima(graph, source, max_faults)
+    gamma_value = minima.gamma_star
+    rho_value = compute_rho(minima.u1)
     lower = nab_throughput_lower_bound(gamma_value, rho_value)
     upper = capacity_upper_bound(gamma_value, rho_value)
     return CapacityAnalysis(

@@ -30,42 +30,66 @@ and ``Psi = G - W_F - F = G - F``.  ``F = {}`` gives ``G``, and an ``F``
 holding the source drops out of ``Gamma``.  ``G - F`` keeps at least two
 nodes, because the source has ``f + 1`` neighbours and ``|F| <= f``.
 
-So ``gamma* = min over |F| <= f, source not in F of MINCUT(G - F)``, and
-:func:`gamma_star` reads every ``G - F`` straight off ``G``'s signature
-(:func:`~repro.graph.flow_cache.induced_signature`); no graph is built per
-member.  On a symmetric graph each value is one cached global min-cut, the
-value ``rho*`` and ``U_k`` find again for ``2 (G - F)``.  An asymmetric
-``G - F`` is solved per target.  The explaining-set construction this
-replaces is the oracle ``construct_gamma_family`` of
+So ``gamma* = min over |F| <= f, source not in F of MINCUT(G - F)``.
+
+**One pass answers Theorem 2.**  ``U_1`` (``rho* = U_1 / 2``,
+:mod:`repro.capacity.rho_star`) is the minimum of ``MINCUT(\\bar G - F)``
+over ``|F| = f``: the same family.  :func:`family_minima` enumerates it
+once and skips only an ``F`` that holds the source with ``|F| < f``, which
+neither minimum needs.  ``gamma*`` takes every member whose ``F`` avoids
+the source, ``U_1`` every member with ``|F| = f``.  ``G``'s integer-indexed
+adjacency is built once (:func:`~repro.graph.gomory_hu.adjacency_rows`),
+and each member is its copy minus ``F``'s rows and entries, contracted once
+in place (:func:`~repro.graph.gomory_hu.global_mincut_without`): no graph,
+signature or cache key is made per member.  On a symmetric ``G`` one
+contraction serves both minima, since ``\\bar G = 2 G``.  On an asymmetric
+``G`` the loop is the same: ``gamma*`` solves each ``G - F`` per target,
+and ``U_1`` contracts ``\\bar G - F`` off ``\\bar G``'s adjacency, also built
+once.  :func:`gamma_star` selects from the pass.  The explaining-set
+construction this replaces is the oracle ``construct_gamma_family`` of
 ``tests/_oracles/capacity.py``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Set
+from typing import Dict, List, NamedTuple, Set
 
 from repro.exceptions import ProtocolError
 from repro.graph.flow_cache import cached_all_target_mincuts, graph_signature, induced_signature
-from repro.graph.gomory_hu import cached_global_mincut, is_symmetric
+from repro.graph.gomory_hu import adjacency_rows, global_mincut_without, is_symmetric
 from repro.graph.network_graph import NetworkGraph
+from repro.graph.undirected import UndirectedView
 from repro.types import NodeId
 
 
-def gamma_star(graph: NetworkGraph, source: NodeId, max_faults: int) -> int:
-    """``gamma* = min over Gamma of min_j MINCUT(Psi, source, j)``.
+class FamilyMinima(NamedTuple):
+    """The two minima Theorem 2 rests on, from one pass over the ``G - F``."""
+
+    #: ``min over |F| <= f, source not in F of MINCUT(G - F)``.
+    gamma_star: int
+    #: ``min over |F| = f of MINCUT(\\bar G - F)`` (``rho* = U_1 / 2``).
+    u1: int
+
+
+def family_minima(graph: NetworkGraph, source: NodeId, max_faults: int) -> FamilyMinima:
+    """``gamma*`` and ``U_1`` from one enumeration of the ``G - F``, ``|F| <= f``.
 
     Raises:
-        ProtocolError: if the source is not in the graph, ``max_faults`` is
-            negative, or some node has at most ``f`` neighbours (the lemma
-            above needs ``f + 1``).
+        ProtocolError: if ``max_faults`` is negative, ``n - f < 2``, the
+            source is not in the graph, or some node has at most ``f``
+            neighbours (the lemma above needs ``f + 1``).
     """
-    if not graph.has_node(source):
-        raise ProtocolError(f"source {source} is not in the graph")
     if max_faults < 0:
         raise ProtocolError(f"max_faults must be non-negative, got {max_faults}")
     signature = graph_signature(graph)
     nodes, edges = signature
+    if len(nodes) - max_faults < 2:
+        raise ProtocolError(
+            f"n - f = {len(nodes) - max_faults} < 2: the equality check has nothing to compare"
+        )
+    if not graph.has_node(source):
+        raise ProtocolError(f"source {source} is not in the graph")
     neighbours: Dict[NodeId, Set[NodeId]] = {node: set() for node in nodes}
     for tail, head, _capacity in edges:
         neighbours[tail].add(head)
@@ -77,17 +101,40 @@ def gamma_star(graph: NetworkGraph, source: NodeId, max_faults: int) -> int:
                 f"needs at least {max_faults + 1} per node"
             )
     symmetric = is_symmetric(edges)
+    rows, scale = adjacency_rows(signature)
+    if symmetric:
+        undirected_rows, undirected_scale = rows, 2 * scale
+    else:
+        undirected_rows, undirected_scale = adjacency_rows(UndirectedView(graph).signature)
+    origin = nodes.index(source)
     node_set = set(nodes)
-    candidates = [node for node in nodes if node != source]
-    best = None
+    gammas: List[int] = []
+    undirected: List[int] = []
     for size in range(max_faults + 1):
-        for faulty in combinations(candidates, size):
-            member = induced_signature(signature, node_set.difference(faulty))
-            if symmetric:
-                value = cached_global_mincut(member)
-            else:
-                cuts = cached_all_target_mincuts(graph.remove_nodes(faulty), source, member)
-                value = min(cuts.values())
-            if best is None or value < best:
-                best = value
-    return best
+        for faulty in combinations(range(len(nodes)), size):
+            avoids = origin not in faulty
+            if not avoids and size < max_faults:
+                continue
+            cut = None
+            if avoids and symmetric:
+                cut = scale * global_mincut_without(rows, faulty)
+                gammas.append(cut)
+            elif avoids:
+                removed = [nodes[index] for index in faulty]
+                member = induced_signature(signature, node_set.difference(removed))
+                cuts = cached_all_target_mincuts(graph.remove_nodes(removed), source, member)
+                gammas.append(min(cuts.values()))
+            if size == max_faults:
+                # On a symmetric G, \bar G = 2 G: gamma*'s contraction serves U_1 too.
+                if cut is None:
+                    undirected.append(
+                        undirected_scale * global_mincut_without(undirected_rows, faulty)
+                    )
+                else:
+                    undirected.append(2 * cut)
+    return FamilyMinima(min(gammas), min(undirected))
+
+
+def gamma_star(graph: NetworkGraph, source: NodeId, max_faults: int) -> int:
+    """``gamma* = min over Gamma of min_j MINCUT(Psi, source, j)``, read off :func:`family_minima`."""
+    return family_minima(graph, source, max_faults).gamma_star

@@ -8,33 +8,31 @@ remove links between disputed pairs, ``Omega_k`` is a subset of ``Omega_1``
 and ``U_k >= U_1``, so ``rho_k >= rho*`` in every reachable instance.
 
 A member of ``Omega_1`` is ``G - F`` for some ``|F| = f``, so ``U_1`` is
-the minimum of ``MINCUT(\\bar G - F)``: :func:`~repro.coding.omega.compute_uk`
-filters one undirected view per member, and on a symmetric ``G`` (where
-``\\bar G = 2 G``) every value is the one ``gamma*`` already cached for
-``G - F``.
+the minimum of ``MINCUT(\\bar G - F)``: the ``|F| = f`` members of the one
+pass that also yields ``gamma*``
+(:func:`~repro.capacity.gamma_star.family_minima`), each contracted once
+off ``\\bar G``'s adjacency.  On a symmetric ``G`` (where ``\\bar G = 2 G``)
+that is twice the contraction ``gamma*`` reads for the same ``G - F``.
+NAB's run-time ``U_k`` under disputes is
+:func:`~repro.coding.omega.compute_uk`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from repro.coding.omega import compute_rho, compute_uk
-from repro.exceptions import ProtocolError
+from repro.capacity.gamma_star import family_minima
+from repro.coding.omega import compute_rho
 from repro.graph.network_graph import NetworkGraph
 
 
 def u1_value(graph: NetworkGraph, max_faults: int) -> int:
-    """``U_1``: the minimum pairwise undirected min-cut over all ``(n - f)``-subsets."""
-    if max_faults < 0:
-        raise ProtocolError(f"max_faults must be non-negative, got {max_faults}")
-    node_count = graph.node_count()
-    subgraph_size = node_count - max_faults
-    if subgraph_size < 2:
-        raise ProtocolError(
-            f"n - f = {subgraph_size} < 2: the equality check has nothing to compare"
-        )
-    # No disputes yet: Omega_1 is every (n - f)-subset, streamed, not listed.
-    return compute_uk(graph, combinations(graph.nodes(), subgraph_size))
+    """``U_1``: the minimum pairwise undirected min-cut over all ``(n - f)``-subsets.
+
+    Read off :func:`~repro.capacity.gamma_star.family_minima`, whose gates it
+    shares; ``U_1`` does not depend on the source, so the first node is
+    asked.
+    """
+    nodes = graph.nodes()
+    return family_minima(graph, nodes[0] if nodes else None, max_faults).u1
 
 
 def rho_star(graph: NetworkGraph, max_faults: int) -> int:

@@ -8,8 +8,8 @@ reference: Appendix E's ``Gamma`` family enumerated through explaining sets
 (``construct_gamma_family``, O(n^{2f}) set checks, two graphs per member),
 and ``U_k`` through the per-member chain of an induced subgraph, its
 undirected view and the view's symmetric digraph.  Both answer with fresh,
-uncached Dinic solves.  ``tests/test_capacity.py`` holds ``gamma_star``,
-``u1_value`` and ``compute_uk`` to them.  Don't optimise them.
+uncached Dinic solves.  ``tests/test_capacity.py`` holds ``analyse_network``,
+``gamma_star``, ``u1_value`` and ``compute_uk`` to them.  Don't optimise them.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from _oracles.capacity import construct_gamma_family, gamma_star_by_family, uk_by_members
@@ -20,11 +21,17 @@ from repro.capacity.bounds import (
 from repro.capacity.gamma_star import gamma_star
 from repro.capacity.pipelining import pipelined_schedule, unpipelined_schedule
 from repro.capacity.rho_star import rho_star, u1_value
-from repro.coding.omega import compute_uk, dispute_free_subgraphs
+from repro.coding.omega import compute_rho, compute_uk, dispute_free_subgraphs
 from repro.exceptions import ProtocolError
+from repro.graph import gomory_hu
 from repro.graph.connectivity import resilience_violation
-from repro.graph.flow_cache import clear_mincut_cache, graph_signature
-from repro.graph.generators import complete_graph, heterogeneous_bottleneck, random_connected_network
+from repro.graph.flow_cache import all_cache_stats, clear_mincut_cache, graph_signature
+from repro.graph.generators import (
+    complete_graph,
+    heterogeneous_bottleneck,
+    random_connected_network,
+    torus_2d,
+)
 from repro.graph.gomory_hu import clear_gomory_hu_cache
 from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
@@ -32,15 +39,16 @@ from repro.workloads.topologies import topology
 
 
 @st.composite
-def gated_graphs(draw):
+def gated_graphs(draw, faults=(1, 2)):
     """``(graph, f)``: a random graph that passes the resilience gate at ``f``.
 
-    Symmetric graphs draw one capacity per link; the others draw one per
-    direction and may lose up to two single directions, so some links are
-    one-way and a node's neighbours are its in- and out-neighbours together.
+    ``f`` is drawn from ``faults``.  Symmetric graphs draw one capacity per
+    link; the others draw one per direction and may lose up to two single
+    directions, so some links are one-way and a node's neighbours are its
+    in- and out-neighbours together.
     """
-    max_faults = draw(st.sampled_from((1, 2)))
-    node_count = draw(st.integers(min_value=3 * max_faults + 1, max_value=10))
+    max_faults = draw(st.sampled_from(faults))
+    node_count = draw(st.integers(min_value=max(3 * max_faults + 1, 3), max_value=10))
     symmetric = draw(st.booleans())
     graph = random_connected_network(
         node_count,
@@ -98,16 +106,37 @@ class TestClosedFormAgainstTheFamilies:
     """``gamma*`` and ``U_k`` read off ``G - F`` equal the literal families."""
 
     @settings(max_examples=40, deadline=None)
-    @given(gated_graphs())
+    @given(gated_graphs(faults=(0, 1, 2)))
     def test_gamma_star_and_u1_equal_the_oracle(self, case):
         graph, max_faults = case
-        clear_gomory_hu_cache()
-        for source in (1, graph.node_count()):
-            assert gamma_star(graph, source, max_faults) == gamma_star_by_family(
-                graph, source, max_faults
-            )
         members = combinations(graph.nodes(), graph.node_count() - max_faults)
-        assert u1_value(graph, max_faults) == uk_by_members(graph, members)
+        u1 = uk_by_members(graph, members)
+        for source in (1, graph.node_count()):
+            gamma = gamma_star_by_family(graph, source, max_faults)
+            analysis = analyse_network(graph, source, max_faults)
+            assert (analysis.gamma_star, analysis.rho_star) == (gamma, compute_rho(u1))
+            assert gamma_star(graph, source, max_faults) == gamma
+        assert u1_value(graph, max_faults) == u1
+
+    @pytest.mark.parametrize("max_faults", [0, 1, 2])
+    def test_one_pass_contracts_each_member_once_and_caches_nothing(
+        self, max_faults, contractions, solves, monkeypatch
+    ):
+        # gamma*'s members with |F| < f avoid the source; U_1 takes every
+        # |F| = f member, and gamma* reads those avoiding the source too.
+        graph = torus_2d(3, 4)
+        clear_gomory_hu_cache()
+        unit_forms = []
+        monkeypatch.setattr(gomory_hu, "_unit_form", lambda signature: unit_forms.append(1))
+        before = all_cache_stats()["gomory_hu"]
+        analysis = analyse_network(graph, 1, max_faults)
+        n = graph.node_count()
+        assert len(contractions) == sum(comb(n - 1, size) for size in range(max_faults)) + comb(
+            n, max_faults
+        )
+        assert (solves, unit_forms) == ([], [])
+        assert all_cache_stats()["gomory_hu"] == before
+        assert analysis.rho_star == analysis.gamma_star == 8 - 2 * max_faults
 
     @settings(max_examples=30, deadline=None)
     @given(gated_graphs(), st.data())

@@ -16,7 +16,7 @@ import random
 import pytest
 from _oracles.graph import CutTree, gomory_hu_tree
 from _reference_dinic import _DinicSolver as _ReferenceSolver
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dispute_state import DisputeState
@@ -30,9 +30,11 @@ from repro.graph.flow_cache import (
 )
 from repro.graph.generators import figure1a, random_connected_network, torus_2d
 from repro.graph.gomory_hu import (
+    adjacency_rows,
     cached_global_mincut,
     cached_gomory_hu,
     clear_gomory_hu_cache,
+    global_mincut_without,
     incremental_repair_stats,
     is_symmetric,
 )
@@ -84,17 +86,28 @@ def _reference_global_mincut(graph: NetworkGraph) -> int:
     return min(values)
 
 
+def _graph(node_count: int, links) -> NetworkGraph:
+    """The symmetric graph on nodes ``1..node_count`` with the given ``(a, b, capacity)`` links."""
+    graph = NetworkGraph()
+    for node in range(1, node_count + 1):
+        graph.add_node(node)
+    for a, b, capacity in links:
+        graph.add_edge(a, b, capacity)
+        graph.add_edge(b, a, capacity)
+    return graph
+
+
 def gomory_hu_cache_stats():
     return all_cache_stats()["gomory_hu"]
 
 
 @st.composite
-def symmetric_graphs(draw):
-    """Symmetric graphs on 2-24 nodes, from empty to complete, capacities 1-50.
+def symmetric_graphs(draw, max_nodes=24):
+    """Symmetric graphs on 2-``max_nodes`` nodes, from empty to complete, capacities 1-50.
 
     Sparse draws leave isolated nodes and disconnected graphs behind.
     """
-    node_count = draw(st.integers(min_value=2, max_value=24))
+    node_count = draw(st.integers(min_value=2, max_value=max_nodes))
     density = draw(st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)))
     max_capacity = draw(st.sampled_from((1, 2, 7, 50)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -137,6 +150,21 @@ class TestGlobalMinCut:
         value = cached_global_mincut(graph_signature(graph))
         assert value == gomory_hu_tree(graph).min_weight()
         assert value == _reference_global_mincut(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_graphs(max_nodes=16), st.lists(st.integers(0, 15), max_size=3))
+    @example(_graph(2, [(1, 2, 3)]), [])
+    @example(_graph(2, []), [])
+    @example(_graph(6, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 6, 2), (6, 4, 2)]), [0])
+    def test_in_place_kernel_minus_nodes_equals_the_reference(self, graph, picks):
+        nodes = graph.nodes()
+        removed = sorted({pick for pick in picks if pick < len(nodes)})[: len(nodes) - 2]
+        rows, scale = adjacency_rows(graph_signature(graph))
+        copy = [dict(row) for row in rows]
+        value = scale * global_mincut_without(rows, removed)
+        assert rows == copy
+        member = graph.remove_nodes([nodes[index] for index in removed])
+        assert value == _reference_global_mincut(member)
 
     @pytest.mark.parametrize("name", FABRICS)
     def test_every_fabric(self, name):
@@ -181,6 +209,13 @@ class TestGlobalMinCut:
         isolated.add_node(1)
         isolated.add_node(2)
         assert cached_global_mincut(graph_signature(isolated)) == 0
+        # The uncached entry point: a disconnected member reads 0.
+        rows, scale = adjacency_rows(graph_signature(_graph(2, [(1, 2, 3)])))
+        assert (scale * global_mincut_without(rows, ()), scale) == (3, 3)
+        triangles = [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 6, 2), (6, 4, 2)]
+        rows, scale = adjacency_rows(graph_signature(_graph(6, triangles)))
+        assert global_mincut_without(rows, ()) == global_mincut_without(rows, (3,)) == 0
+        assert global_mincut_without(rows, (0, 1, 2)) == 4
 
     def test_dispute_path_values_match_a_fresh_analysis(self):
         graph = torus_2d(3, 4)

@@ -4,8 +4,10 @@ Multiplying every capacity by ``g`` multiplies every cut value by exactly
 ``g``; relabelling nodes changes nothing.  The global min-cut cache relies
 on the first fact (it is keyed on the unit form of the graph), so the
 scaling tests also count work: once the unit graph is analysed, no scaled
-copy may run another contraction (``_ma_global_mincut``) or, for the cut
-tree, another ``_DinicSolver.max_flow``.
+copy may run another cached contraction (``_ma_global_mincut``) or, for the
+cut tree, another ``_DinicSolver.max_flow``.  Theorem 2's one pass
+(``family_minima``) keeps no cache: it contracts each member exactly once
+per call, at any scale.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.graph.generators import (
     torus_2d,
 )
 from repro.graph.gomory_hu import cached_gomory_hu, clear_gomory_hu_cache
-from repro.graph.maxflow import _DinicSolver
 from repro.graph.mincut import broadcast_mincut
 from repro.graph.network_graph import NetworkGraph
 from repro.graph.undirected import UndirectedView
@@ -40,20 +41,6 @@ def _fresh_caches():
     yield
     clear_mincut_cache()
     clear_gomory_hu_cache()
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """The ``(source, sink)`` of every ``_DinicSolver.max_flow`` call made so far."""
-    calls = []
-    original = _DinicSolver.max_flow
-
-    def counted(self, source, sink, limit=None):
-        calls.append((source, sink))
-        return original(self, source, sink, limit)
-
-    monkeypatch.setattr(_DinicSolver, "max_flow", counted)
-    return calls
 
 
 def _mapped(graph: NetworkGraph, scale: int = 1, relabel=lambda node: node) -> NetworkGraph:
@@ -82,16 +69,16 @@ def test_capacity_scaling_scales_every_value_and_solves_nothing(
     name, graph, solves, contractions
 ):
     source = graph.nodes()[0]
+    # Each selector runs the whole pass: at f = 1 that is one contraction of
+    # G (gamma*'s F = {}) and one of every G - v (Omega_1; gamma* shares
+    # those avoiding the source), n + 1 in all.
+    per_pass = 1 + graph.node_count()
     gamma = gamma_star(graph, source, 1)
-    after_gamma = len(contractions)
-    # Omega_1 at f = 1 is the node-deleted subgraphs, each seen through its
-    # undirected view 2 * H.  gamma* just analysed every one of them (same
-    # unit form: no contraction) except G minus the source, which Gamma
-    # excludes: one contraction on n - 1 nodes.
     u1 = u1_value(graph, 1)
-    assert len(contractions) - after_gamma == 1
+    assert len(contractions) == 2 * per_pass
     assert solves == []
     edges = CutTree(cached_gomory_hu(graph)).tree_edges()
+    cut = broadcast_mincut(graph, source)
     built, ran = len(solves), len(contractions)
     for scale in SCALES:
         scaled = _mapped(graph, scale=scale)
@@ -100,8 +87,10 @@ def test_capacity_scaling_scales_every_value_and_solves_nothing(
         assert CutTree(cached_gomory_hu(scaled)).tree_edges() == [
             (child, parent, weight * scale) for child, parent, weight in edges
         ]
-        assert broadcast_mincut(scaled, source) == broadcast_mincut(graph, source) * scale
-    assert (len(solves), len(contractions)) == (built, ran)
+        assert broadcast_mincut(scaled, source) == cut * scale
+    # The passes contracted their members again; the cached entry points
+    # (cut tree, broadcast_mincut) contracted and solved nothing new.
+    assert (len(solves), len(contractions)) == (built, ran + 2 * per_pass * len(SCALES))
 
 
 @pytest.mark.parametrize("name,graph", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
