@@ -40,11 +40,11 @@ from repro.exceptions import FieldError
 from repro.gf import backends as _backends
 from repro.gf.polynomials import (
     ReductionTable,
+    _prime_factors,
     irreducible_polynomial,
     is_irreducible,
     poly_degree,
     poly_mod,
-    poly_mul,
     poly_reduce,
     poly_reduce_stacked,
     poly_square,
@@ -90,7 +90,9 @@ def _window_table_bytes(bits: int) -> int:
 _TABLE_MAX_DEGREE = 16
 
 # (degree, modulus) -> (exp, log, inv) lookup tables, shared by all instances
-# of the same field so the build cost is paid once per process.
+# of the same field so the build is paid once per process: ~12 ms at degree
+# 16 (an order test and one linear walk), and each forked worker pays it again
+# in its first session over that field.
 _TABLE_CACHE: Dict[Tuple[int, int], Tuple[List[int], List[int], List[int]]] = {}
 
 # (degree, modulus) -> canonical GF2m instance (see get_field).
@@ -129,8 +131,58 @@ def _retain_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+def _mulmod(a: int, b: int, degree: int, modulus: int) -> int:
+    """``a * b mod modulus`` for ``a, b < 2^degree``, by shift and add."""
+    top = 1 << degree
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return product
+
+
+def _generates(candidate: int, cofactors: List[int], degree: int, modulus: int) -> bool:
+    """Whether ``candidate`` generates the multiplicative group of the field.
+
+    ``cofactors`` are the quotients ``(2^degree - 1) / p`` over the primes
+    ``p`` dividing the group order; ``candidate`` has the full order iff no
+    power of it by a cofactor is 1.  Each power is a square-and-multiply.
+    """
+    for exponent in cofactors:
+        power, base = 1, candidate
+        while exponent:
+            if exponent & 1:
+                power = _mulmod(power, base, degree, modulus)
+            base = _mulmod(base, base, degree, modulus)
+            exponent >>= 1
+        if power == 1:
+            return False
+    return True
+
+
+def _span(basis: List[int]) -> List[int]:
+    """Every XOR combination of ``basis``: the one of bit mask ``b`` is at index ``b``."""
+    span = [0]
+    for vector in basis:
+        span += [combination ^ vector for combination in span]
+    return span
+
+
 def _build_tables(degree: int, modulus: int) -> Tuple[List[int], List[int], List[int]]:
     """Build ``(exp, log, inv)`` tables for the field ``GF(2^degree)``.
+
+    The generator is the smallest ``c >= 2`` of full order, found by the
+    order test of :func:`_generates` rather than by walking each candidate's
+    cycle, so the tables equal those of that walk (frozen as
+    ``tests/_oracles/gf.py::build_tables_by_walk``).  ``exp`` is then the
+    generator's powers: multiplying by the generator is linear over GF(2),
+    so each step is two lookups, in the tables of its products with every
+    low byte and every high byte (spanned by ``generator * x^i mod
+    modulus``).  ``log`` and ``inv`` are filled from the powers in one pass.
 
     ``exp`` holds two copies of the antilog table back to back so that
     ``exp[log[a] + log[b]]`` never needs a ``% (order - 1)`` reduction.
@@ -140,24 +192,29 @@ def _build_tables(degree: int, modulus: int) -> Tuple[List[int], List[int], List
     group = order - 1
     if group == 1:
         return [1, 1], [0, 0], [0, 1]
-    powers: List[int] = []
-    for candidate in range(2, order):
-        powers = [1]
-        value = candidate
-        while value != 1 and len(powers) <= group:
-            powers.append(value)
-            value = poly_mod(poly_mul(value, candidate), modulus)
-        if len(powers) == group:
+    cofactors = [group // prime for prime in _prime_factors(group)]
+    for generator in range(2, order):
+        if _generates(generator, cofactors, degree, modulus):
             break
     else:  # pragma: no cover - impossible for an irreducible modulus
         raise FieldError(f"no generator found for GF(2^{degree})")
+    basis = [generator]
+    for _ in range(degree - 1):
+        shifted = basis[-1] << 1
+        basis.append(shifted ^ modulus if shifted & order else shifted)
+    low, high = _span(basis[:8]), _span(basis[8:])
+    powers = [1]
+    append = powers.append
+    value = 1
+    for _ in range(group - 1):
+        value = low[value & 0xFF] ^ high[value >> 8]
+        append(value)
     exp = powers + powers
     log = [0] * order
+    inv = [0] * order
     for index, element in enumerate(powers):
         log[element] = index
-    inv = [0] * order
-    for element in range(1, order):
-        inv[element] = exp[group - log[element]]
+        inv[element] = exp[group - index]
     return exp, log, inv
 
 

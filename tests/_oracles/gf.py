@@ -2,7 +2,8 @@
 
 These are the bit-serial and per-symbol loops that ``GF2m`` and ``GFMatrix``
 replaced with table, window, stacked and ``native`` kernels, kept verbatim as
-functions of the field (or matrix) they used to be methods of.  The fast
+functions of the field (or matrix) they used to be methods of, and the
+generator walk the small-field tables were once built by.  The fast
 paths are property-tested against them (``tests/test_big_field_kernels.py``,
 ``tests/test_gf_backends.py``, ``tests/test_vector_kernels.py``, ...); their
 only job is to stay exactly as they are.
@@ -10,12 +11,48 @@ only job is to stay exactly as they are.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.exceptions import FieldError, MatrixError
 from repro.gf.field import GF2m
 from repro.gf.matrix import GFMatrix
 from repro.gf.polynomials import poly_divmod, poly_mod, poly_mul
+
+
+def build_tables_by_walk(degree: int, modulus: int) -> Tuple[List[int], List[int], List[int]]:
+    """Build ``(exp, log, inv)`` tables for the field ``GF(2^degree)``.
+
+    The pre-order-test build: each candidate's whole cycle is walked with
+    the bit-serial multiply, and the first one of full order is the
+    generator.  ``_build_tables`` must return the same tables.
+
+    ``exp`` holds two copies of the antilog table back to back so that
+    ``exp[log[a] + log[b]]`` never needs a ``% (order - 1)`` reduction.
+    ``log[0]`` and ``inv[0]`` are unused placeholders (zero has neither).
+    """
+    order = 1 << degree
+    group = order - 1
+    if group == 1:
+        return [1, 1], [0, 0], [0, 1]
+    powers: List[int] = []
+    for candidate in range(2, order):
+        powers = [1]
+        value = candidate
+        while value != 1 and len(powers) <= group:
+            powers.append(value)
+            value = poly_mod(poly_mul(value, candidate), modulus)
+        if len(powers) == group:
+            break
+    else:  # pragma: no cover - impossible for an irreducible modulus
+        raise FieldError(f"no generator found for GF(2^{degree})")
+    exp = powers + powers
+    log = [0] * order
+    for index, element in enumerate(powers):
+        log[element] = index
+    inv = [0] * order
+    for element in range(1, order):
+        inv[element] = exp[group - log[element]]
+    return exp, log, inv
 
 
 def mul_fallback(field: GF2m, a: int, b: int) -> int:

@@ -2,8 +2,9 @@
 
 The table path (log/antilog lookups, degree <= 16) and the bit-serial
 polynomial oracle of ``tests/_oracles/gf.py`` must compute identical field
-values; these tests compare them on random samples and pin down the
-shared-table / shared-field cache contracts.
+values; these tests compare them on random samples, hold the table build to
+the generator walk it replaced, and pin down the shared-table / shared-field
+cache contracts.
 """
 
 from __future__ import annotations
@@ -12,19 +13,35 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles.gf import dot, inv_fallback, mul_fallback
+from _oracles.gf import build_tables_by_walk, dot, inv_fallback, mul_fallback
 from repro.exceptions import FieldError
-from repro.gf.field import _TABLE_MAX_DEGREE, GF2m, get_field
+from repro.gf import field as field_module
+from repro.gf import polynomials
+from repro.gf.field import _TABLE_CACHE, _TABLE_MAX_DEGREE, GF2m, _build_tables, get_field
 from repro.gf.polynomials import (
     _LOW_WEIGHT_EXPONENTS,
     _has_small_degree_factor,
     _poly_from_exponents,
+    irreducible_polynomial,
     is_irreducible,
 )
 
-TABLE_DEGREES = [1, 4, 8, 12]
+TABLE_DEGREES = [1, 4, 8, 12, 13, 14, 15, 16]
 SAMPLES = 200
+
+
+def _pow_by_squaring(field, a, exponent):
+    """``a ** exponent`` by square-and-multiply on the bit-serial oracle."""
+    power = 1
+    while exponent:
+        if exponent & 1:
+            power = mul_fallback(field, power, a)
+        a = mul_fallback(field, a, a)
+        exponent >>= 1
+    return power
 
 
 @pytest.mark.parametrize("degree", TABLE_DEGREES)
@@ -62,9 +79,7 @@ class TestTableMatchesPolynomialOracle:
         for _ in range(40):
             a = field.random_nonzero(rng)
             exponent = rng.randrange(0, 3 * field.order)
-            expected = 1
-            for _step in range(exponent):
-                expected = mul_fallback(field, expected, a)
+            expected = _pow_by_squaring(field, a, exponent)
             assert field.pow(a, exponent) == expected
             if exponent:
                 assert field.pow(a, -exponent) == inv_fallback(field, field.pow(a, exponent))
@@ -79,6 +94,71 @@ class TestTableMatchesPolynomialOracle:
             for a, b in zip(left, right):
                 expected ^= mul_fallback(field, a, b)
             assert dot(field, left, right) == expected
+
+
+def _assert_walk_tables(tables, degree, modulus):
+    exp, log, inv = tables
+    walk_exp, walk_log, walk_inv = build_tables_by_walk(degree, modulus)
+    assert exp == walk_exp
+    assert log == walk_log
+    assert inv[1:] == walk_inv[1:]
+
+
+@pytest.mark.parametrize("degree", range(1, _TABLE_MAX_DEGREE + 1))
+def test_tables_equal_the_generator_walk(degree):
+    modulus = irreducible_polynomial(degree)
+    _assert_walk_tables(_build_tables(degree, modulus), degree, modulus)
+
+
+@st.composite
+def _irreducible_moduli(draw):
+    degree = draw(st.integers(min_value=2, max_value=12))
+    middle = draw(st.integers(min_value=0, max_value=(1 << (degree - 1)) - 1))
+    return degree, (1 << degree) | (middle << 1) | 1
+
+
+# x is not primitive for the fixed examples: its order is 5, 9, 51, 73 and
+# 45 in place of 15, 63, 255, 511 and 4095, so the walk skips past it.
+@settings(max_examples=40, deadline=None)
+@given(_irreducible_moduli().filter(lambda drawn: is_irreducible(drawn[1])))
+@example((4, 0x1F))
+@example((6, 0x49))
+@example((8, 0x11B))
+@example((9, 0x203))
+@example((12, 0x1009))
+def test_tables_equal_the_generator_walk_for_any_modulus(drawn):
+    degree, modulus = drawn
+    _assert_walk_tables(GF2m(degree, modulus).tables(), degree, modulus)
+
+
+@pytest.fixture
+def fresh_tables():
+    """The default GF(2^11) and GF(2^16) with their cached tables dropped.
+
+    The cached tables are put back afterwards, so the canonical fields built
+    before keep sharing them.
+    """
+    keys = [(degree, irreducible_polynomial(degree)) for degree in (11, 16)]
+    saved = {key: _TABLE_CACHE.pop(key) for key in keys if key in _TABLE_CACHE}
+    yield [GF2m(degree, modulus) for degree, modulus in keys]
+    for key in keys:
+        _TABLE_CACHE.pop(key, None)
+    _TABLE_CACHE.update(saved)
+
+
+def test_tables_build_without_the_polynomial_arithmetic(monkeypatch, fresh_tables):
+    def forbidden(*args):
+        raise AssertionError("the table build ran bit-serial polynomial arithmetic")
+
+    for module in (field_module, polynomials):
+        for name in ("poly_mul", "poly_mod"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for field in fresh_tables:
+        assert field.tables() is not None
+        assert (field.degree, field.modulus) in _TABLE_CACHE
+    monkeypatch.undo()
+    for field in fresh_tables:
+        _assert_walk_tables(field.tables(), field.degree, field.modulus)
 
 
 class TestPowEdgeCases:
